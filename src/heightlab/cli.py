@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__ as VERSION
 from .counting import (
     HeightWindow,
     bounded_window,
@@ -51,7 +52,6 @@ from .lattice import (
     EucLattice,
     NotPositiveDefinite,
     UnsupportedRank,
-    is_semistable,
     newton_polygon,
     successive_minima,
 )
@@ -79,8 +79,6 @@ from .projpoint import (
 )
 from .tamagawa import assemble_constant, uniform_class_share
 from .zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
-
-VERSION = "0.1.0"
 
 COMPUTE_ERRORS = (
     InvalidPoint, IncompatibleModulus, UnsupportedRank, NotPositiveDefinite,
@@ -137,6 +135,11 @@ def _parse_fracs(text: str, what: str) -> tuple:
 def _parse_center(text: str) -> tuple:
     factors = tuple(_parse_ints(part, "center") for part in text.split(","))
     return factors[0] if len(factors) == 1 else factors
+
+
+def _ratio(num, den):
+    """num / den, or None (JSON null) when the ratio is undefined."""
+    return num / den if den else None
 
 
 def _num(x):
@@ -197,7 +200,7 @@ def _render(cfg: RunConfig, data: dict, table) -> str:
         doc = {"provenance": {"command": cfg.command_line(),
                               "seed": cfg.seed, "version": VERSION}}
         doc.update(data)
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if table is None:
         cols = [k for k, v in data.items()
                 if not isinstance(v, (dict, list, tuple))]
@@ -237,6 +240,7 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
     b = float(args.bound)
     if v.kind == "blowup":
         count_e, count_u = count_blowup(args.bound, metric)
+        fit_u = count_u / (b * math.log(b)) if b > 1 else None
         ref_e = assemble_constant(variety("pn", 1), metric).closed_form(
             variety("pn", 1))
         ref_u = assemble_constant(v, metric).closed_form(v)
@@ -246,16 +250,12 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
             "count": count_e + count_u,
             "exceptional": {"count": count_e, "fit": count_e / b ** 2,
                             "reference": ref_e},
-            "off_exceptional": {"count": count_u,
-                                "fit": count_u / (b * math.log(b))
-                                if b > 1 else math.inf,
+            "off_exceptional": {"count": count_u, "fit": fit_u,
                                 "reference": ref_u},
         }
         table = (["piece", "count", "fit", "reference"],
                  [["exceptional", count_e, count_e / b ** 2, ref_e],
-                  ["off_exceptional", count_u,
-                   count_u / (b * math.log(b)) if b > 1 else math.inf,
-                   ref_u]])
+                  ["off_exceptional", count_u, fit_u, ref_u]])
         return data, table
     count = count_points(v, args.bound, metric)
     const = assemble_constant(v, metric)
@@ -335,13 +335,11 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
     counts = count_classes_pn(args.dim, args.modulus, int(args.bound))
     total = sum(counts.values())
     uniform = uniform_class_share(v, args.modulus)
-    rows = []
-    max_gap = 0.0
-    for cls in sorted(counts, key=lambda c: c.coords):
-        share = counts[cls] / total if total else math.inf
-        gap = abs(share - float(uniform))
-        max_gap = max(max_gap, gap)
-        rows.append([":".join(map(str, cls.coords)), counts[cls], share])
+    rows = [[":".join(map(str, cls.coords)), counts[cls],
+             _ratio(counts[cls], total)]
+            for cls in sorted(counts, key=lambda c: c.coords)]
+    max_gap = max((abs(r[2] - float(uniform)) for r in rows),
+                  default=0.0) if total else None
     data = {
         "dim": args.dim, "modulus": args.modulus, "bound": _num(args.bound),
         "classes": len(counts), "total": total,
@@ -357,7 +355,7 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
             raise UsageError(f"class {args.cls!r} is not primitive "
                              f"mod {args.modulus}")
         data["class"] = ":".join(map(str, target))
-        data["class_share"] = counts[key] / total
+        data["class_share"] = _ratio(counts[key], total)
     if args.box is not None:
         box = _parse_box(args.box, "--box")
         if len(box) != args.dim + 1:
@@ -368,7 +366,7 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
         inside = sum(c for (_, ib), c in joint.items() if ib)
         mu = sup_box_measure(box, args.dim)
         data["mu_box"] = float(mu)
-        data["box_share"] = inside / vec_total
+        data["box_share"] = _ratio(inside, vec_total)
         if args.cls is not None:
             target = _canonical_mod(_parse_ints(args.cls, "--class"),
                                     args.modulus)
@@ -376,7 +374,7 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
             for sign in (1, -1):
                 vec = tuple((sign * x) % args.modulus for x in target)
                 hit += joint.get((vec, True), 0)
-            data["joint_share"] = hit / vec_total
+            data["joint_share"] = _ratio(hit, vec_total)
             data["predicted_joint"] = float(uniform) * float(mu)
     table = (["class", "count", "share"], rows)
     return data, table
@@ -412,7 +410,7 @@ def _cmd_slopes(cfg: RunConfig, args) -> tuple:
         "rank": lat.rank,
         "slopes": [s.to_float() for s in poly.slopes],
         "degrees": [d.to_float() for d in poly.d],
-        "semistable": is_semistable(lat),
+        "semistable": poly.is_semistable,
         "minima": [m.to_float() for m in minima],
     }
     table = (["index", "slope"],
@@ -695,14 +693,17 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     cfg = _config_from(args)
     try:
+        if getattr(args, "bound", None) is not None and args.bound <= 0:
+            raise UsageError(f"--bound must be positive, got {_num(args.bound)}")
         data, table = args.handler(cfg, args)
+        text = _render(cfg, data, table)
     except UsageError as exc:
         print(f"heightlab: {exc}", file=sys.stderr)
         return 2
     except COMPUTE_ERRORS as exc:
         print(f"heightlab: computation failed: {exc}", file=sys.stderr)
         return 3
-    _write(cfg, _render(cfg, data, table))
+    _write(cfg, text)
     return 0
 
 

@@ -30,15 +30,21 @@ CENTER = (0, 0, 1)  # blow-up center in P^2
 
 
 def int_nth_root(x: int, k: int) -> int:
-    """Largest t >= 0 with t^k <= x."""
+    """Largest t >= 0 with t^k <= x, in exact integer arithmetic."""
     if x < 0 or k < 1:
         raise ValueError("need x >= 0, k >= 1")
+    if k == 2:
+        return math.isqrt(x)
     if x == 0:
         return 0
-    t = int(round(x ** (1.0 / k))) + 1
-    while t ** k > x:
-        t -= 1
-    return t
+    # Integer Newton from a power of two above the root: the iterates fall
+    # strictly until the first one that does not, which is floor(x^(1/k)).
+    t = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * t + x // t ** (k - 1)) // k
+        if s >= t:
+            return t
+        t = s
 
 
 def rational_power_floor(base: Fraction, expo: Fraction) -> int:

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-# Arbitrary-precision rational scalar used across the package.
-BigRat = Fraction
-
 RatLike = Union[int, Fraction]
 
 # Gap below which the float filter refuses to decide a comparison.
@@ -102,10 +99,6 @@ class LogRat:
 
     def __repr__(self):
         return f"LogRat({self.arg})"
-
-
-def lograt_compare(a: LogRat, b: LogRat) -> int:
-    return a.compare(b)
 
 
 class LogLin:

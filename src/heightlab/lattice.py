@@ -11,6 +11,11 @@ integer coordinate box that provably contains every vector below the bound
 keep them small).  Intermediate-rank minimal covolumes enumerate all vectors
 below a Minkowski-type bound and take the best saturated span; ranks r-1 and
 r reduce to the dual and the determinant.  The rank cap is 6.
+
+Each integer Gram is LLL-reduced once, with exact Gram-Schmidt data updated
+incrementally, and the reduction is kept on the lattice: the Newton polygon,
+the successive minima and every certified search on that lattice reuse it
+(one reduction for the Gram, one for its adjugate).
 """
 
 from __future__ import annotations
@@ -146,57 +151,102 @@ def _gram_of_transform(u, g):
 
 
 def _lll_transform(g, delta=Fraction(99, 100)):
-    """Exact LLL on an integer Gram matrix; returns the unimodular rows U."""
+    """Exact LLL on an integer Gram matrix; returns the unimodular rows U.
+
+    The Gram-Schmidt data (mu, bstar) is computed once and then updated in
+    place: a size-reduction step b_k -= q b_j changes only row k of mu, and
+    a swap of b_{k-1}, b_k changes bstar[k-1], bstar[k], two rows of mu and
+    columns k-1, k below them (Cohen, Algorithm 2.6.3).  All values are
+    exact, so every rounding and Lovasz test sees what a from-scratch
+    orthogonalisation would give.
+    """
     r = len(g)
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def gso(cur):
-        mu = [[Fraction(0)] * r for _ in range(r)]
-        bstar = [Fraction(0)] * r
-        for i in range(r):
-            bstar[i] = Fraction(cur[i][i])
-            for j in range(i):
-                mu[i][j] = (Fraction(cur[i][j]) - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))) / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
-
-    cur = [list(row) for row in g]
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    bstar = [Fraction(0)] * r
+    for i in range(r):
+        bstar[i] = Fraction(g[i][i])
+        for j in range(i):
+            mu[i][j] = (Fraction(g[i][j]) - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))) / bstar[j]
+            bstar[i] -= mu[i][j] ** 2 * bstar[j]
     k = 1
     guard = 0
     while k < r:
         guard += 1
         if guard > 10000:
             break  # defensive; reduction quality only affects speed
-        mu, bstar = gso(cur)
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(mk[j])
             if q:
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-                cur = _gram_of_transform(u, g)
-                mu, bstar = gso(cur)
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                mj = mu[j]
+                for l in range(j):
+                    mk[l] -= q * mj[l]
+                mk[j] -= q
+        m = mk[k - 1]
+        if bstar[k] >= (delta - m ** 2) * bstar[k - 1]:
             k += 1
-        else:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            cur = _gram_of_transform(u, g)
-            k = max(k - 1, 1)
+            continue
+        u[k], u[k - 1] = u[k - 1], u[k]
+        big = bstar[k] + m ** 2 * bstar[k - 1]
+        mk[k - 1] = m * bstar[k - 1] / big
+        bstar[k] = bstar[k - 1] * bstar[k] / big
+        bstar[k - 1] = big
+        for j in range(k - 1):
+            mu[k - 1][j], mk[j] = mk[j], mu[k - 1][j]
+        for i in range(k + 1, r):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mk[k - 1] * mu[i][k]
+        k = max(k - 1, 1)
     return u
 
 
-def _vectors_within(g, bound, reduce_first=True):
+@dataclass(frozen=True)
+class _Reduction:
+    """An integer Gram g after LLL: the rows U, the reduced Gram U g U^T,
+    its determinant and its adjugate.  Every search over g starts here."""
+
+    g: list
+    u: list
+    gg: list
+    det: int
+    adj: list
+
+
+def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
+    """Reduction of the lattice's integer Gram G, or of adj(G) when `dual`.
+
+    Computed on first use and kept on the instance (outside the dataclass
+    fields, so equality, hashing and repr ignore it).
+    """
+    attr = "_dual_reduction" if dual else "_reduction"
+    red = lat.__dict__.get(attr)
+    if red is None:
+        g, _ = _int_gram(lat)
+        if dual:
+            g = _adjugate_int(g)
+        u = _lll_transform(g)
+        gg = _gram_of_transform(u, g)
+        det = _det_int(gg)
+        if det <= 0:
+            raise NotPositiveDefinite("degenerate gram in enumeration")
+        red = _Reduction(g, u, gg, det, _adjugate_int(gg))
+        object.__setattr__(lat, attr, red)
+    return red
+
+
+def _vectors_within(red: _Reduction, bound):
     """All nonzero x in Z^r with x g x^T <= bound, up to sign.
 
-    Scans the integer box |x_i| <= sqrt(bound * adj_ii / det); any vector
-    below the bound satisfies these inequalities, so the scan is complete.
-    Sign normalisation keeps the first nonzero coordinate positive.
+    Scans the integer box |x_i| <= sqrt(bound * adj_ii / det) in reduced
+    coordinates; any vector below the bound satisfies these inequalities,
+    so the scan is complete.  Sign normalisation keeps the first nonzero
+    coordinate positive.
     """
-    r = len(g)
-    u = _lll_transform(g) if (reduce_first and r > 1) else [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    gg = _gram_of_transform(u, g)
-    det = _det_int(gg)
-    if det <= 0:
-        raise NotPositiveDefinite("degenerate gram in enumeration")
-    adj = _adjugate_int(gg)
+    u, gg, det, adj = red.u, red.gg, red.det, red.adj
+    r = len(gg)
     radii = []
     for i in range(r):
         num = bound * adj[i][i]
@@ -231,18 +281,11 @@ def _vectors_within(g, bound, reduce_first=True):
     return out
 
 
-def _svp_int(g):
-    """(min norm^2, witness) of an integer Gram matrix, certified."""
-    r = len(g)
-    if r == 1:
-        return g[0][0], (1,)
-    u = _lll_transform(g)
-    gg = _gram_of_transform(u, g)
-    bound = min(gg[i][i] for i in range(r))
-    vecs = _vectors_within(g, bound, reduce_first=False) if r == 1 else _vectors_within(g, bound)
+def _svp_int(red: _Reduction):
+    """(min norm^2, witness) of a reduced integer Gram, certified."""
+    bound = min(red.gg[i][i] for i in range(len(red.gg)))
     # bound is attained by a basis vector, so the list is nonempty
-    q, x = vecs[0]
-    return q, x
+    return _vectors_within(red, bound)[0]
 
 
 def _content_of_minors(x_rows):
@@ -270,23 +313,25 @@ def _subset_covol2(g, rows):
     return Fraction(num, den)
 
 
-def _min_covol2_int(g, i):
-    """Minimal covol^2 over rank-i primitive sublattices of an int Gram."""
-    r = len(g)
+def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:
+    """Minimal covol^2 over rank-i primitive sublattices, for the integer Gram."""
+    r = lat.rank
     if i == r:
+        g, _ = _int_gram(lat)
         return Fraction(_det_int(g))
     if i == 1:
-        q, _ = _svp_int(g)
+        q, _ = _svp_int(_reduction(lat))
         return Fraction(q)
     if i == r - 1:
         # minimal covol = covol(L) * lambda_1(dual); dual gram is adj/det, so
         # covol^2 = det * (lambda_1^2(adj)/det) = lambda_1^2(adj)
-        q, _ = _svp_int(_adjugate_int(g))
+        q, _ = _svp_int(_reduction(lat, dual=True))
         return Fraction(q)
     # 1 < i < r-1 (so r >= 4, i <= 4): search spans of certified short vectors
-    m1, _ = _svp_int(g)
-    u = _lll_transform(g)
-    rows = sorted(((sum(u[a][s] * g[s][t] * u[a][t] for s in range(r) for t in range(r)), u[a]) for a in range(r)))
+    red = _reduction(lat)
+    g = red.g
+    m1, _ = _svp_int(red)
+    rows = sorted((red.gg[a][a], red.u[a]) for a in range(r))
     seed = _subset_covol2(g, [rows[k][1] for k in range(i)])
     assert seed is not None
     best = seed
@@ -294,13 +339,12 @@ def _min_covol2_int(g, i):
     # with gamma_i^i <= (4/3)^(i(i-1)/2); a rank <= 4 lattice has a basis realising
     # its minima, so the optimum is spanned by vectors below this bound.
     c2 = Fraction(4, 3) ** (i * (i - 1) // 2) * best / Fraction(m1) ** (i - 1)
-    vecs = _vectors_within(g, math.floor(c2))
+    vecs = _vectors_within(red, math.floor(c2))
     coords = [v for _, v in vecs]
     for combo in itertools.combinations(range(len(coords)), i):
         cv = _subset_covol2(g, [coords[k] for k in combo])
         if cv is not None and cv < best:
             best = cv
-            c2 = Fraction(4, 3) ** (i * (i - 1) // 2) * best / Fraction(m1) ** (i - 1)
     return best
 
 
@@ -319,8 +363,8 @@ def max_deg_rank(lat: EucLattice, i: int) -> LogRat:
     """Largest degree of a rank-i primitive sublattice (min covolume)."""
     if not 1 <= i <= lat.rank:
         raise ValueError("need 1 <= i <= rank")
-    g, den = _int_gram(lat)
-    covol2 = _min_covol2_int(g, i) / den ** i
+    _, den = _int_gram(lat)
+    covol2 = _min_covol2_int(lat, i) / den ** i
     return LogRat(1 / covol2)
 
 
@@ -335,6 +379,11 @@ class NewtonPolygon:
     @property
     def rank(self) -> int:
         return len(self.slopes)
+
+    @property
+    def is_semistable(self) -> bool:
+        """All slopes equal, i.e. the polygon is a straight segment."""
+        return self.slopes[0].compare(self.slopes[-1]) == 0
 
 
 def newton_polygon(lat: EucLattice) -> NewtonPolygon:
@@ -381,18 +430,16 @@ def min_slope(lat: EucLattice) -> LogLin:
 
 def is_semistable(lat: EucLattice) -> bool:
     """All slopes equal, i.e. the polygon is a straight segment."""
-    np_ = newton_polygon(lat)
-    return np_.slopes[0].compare(np_.slopes[-1]) == 0
+    return newton_polygon(lat).is_semistable
 
 
 def successive_minima(lat: EucLattice) -> tuple:
     """log lambda_i as LogRat values, via certified enumeration."""
-    g, den = _int_gram(lat)
+    _, den = _int_gram(lat)
     r = lat.rank
-    u = _lll_transform(g) if r > 1 else [[1]]
-    gg = _gram_of_transform(u, g)
-    bound = max(gg[i][i] for i in range(r))
-    vecs = _vectors_within(g, bound)
+    red = _reduction(lat)
+    bound = max(red.gg[i][i] for i in range(r))
+    vecs = _vectors_within(red, bound)
     norms = []
     chosen: list = []
     for q, x in vecs:

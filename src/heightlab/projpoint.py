@@ -206,13 +206,6 @@ def anticanonical_height(v: VarietyId, point, metric: Metric = Metric.SUP) -> Lo
     return acc
 
 
-def height_comparability_gap(p: PrimPoint) -> tuple:
-    """(h_euclid - h_sup) as a LogRat; lies in [0, (1/2) log(n+1)]."""
-    he = height_o1(p, Metric.EUCLID)
-    hs = height_o1(p, Metric.SUP)
-    return he - hs
-
-
 # ---------------------------------------------------------------------------
 # Reduction mod M
 

@@ -1,13 +1,26 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heightlab.cli import main
-from heightlab.counting import bounded_window, count_window, enum_points
+import heightlab
+from heightlab.cli import VERSION, main
+from heightlab.counting import (
+    bounded_window,
+    count_points,
+    count_window,
+    enum_points,
+)
 from heightlab.counting import HeightWindow
 from heightlab.geomcurve import curve_to_json, line_p2
+from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import variety
+
+from test_lattice import random_gram
 
 
 def run_json(capsys, argv):
@@ -149,6 +162,17 @@ class TestSlopes:
         doc = run_json(capsys, ["slopes", "--gram", str(f)])
         assert doc["semistable"] is True
         assert doc["slopes"][0] == pytest.approx(math.log(2))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_semistable_matches_library(self, tmp_path, capsys, rank):
+        rng = np.random.default_rng(11)
+        grams = [random_gram(rng, rank) for _ in range(4)]
+        grams.append(tuple(tuple(int(i == j) for j in range(rank))
+                           for i in range(rank)))
+        for g in grams:
+            f = self.write_gram(tmp_path, g)
+            doc = run_json(capsys, ["slopes", "--gram", str(f)])
+            assert doc["semistable"] is is_semistable(EucLattice(g)), g
 
     def test_not_positive_definite_is_exit_3(self, tmp_path, capsys):
         f = self.write_gram(tmp_path, [[1, 2], [2, 1]])
@@ -304,3 +328,44 @@ class TestPlumbing:
         assert main(["count", "--variety", "pn", "--dim", "1",
                      "--bound", "ten"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--variety", "pn", "--dim", "1", "--bound", "0"],
+        ["count", "--variety", "blowup", "--dim", "2", "--bound", "-5"],
+        ["equidist", "--dim", "2", "--modulus", "3", "--bound", "0"],
+        ["window", "--variety", "pn", "--dim", "1", "--d1", "1,2",
+         "--bound=-1/2"],
+    ])
+    def test_nonpositive_bound_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heightlab: --bound must be positive")
+
+    @pytest.mark.parametrize("argv, nulls", [
+        (["count", "--variety", "blowup", "--dim", "2", "--bound", "1"], 1),
+        (["equidist", "--dim", "2", "--modulus", "3", "--bound", "1/2"], 14),
+    ])
+    def test_undefined_ratios_are_strict_json_null(self, capsys, argv,
+                                                   nulls):
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        json.loads(out, parse_constant=reject)
+        assert out.count("null") == nulls
+
+    def test_version_is_the_package_version(self):
+        assert VERSION == heightlab.__version__
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(heightlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "heightlab", "count", "--variety", "pn",
+             "--dim", "1", "--bound", "10"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": src}, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["count"] == count_points(
+            variety("pn", 1), 10)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heightlab.counting import (
@@ -47,7 +47,14 @@ class TestRoots:
         assert rational_power_floor(Fraction(9, 4), Fraction(1, 2)) == 1
         assert rational_power_floor(Fraction(4), Fraction(3, 2)) == 8
 
-    @given(st.integers(1, 10**6), st.integers(1, 5))
+    # Exact past 2^53 and past float range; the examples defeated a
+    # float-seeded Newton step (root one too small, or OverflowError).
+    @given(st.one_of(st.integers(0, 10**6), st.integers(0, 10**600)),
+           st.integers(1, 6))
+    @example((3**40 + 7) ** 3, 2)
+    @example((3**40 + 7) ** 3, 3)
+    @example(2**200, 3)
+    @example(10**400, 3)
     def test_nth_root_defining_property(self, x, k):
         t = int_nth_root(x, k)
         assert t**k <= x < (t + 1) ** k

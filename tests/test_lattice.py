@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightlab import lattice
 from heightlab.exactnum import LogLin, LogRat
 from heightlab.lattice import (
     EucLattice,
@@ -74,6 +75,75 @@ def oracle_min_covol2(gram, i, box=6):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def reference_lll_transform(g, delta=Fraction(99, 100)):
+    """Exact LLL that rebuilds the Gram-Schmidt data after every step."""
+    r = len(g)
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+
+    def gso(cur):
+        mu = [[Fraction(0)] * r for _ in range(r)]
+        bstar = [Fraction(0)] * r
+        for i in range(r):
+            bstar[i] = Fraction(cur[i][i])
+            for j in range(i):
+                mu[i][j] = (Fraction(cur[i][j]) - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))) / bstar[j]
+                bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        return mu, bstar
+
+    cur = [list(row) for row in g]
+    k = 1
+    while k < r:
+        mu, bstar = gso(cur)
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                cur = lattice._gram_of_transform(u, g)
+                mu, bstar = gso(cur)
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            cur = lattice._gram_of_transform(u, g)
+            k = max(k - 1, 1)
+    return u
+
+
+class TestReduction:
+    @given(st.integers(0, 10_000), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_incremental_lll_matches_reference(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        g = [list(row) for row in random_gram(rng, rank, spread=3)]
+        for h in (g, lattice._adjugate_int(g)):
+            assert lattice._lll_transform(h) == reference_lll_transform(h), h
+
+    def test_polygon_and_minima_reduce_two_grams_once(self, monkeypatch):
+        counts = {}
+        orig = lattice._lll_transform
+
+        def counting(g, *args, **kwargs):
+            key = tuple(map(tuple, g))
+            counts[key] = counts.get(key, 0) + 1
+            return orig(g, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_lll_transform", counting)
+        g = random_gram(np.random.default_rng(3), 4)
+        lat = EucLattice(g)
+        newton_polygon(lat)
+        successive_minima(lat)
+        adj = tuple(map(tuple, lattice._adjugate_int([list(r) for r in g])))
+        assert counts == {g: 1, adj: 1}
+
+    def test_cached_reduction_leaves_identity_alone(self):
+        g = ((2, 1), (1, 3))
+        lat = EucLattice(g)
+        before = (repr(lat), hash(lat))
+        newton_polygon(lat)
+        assert (repr(lat), hash(lat)) == before
+        assert lat == EucLattice(g)
 
 
 class TestDegreesAndPolygon:
