@@ -279,7 +279,22 @@ def _cache_key(args) -> str:
     bound = Fraction(args.bound)
     tag = str(bound.numerator) if bound.denominator == 1 else \
         f"{bound.numerator}-{bound.denominator}"
-    return f"{args.variety}{args.dim}_{args.metric}_B{tag}.csv"
+    return f"{args.variety}{args.dim}_{args.metric}_B{tag}_v{VERSION}.csv"
+
+
+_CACHE_HEADER = "# points "
+
+
+def _read_cache(path: Path) -> list | None:
+    """The cached tokens, or None when the file is missing or its row count
+    disagrees with its header."""
+    if not path.exists():
+        return None
+    lines = path.read_text().splitlines()
+    if not lines or not lines[0].startswith(_CACHE_HEADER):
+        return None
+    tokens = [line for line in lines[1:] if line and line != "point"]
+    return tokens if lines[0] == f"{_CACHE_HEADER}{len(tokens)}" else None
 
 
 def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
@@ -288,10 +303,8 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
     cache_file = None
     if cfg.cache_dir is not None:
         cache_file = cfg.cache_dir / _cache_key(args)
-    if cache_file is not None and cache_file.exists():
-        tokens = [line for line in cache_file.read_text().splitlines()
-                  if line and not line.startswith("#") and line != "point"]
-    else:
+    tokens = _read_cache(cache_file) if cache_file is not None else None
+    if tokens is None:
         if cfg.workers > 1:
             ranges = partition_leading_ranges(w, cfg.workers)
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -304,6 +317,7 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
             cfg.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
+                fh.write(f"{_CACHE_HEADER}{len(tokens)}\n")
                 fh.write("point\n")
                 fh.write("".join(t + "\n" for t in tokens))
             os.replace(tmp, cache_file)
@@ -384,8 +398,11 @@ def _cmd_window(cfg: RunConfig, args) -> tuple:
     v = variety(args.variety, args.dim)
     box = _parse_box(args.d1, "--d1")
     direction = _parse_fracs(args.u, "--u") if args.u else None
-    w = HeightWindow(variety=v, metric=_metric(args), box=box,
-                     direction=direction, scale=args.bound)
+    try:
+        w = HeightWindow(variety=v, metric=_metric(args), box=box,
+                         direction=direction, scale=args.bound)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report = count_window(w)
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,

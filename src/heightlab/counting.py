@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -539,21 +540,31 @@ def _enum_bounded(v: VarietyId, metric: Metric, bound: Fraction, first_range=Non
         return
     if v.kind == "p1n":
         cap = _shell_cap(bound, metric)
-        factors = _p1_points_shell(cap, metric)
+        factors = [(p, _shell_value(p, metric)) for p in _p1_points_shell(cap, metric)]
+        by_shell = sorted(range(len(factors)), key=lambda i: factors[i][1])
+        shells = [factors[i][1] for i in by_shell]
+        below = {}
 
-        def rec(level: int, cap_left: int, rng) -> Iterator:
-            for p in (factors if rng is None else
-                      (q for q in factors if q.coords[0] in rng)):
-                s = _shell_value(p, metric)
-                if s > cap_left:
-                    continue
-                if level == v.n - 1:
-                    yield (p,)
-                else:
-                    for rest in rec(level + 1, cap_left // s, None):
-                        yield (p,) + rest
+        def within(c: int) -> list:
+            # factors with shell value <= c in lexicographic order, built
+            # once per distinct c from a prefix of the shell-sorted order
+            if c not in below:
+                k = bisect_right(shells, c)
+                below[c] = [factors[i] for i in sorted(by_shell[:k])]
+            return below[c]
 
-        yield from rec(0, cap, first_range)
+        def rec(level: int, prefix: tuple, cap_left: int, items: list) -> Iterator:
+            if level == v.n - 1:
+                for p, _ in items:
+                    yield prefix + (p,)
+                return
+            for p, s in items:
+                c = cap_left // s
+                yield from rec(level + 1, prefix + (p,), c, within(c))
+
+        top = factors if first_range is None else \
+            [f for f in factors if f[0].coords[0] in first_range]
+        yield from rec(0, (), cap, top)
         return
     yield from _enum_blowup(bound, metric, first_range)
 

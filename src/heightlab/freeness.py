@@ -11,11 +11,19 @@ by sup-height).  Its degree equals the anticanonical log-height
 
 which lands in [0, 1] because mu_min is at most the average slope.
 
-Three routes compute it: the generic slope machinery on the tangent
-Gram, a closed form minimizing over intermediate subspaces D <= F < E
-(equivalently over saturated sublattices of the quotient E/D), and a
-fast all-integer path used for exhaustive sweeps.  All three agree
-exactly and tests pin that down.
+One kernel, `point_freeness`, computes (h, mu_min, l) for every caller.
+On P^2 and P^3 it takes the integer minima of the quotient form, picks
+the minimal slope term by exact integer power comparisons, and rounds
+that single term to a float; P^1 and (P^1)^n use their closed forms and
+P^n with n >= 4 the Newton polygon.  Two slower routes stay as test
+oracles: the generic slope machinery on the tangent Gram
+(`freeness(tangent_lattice_pn(p))`), and the closed form minimizing over
+intermediate subspaces D <= F < E (`closed_form_mu`, and
+`pn_freeness_data`, which assembles both as exact `LogLin`s).  All agree
+exactly on mu_min.  The returned l is a float, rounded through
+n * mu / h: a point whose exact l equals a threshold t may come out on
+either side of t.  `freeness_sweep` audits whole balls with its own
+float assembly of the same minima.
 """
 
 from __future__ import annotations
@@ -165,6 +173,16 @@ def _min3(g) -> int:
     return best
 
 
+def _pn_minima(y: Sequence[int]) -> tuple:
+    """(m, lam2, lam2_adj) for a primitive y of length 3 or 4: m = <y, y>,
+    lam2 = lambda_1^2 of the integer quotient form Gq, lam2_adj that of its
+    adjugate (None on P^2)."""
+    gq, m = _quotient_int_gram(y)
+    if len(gq) == 2:
+        return m, _min2(gq[0][0], gq[0][1], gq[1][1]), None
+    return m, _min3(gq), _min3(_adj3(gq))
+
+
 # ---------------------------------------------------------------------------
 # tangent lattices
 
@@ -266,12 +284,13 @@ def freeness_pn_closed(p: PrimPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast exact route for sweeps
+# exact LogLin assembly of the integer minima (oracle)
 
 
 @dataclass(frozen=True)
 class PnFreeness:
-    """All-integer freeness data for one point of P^2 or P^3.
+    """Exact freeness data for one point of P^2 or P^3, the test oracle of
+    `point_freeness`.
 
     lam2 is lambda_1^2 of the integer quotient form Gq (det m^(n-1)),
     lam2_adj its adjugate's (rank 3 only).  mu_closed and mu_generic are
@@ -294,15 +313,11 @@ def pn_freeness_data(p: PrimPoint) -> PnFreeness:
     n = p.n
     if n not in (2, 3):
         raise ValueError("fast path covers P^2 and P^3")
-    gq, m = _quotient_int_gram(p.coords)
+    m, lam2, lam2_adj = _pn_minima(p.coords)
     if n == 2:
-        lam2 = _min2(gq[0][0], gq[0][1], gq[1][1])
-        lam2_adj = None
         maxdeg_quot = [LogLin.zero(), LogLin.from_log(Fraction(m, lam2), Fraction(1, 2))]
         maxdeg_tan = [LogLin.zero(), LogLin.from_log(Fraction(m * m, lam2), Fraction(1, 2))]
     else:
-        lam2 = _min3(gq)
-        lam2_adj = _min3(_adj3(gq))
         maxdeg_quot = [
             LogLin.zero(),
             LogLin.from_log(Fraction(m, lam2), Fraction(1, 2)),
@@ -340,11 +355,14 @@ def freeness_product(points: Sequence[PrimPoint]) -> float:
     pts = list(points)
     if not pts or any(p.n != 1 for p in pts):
         raise ValueError("expected a tuple of P^1 points")
-    args = [sum(c * c for c in p.coords) for p in pts]
-    if min(args) == 1:  # some factor has height zero
-        return 0.0
+    return _p1n_freeness(pts)[2]
+
+
+def _p1n_freeness(points: Sequence[PrimPoint]) -> tuple:
+    args = [sum(c * c for c in p.coords) for p in points]
     logs = [math.log(a) / 2 for a in args]
-    return len(pts) * min(logs) / sum(logs)
+    l = 0.0 if min(args) == 1 else len(args) * min(logs) / sum(logs)
+    return 2 * sum(logs), 2 * min(logs), l
 
 
 def product_tangent_lattice(points: Sequence[PrimPoint]) -> TangentLattice:
@@ -382,6 +400,76 @@ def freeness_surface_tau(t: TangentLattice) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the freeness kernel
+
+
+# mu_k = c_m log m + c_a log(m^(2k) / L_k) is the generic tangent term
+# (deg T - maxdeg_k T)/(n - k), with deg T = ((n+1)/2) log m, maxdeg_k T =
+# (1/2) log(m^(2k) / L_k), L_1 = lam2 and L_2 = lam2_adj.  Per k this holds
+# (c_m, c_a, c_m + c_a); the sum is the coefficient once the two logarithms
+# merge (m^(2k) / L_k == m).
+_TERM_FLOATS = {n: tuple(((n + 1) / (2 * (n - k)), -1 / (2 * (n - k)), n / (2 * (n - k)))
+                         for k in range(n))
+                for n in (2, 3)}
+
+
+def _term_float(n: int, k: int, m: int, big_l: int) -> float:
+    """mu_k as `LogLin.to_float` rounds it: arguments equal to 1 dropped,
+    equal arguments merged, log of a reduced fraction as log num - log den."""
+    cm, ca, merged = _TERM_FLOATS[n][k]
+    if k == 0:
+        return cm * math.log(m)
+    num, den = m ** (2 * k), big_l
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if num == den:
+        return cm * math.log(m)
+    if den == 1 and num == m:
+        return merged * math.log(m)
+    return cm * math.log(m) + ca * (math.log(num) - math.log(den))
+
+
+def point_freeness(v: VarietyId, point) -> tuple:
+    """(h, mu_min, l) as floats for a point of P^n (a PrimPoint) or of
+    (P^1)^n (a tuple of PrimPoints); h is the euclid anticanonical
+    log-height.
+
+    On P^2 and P^3 the minimal term of mu_min is chosen exactly, ties
+    keeping the lower k: on P^2, k = 1 wins iff lam2^2 < m; on P^3, k = 1
+    beats k = 0 iff lam2^3 < m^2, k = 2 beats k = 0 iff lam2_adj^3 < m^4
+    and beats k = 1 iff lam2_adj^2 < m^2 lam2.  The float values equal
+    those of `pn_freeness_data` bit for bit.
+    """
+    if v.kind == "p1n":
+        return _p1n_freeness(point)
+    if v.kind != "pn":
+        raise ValueError("freeness covers P^n and (P^1)^n")
+    n = v.n
+    if n >= 4:
+        t = tangent_lattice_pn(point)
+        r = freeness(t)
+        return t.h.to_float(), r.mu_min.to_float(), r.l
+    m = sum(c * c for c in point.coords)
+    h = 0.5 * math.log(m ** (n + 1))
+    if m == 1:
+        return h, 0.0, 0.0
+    if n == 1:
+        return h, h, 1.0
+    _, lam2, lam2_adj = _pn_minima(point.coords)
+    if n == 2:
+        k = 1 if lam2 * lam2 < m else 0
+    else:
+        k = 1 if lam2 ** 3 < m * m else 0
+        if (lam2_adj ** 2 < m * m * lam2) if k else (lam2_adj ** 3 < m ** 4):
+            k = 2
+    mu = _term_float(n, k, m, lam2 if k == 1 else lam2_adj)
+    # mu_0 and mu_1 are positive once m > 1; mu_2 = (1/2) log lam2_adj
+    if k == 2 and lam2_adj <= 1:
+        return h, mu, 0.0
+    return h, mu, min(1.0, n * mu / h)
+
+
+# ---------------------------------------------------------------------------
 # statistics over height windows
 
 
@@ -400,23 +488,10 @@ def freeness_rows(v: VarietyId, bound, metric: Metric = Metric.SUP) -> Iterator[
     """
     from .counting import bounded_window, enum_points
 
-    if v.kind == "pn":
-        for p in enum_points(bounded_window(v, bound, metric)):
-            if v.n == 1:
-                m = sum(c * c for c in p.coords)
-                h = math.log(m)
-                yield p, h, h, 0.0 if m == 1 else 1.0
-            else:
-                d = pn_freeness_data(p)
-                yield p, d.h.to_float(), d.mu_generic.to_float(), d.l
-    elif v.kind == "p1n":
-        for pts in enum_points(bounded_window(v, bound, metric)):
-            args = [sum(c * c for c in p.coords) for p in pts]
-            logs = [math.log(a) / 2 for a in args]
-            h = 2 * sum(logs)
-            yield pts, h, 2 * min(logs), freeness_product(pts)
-    else:
+    if v.kind not in ("pn", "p1n"):
         raise ValueError("freeness statistics cover P^n and (P^1)^n")
+    for p in enum_points(bounded_window(v, bound, metric)):
+        yield (p, *point_freeness(v, p))
 
 
 def freeness_statistics(v: VarietyId, bound, metric: Metric = Metric.SUP,
@@ -506,21 +581,17 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
     ratio = n / (n + 1)
     for y in _iter_coords(n + 1, bound):
         total += 1
-        m = sum(c * c for c in y)
+        m, lam2, lam2_adj = _pn_minima(y)
         if m == 1:
             min_l = 0.0
             for t in thr:
                 below[t] += 1
             continue
-        gq, _m = _quotient_int_gram(y)
         if n == 2:
-            lam2 = _min2(gq[0][0], gq[0][1], gq[1][1])
             if lam2 < 1:
                 holds = False
             logs = (math.log(m), math.log(lam2), 0.0)
         else:
-            lam2 = _min3(gq)
-            lam2_adj = _min3(_adj3(gq))
             if lam2 < 1 or lam2_adj < m:
                 holds = False
             logs = (math.log(m), math.log(lam2), math.log(lam2_adj))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .freeness import freeness, pn_freeness_data, tangent_lattice_pn
-from .projpoint import PrimPoint
+from .freeness import point_freeness
+from .projpoint import PrimPoint, VarietyId
 
 
 class NotAMorphism(ValueError):
@@ -282,12 +282,8 @@ def _point_l(coords: Sequence[int]):
     if lead < 0:
         vec = [-c for c in vec]
     p = PrimPoint(tuple(vec))
-    n = p.n
-    if n in (2, 3):
-        d = pn_freeness_data(p)
-        return p, d.h.to_float(), d.l
-    t = tangent_lattice_pn(p)
-    return p, t.h.to_float(), freeness(t).l
+    h, _, l = point_freeness(VarietyId("pn", p.n), p)
+    return p, h, l
 
 
 def limit_experiment(c: CurveMap, t_heights: Sequence[int]):

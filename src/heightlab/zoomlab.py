@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Sequence
 
-from .freeness import freeness, freeness_product, pn_freeness_data, tangent_lattice_pn
+from .freeness import point_freeness
 from .projpoint import Metric, PrimPoint, VarietyId
 
 
@@ -263,22 +263,15 @@ class OverlayRow:
 
 def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     """Cloud rows joined with the arithmetic freeness of each source point."""
-    cfg = cloud.config
+    v = cloud.config.variety
     out = []
     for point, rescaled, height in zip(cloud.points, cloud.rescaled,
                                        cloud.heights):
-        if cfg.variety.kind == "p1n":
-            pts = [PrimPoint(p) for p in point]
-            l = freeness_product(pts)
+        if v.kind == "p1n":
+            _, _, l = point_freeness(v, [PrimPoint(p) for p in point])
         else:
-            n = cfg.variety.n
-            if n == 1:
-                l = 1.0 if height > 1 else 0.0
-            elif n in (2, 3):
-                l = pn_freeness_data(point).l
-            else:
-                l = freeness(tangent_lattice_pn(point)).l
-        out.append(OverlayRow(point=point if cfg.variety.kind == "p1n"
-                              else point.coords,
-                              rescaled=rescaled, h=math.log(height), l=l))
+            _, _, l = point_freeness(v, point)
+            point = point.coords
+        out.append(OverlayRow(point=point, rescaled=rescaled,
+                              h=math.log(height), l=l))
     return tuple(out)

@@ -86,9 +86,40 @@ class TestEnumerate:
         argv = ["enumerate", "--variety", "pn", "--dim", "2", "--bound", "4",
                 "--format", "csv", "--cache-dir", str(cache)]
         assert main(argv + ["--out", str(cold)]) == 0
-        assert (cache / "pn2_sup_B4.csv").exists()
+        assert (cache / f"pn2_sup_B4_v{VERSION}.csv").exists()
         assert main(argv + ["--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
+
+    def test_stale_version_file_is_ignored(self, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["enumerate", "--variety", "pn", "--dim", "1", "--bound", "3",
+                "--format", "csv", "--cache-dir", str(cache)]
+        fresh = tmp_path / "fresh.csv"
+        assert main(argv[:-2] + ["--out", str(fresh)]) == 0
+        # files that older releases left for this bound, with other points
+        cache.mkdir()
+        (cache / "pn1_sup_B3.csv").write_text("point\n9:9\n")
+        (cache / "pn1_sup_B3_v0.0.1.csv").write_text("# points 1\npoint\n9:9\n")
+        out = tmp_path / "now.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert (cache / f"pn1_sup_B3_v{VERSION}.csv").exists()
+
+    def test_truncated_file_is_rewritten(self, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["enumerate", "--variety", "p1n", "--dim", "2", "--bound", "9",
+                "--format", "csv", "--cache-dir", str(cache)]
+        cold = tmp_path / "cold.csv"
+        assert main(argv + ["--out", str(cold)]) == 0
+        cached = cache / f"p1n2_sup_B9_v{VERSION}.csv"
+        whole = cached.read_text()
+        lines = whole.splitlines()
+        assert lines[:2] == [f"# points {len(lines) - 2}", "point"]
+        cached.write_text("\n".join(lines[:-3]) + "\n")
+        warm = tmp_path / "warm.csv"
+        assert main(argv + ["--out", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert cached.read_text() == whole
 
     def test_cache_env_override(self, tmp_path, monkeypatch):
         env_cache = tmp_path / "envcache"
@@ -98,7 +129,7 @@ class TestEnumerate:
                      "--bound", "3", "--format", "csv",
                      "--cache-dir", str(tmp_path / "flagcache"),
                      "--out", str(out)]) == 0
-        assert (env_cache / "pn1_sup_B3.csv").exists()
+        assert (env_cache / f"pn1_sup_B3_v{VERSION}.csv").exists()
         assert not (tmp_path / "flagcache").exists()
 
 
@@ -141,6 +172,22 @@ class TestWindow:
         assert doc["count"] == report.count
         assert doc["fitted"] == pytest.approx(report.fitted)
         assert doc["rel_error"] == pytest.approx(report.rel_error)
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--variety", "p1n", "--dim", "2", "--d1", "1,2"],
+         "one interval per Picard component"),
+        (["--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2",
+          "--u", "1,-1"], "dual effective cone"),
+        (["--variety", "pn", "--dim", "1", "--d1", "2,1"], "lo < hi"),
+    ])
+    def test_invalid_window_is_usage_error(self, capsys, argv, message):
+        assert main(["window"] + argv + ["--bound", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heightlab: ")
+        assert message in captured.err
+        assert "computation failed" not in captured.err
 
 
 class TestSlopes:

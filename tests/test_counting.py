@@ -162,6 +162,45 @@ class TestProducts:
             assert anticanonical_height(VP2, pts) <= LogRat(Fraction(bound**2))
 
 
+def reference_enum_p1n(n, bound, metric, first_range=None):
+    """The quadratic (P^1)^n enumerator, kept as an oracle: it rescans the
+    whole factor list at every level, in lexicographic order."""
+    from heightlab.counting import _p1_points_shell, _shell_cap, _shell_value
+
+    cap = _shell_cap(Fraction(bound), metric)
+    factors = _p1_points_shell(cap, metric)
+
+    def rec(level, cap_left, rng):
+        for p in (factors if rng is None else
+                  (q for q in factors if q.coords[0] in rng)):
+            s = _shell_value(p, metric)
+            if s > cap_left:
+                continue
+            if level == n - 1:
+                yield (p,)
+            else:
+                for rest in rec(level + 1, cap_left // s, None):
+                    yield (p,) + rest
+
+    return list(rec(0, cap, first_range))
+
+
+class TestProductEnumeration:
+    @pytest.mark.parametrize("n,bound", [
+        (2, 1), (2, 30), (2, Fraction(241, 3)), (2, 200),
+        (3, 1), (3, 50), (3, Fraction(401, 4))])
+    @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID])
+    def test_matches_reference_with_every_split(self, n, bound, metric):
+        w = bounded_window(variety("p1n", n), bound, metric)
+        whole = list(enum_points(w))
+        assert whole == reference_enum_p1n(n, bound, metric)
+        assert len(whole) == count_p1n(n, bound, metric)
+        for workers in (2, 3, 5, 8):
+            for r in partition_leading_ranges(w, workers):
+                assert list(enum_points(w, r)) == \
+                    reference_enum_p1n(n, bound, metric, r)
+
+
 class TestBlowup:
     def test_unit_ball_split(self):
         assert count_blowup(1, Metric.SUP) == (4, 12)

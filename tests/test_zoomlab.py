@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightlab.counting import bounded_window, enum_points
+from heightlab.freeness import freeness_rows
 from heightlab.projpoint import Metric, variety
 from heightlab.zoomlab import (
     OverlayRow,
@@ -268,6 +269,18 @@ class TestOverlay:
             assert row.h == pytest.approx(math.log(h))
             assert row.l == (1.0 if h > 1 else 0.0)
         assert any(row.l == 0.0 for row in rows)  # the center itself
+
+    def test_p1_sup_window_uses_euclid_freeness(self):
+        # [1:1] has sup height 1 but euclid height sqrt 2, so l = 1, as in
+        # freeness_rows; only [0:1] and [1:0] have l = 0
+        cloud = zoom_cloud(ZoomConfig(variety=V1, center=(1, 1), alpha=0,
+                                      R=1, B=3))
+        rows = zoom_freeness_overlay(cloud)
+        expect = {p.coords: l for p, _, _, l in freeness_rows(V1, 3)}
+        assert (1, 1) in [r.point for r in rows]
+        for r in rows:
+            assert r.l == expect[r.point]
+        assert [r.point for r in rows if r.l == 0.0] == [(0, 1)]
 
     def test_fiber_points_follow_exact_height_law(self):
         # euclid heights make l a function of height alone on each fiber:
