@@ -74,6 +74,7 @@ from .projpoint import (
     InvalidPoint,
     Metric,
     ModPoint,
+    VarietyId,
     _canonical_mod,
     variety,
 )
@@ -99,6 +100,13 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _variety(args) -> VarietyId:
+    try:
+        return variety(args.variety, args.dim)
+    except ValueError as exc:
+        raise UsageError(f"--dim {args.dim}: {exc}")
 
 
 def _metric(args) -> Metric:
@@ -235,7 +243,7 @@ def _point_token(pt) -> str:
 # subcommands
 
 def _cmd_count(cfg: RunConfig, args) -> tuple:
-    v = variety(args.variety, args.dim)
+    v = _variety(args)
     metric = _metric(args)
     b = float(args.bound)
     if v.kind == "blowup":
@@ -298,7 +306,7 @@ def _read_cache(path: Path) -> list | None:
 
 
 def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
-    v = variety(args.variety, args.dim)
+    v = _variety(args)
     w = bounded_window(v, args.bound, _metric(args))
     cache_file = None
     if cfg.cache_dir is not None:
@@ -328,7 +336,7 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_constant(cfg: RunConfig, args) -> tuple:
-    v = variety(args.variety, args.dim)
+    v = _variety(args)
     const = assemble_constant(v, _metric(args), prime_limit=args.primes_up_to)
     beta = args.beta
     data = {
@@ -395,7 +403,7 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_window(cfg: RunConfig, args) -> tuple:
-    v = variety(args.variety, args.dim)
+    v = _variety(args)
     box = _parse_box(args.d1, "--d1")
     direction = _parse_fracs(args.u, "--u") if args.u else None
     try:
@@ -436,7 +444,10 @@ def _cmd_slopes(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_freeness(cfg: RunConfig, args) -> tuple:
-    v = variety(args.variety, args.dim)
+    v = _variety(args)
+    if v.kind == "blowup":
+        raise UsageError("freeness statistics cover P^n and (P^1)^n, "
+                         "not the blown-up plane")
     thresholds = tuple(float(t) for t in
                        _parse_fracs(args.thresholds, "--thresholds"))
     stats = freeness_statistics(v, args.bound, _metric(args),
@@ -507,7 +518,7 @@ def _cmd_curve(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_zoom(cfg: RunConfig, args) -> tuple:
-    v = variety(args.variety, args.dim)
+    v = _variety(args)
     try:
         zc = ZoomConfig(variety=v, center=_parse_center(args.center),
                         alpha=args.alpha, R=args.radius, B=args.bound,

@@ -4,8 +4,11 @@ Height conventions per family: on P^n the bound B caps the O(1) height
 (max |y_i| for sup, euclidean norm for euclid), so counts grow like
 C B^(n+1).  On (P^1)^n and the blown-up plane B caps the anticanonical
 height (product of squared factor heights, resp. H_P^2 H_Q), growing like
-C B (log B)^(t-1).  All counts are exact integers; Mobius sieves handle
-the large-B regimes and chunked numpy box scans the rest.
+C B (log B)^(t-1).  All counts are exact integers: a Mobius sieve on P^n
+(sup), chunked numpy box scans on euclid P^n, one per-shell table of P^1
+counts for (P^1)^n, and on the blown-up plane a sum over the shells of
+Q = [a : b] of coprime lattice counts in the fibres, shared by bounded
+counts and boxed windows.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -184,17 +187,22 @@ def _shell_cap(bound: Fraction, metric: Metric) -> int:
     return int(bound)
 
 
-def _p1_cumulative_shells(cap: int, metric: Metric) -> list:
-    """cum[t] = #P^1 points with shell value <= t, for t = 0..cap."""
+def _p1_shells(cap: int, metric: Metric) -> list:
+    """shells[t] = #P^1 points with shell value t, for t = 0..cap (cap >= 1)."""
     if metric is Metric.SUP:
-        return [count_pn_sieved(1, t) for t in range(cap + 1)]
+        # max(|a|, |b|) = t holds 4 phi(t) points: [t : c] and [c : t] with
+        # gcd(c, t) = 1 and |c| < t for t >= 2; [1:0], [0:1], [1:1], [1:-1]
+        # at t = 1
+        return [0] + [4 * f for f in build_sieve(cap).phi[1:]]
+    # [0 : 1] has norm 1; every other point has one vector [a : b] with a >= 1,
+    # collected row by row so that memory stays O(cap)
     radius = math.isqrt(cap)
-    y0, y1 = np.meshgrid(np.arange(-radius, radius + 1), np.arange(-radius, radius + 1), indexing="ij")
-    norm = (y0 * y0 + y1 * y1).astype(np.int64)
-    mask = (np.gcd(np.abs(y0), np.abs(y1)) == 1) & (norm <= cap)
-    counts = np.bincount(norm[mask], minlength=cap + 1)
-    assert np.all(counts % 2 == 0)
-    return [int(x) for x in np.cumsum(counts // 2)]
+    b = np.arange(-radius, radius + 1, dtype=np.int64)
+    norms = [np.ones(1, dtype=np.int64)]
+    for a in range(1, radius + 1):
+        norm = a * a + b * b
+        norms.append(norm[(np.gcd(a, np.abs(b)) == 1) & (norm <= cap)])
+    return np.bincount(np.concatenate(norms), minlength=cap + 1).tolist()
 
 
 def count_p1n(n: int, bound, metric: Metric = Metric.SUP) -> int:
@@ -205,8 +213,8 @@ def count_p1n(n: int, bound, metric: Metric = Metric.SUP) -> int:
     cap = _shell_cap(b, metric)
     if cap < 1:
         return 0
-    cum = _p1_cumulative_shells(cap, metric)
-    shell = [0] + [cum[t] - cum[t - 1] for t in range(1, cap + 1)]
+    shell = _p1_shells(cap, metric)
+    cum = list(itertools.accumulate(shell))
 
     def rec(factors_left: int, cap_left: int) -> int:
         if cap_left < 1:
@@ -230,32 +238,15 @@ def count_blowup(bound, metric: Metric = Metric.SUP) -> tuple:
     if b < 1:
         return 0, 0
     count_e = count_pn(1, b, metric)
-    # coordinate radius for P: sup: H_P <= sqrt(B); euclid: sum y^2 <= B
-    radius = rational_power_floor(b, Fraction(1, 2))
-    if radius == 0:
-        return count_e, 0
-    bn, bd = b.numerator, b.denominator
-    total = 0
-    full = np.arange(-radius, radius + 1, dtype=np.int64)
-    step = _chunk_step(2, radius)
-    for lo in range(0, len(full), step):
-        x, y, z = _axis_coords(3, radius, full[lo:lo + step])
-        prim = np.gcd(np.gcd(np.abs(x), np.abs(y)), np.abs(z)) == 1
-        g2 = np.gcd(np.abs(x), np.abs(y))
-        off_center = g2 > 0
-        g2safe = np.where(off_center, g2, 1)
-        if metric is Metric.SUP:
-            hp = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
-            hq = np.maximum(np.abs(x), np.abs(y)) // g2safe
-            ok = hp * hp * hq * bd <= bn
-        else:
-            kp = x * x + y * y + z * z
-            kq = (x * x + y * y) // (g2safe * g2safe)
-            # H_P^2 H_Q = kp sqrt(kq) <= b  <=>  kp^2 kq bd^2 <= bn^2
-            ok = kp * kp * kq * bd * bd <= bn * bn
-        total += int(np.count_nonzero(prim & off_center & ok))
-    assert total % 2 == 0
-    return count_e, total // 2
+    # With s the shell value of Q, H_P^2 H_Q <= B caps the P-shell at
+    # R_s = isqrt(floor(B / s)) (sup: max(g s, |z|)^2 s <= B) or at
+    # R_s = isqrt(floor(B^2 / s)) (euclid: (g^2 s + z^2)^2 s <= B^2).
+    # A fibre is nonempty only while s <= R_s, that is s^3 <= B resp. B^2.
+    e = 1 if metric is Metric.SUP else 2
+    num, den = b.numerator ** e, b.denominator ** e
+    count_u = _count_off_center(metric, 1, int_nth_root(num // den, 3),
+                                lambda s: (1, math.isqrt(num // (den * s))))
+    return count_e, count_u
 
 
 def count_points(v: VarietyId, bound, metric: Metric = Metric.SUP) -> int:
@@ -388,9 +379,8 @@ def _shell_value(p: PrimPoint, metric: Metric) -> int:
 
 def _sq_height_arg(p: PrimPoint, metric: Metric) -> Fraction:
     # argument of the squared O(1) height
-    if metric is Metric.SUP:
-        return Fraction(max(abs(c) for c in p.coords) ** 2)
-    return Fraction(sum(c * c for c in p.coords))
+    s = _shell_value(p, metric)
+    return Fraction(s * s if metric is Metric.SUP else s)
 
 
 def _p1_points_shell(cap: int, metric: Metric) -> list:
@@ -453,11 +443,7 @@ class HeightWindow:
 
     def component_cap(self, i: int) -> int:
         """Largest integer shell value possibly inside component i."""
-        a, b = self.box[i]
-        u = self.direction[i]
-        if self.metric is Metric.SUP:
-            return _floor_scaled(b, self.scale, u)
-        return _floor_scaled_sq(b, self.scale, u)
+        return _shell_interval(self, i)[1]
 
 
 def _inside_dual_cone(v: VarietyId, u: tuple) -> bool:
@@ -479,28 +465,13 @@ def _ceil_scaled(a: Fraction, scale: Fraction, u: Fraction) -> int:
     return f if Fraction(f) ** q == val else f + 1
 
 
-def _floor_scaled_sq(b: Fraction, scale: Fraction, u: Fraction) -> int:
-    # largest integer k with sqrt(k) <= b * scale^u
-    p, q = u.numerator, u.denominator
-    val = (b ** (2 * q)) * (scale ** (2 * p))
-    return int_nth_root(val.numerator // val.denominator, q)
-
-
-def _ceil_scaled_sq(a: Fraction, scale: Fraction, u: Fraction) -> int:
-    # smallest integer k with sqrt(k) >= a * scale^u
-    p, q = u.numerator, u.denominator
-    val = (a ** (2 * q)) * (scale ** (2 * p))
-    f = int_nth_root(val.numerator // val.denominator, q)
-    return f if Fraction(f) ** q == val else f + 1
-
-
 def _shell_interval(w: "HeightWindow", i: int) -> tuple:
     """Integer interval [lo, hi] of shell values inside component i."""
     a, b = w.box[i]
-    u = w.direction[i]
-    if w.metric is Metric.SUP:
-        return _ceil_scaled(a, w.scale, u), _floor_scaled(b, w.scale, u)
-    return _ceil_scaled_sq(a, w.scale, u), _floor_scaled_sq(b, w.scale, u)
+    scale, u = w.scale, w.direction[i]
+    if w.metric is Metric.EUCLID:  # the shell value is the squared height
+        a, b, scale = a * a, b * b, scale * scale
+    return _ceil_scaled(a, scale, u), _floor_scaled(b, scale, u)
 
 
 def _count_pn_shell_range(n: int, lo: int, hi: int, metric: Metric) -> int:
@@ -725,37 +696,51 @@ def _coprime_signed_count(g: int, zlo: int, zhi: int, cache: dict) -> int:
     return total
 
 
+def _count_off_center(metric: Metric, s_lo: int, s_hi: int, p_shells) -> int:
+    """Points of the blown-up plane off the center, fibred over Q = [a : b].
+
+    Off the center P = (g a, g b, z) with Q primitive, g >= 1 and
+    gcd(g, z) = 1.  The P-shell is max(g s, |z|) (sup) or g^2 s + z^2
+    (euclid), s the shell value of Q, so the N_1(s) points Q of one shell
+    share their fibre: a coprime lattice count of the (g, z) whose P-shell
+    lies in p_shells(s) = (lo, hi), lo >= 1.  Sums over s in [s_lo, s_hi].
+    """
+    if s_hi < s_lo:
+        return 0
+    n1 = _p1_shells(s_hi, metric)
+    cache: dict = {}
+    total = 0
+    for s in range(s_lo, s_hi + 1):
+        if not n1[s]:
+            continue
+        lo, hi = p_shells(s)
+        fibre = 0
+        if metric is Metric.SUP:
+            # H_P = max(g s, |z|)
+            for g in range(1, hi // s + 1):
+                fibre += _coprime_signed_count(g, 0 if g * s >= lo else lo, hi, cache)
+        else:
+            # k_P = g^2 s + z^2
+            g = 1
+            while g * g * s <= hi:
+                zmax = math.isqrt(hi - g * g * s)
+                need = lo - g * g * s
+                zmin = 0 if need <= 0 else math.isqrt(need - 1) + 1
+                fibre += _coprime_signed_count(g, zmin, zmax, cache)
+                g += 1
+        total += n1[s] * fibre
+    return total
+
+
 def _count_boxed_blowup(w: HeightWindow) -> int:
-    """Fiber the window over Q: off the center, P = (g a, g b, z) with
-    Q = [a : b] primitive and gcd(g, z) = 1, so each Q-fiber is a coprime
-    lattice count, exact and linear in the number of admissible Q."""
     lo0, hi0 = _shell_interval(w, 0)
     lo1, hi1 = _shell_interval(w, 1)
     lo0, lo1 = max(lo0, 1), max(lo1, 1)
     total = 0
     if lo0 <= 1 <= hi0:  # exceptional fiber: H_P = 1 at the center
         total += _count_pn_shell_range(1, lo1, hi1, w.metric)
-    if hi0 < lo0 or hi1 < lo1:
+    if hi0 < lo0:
         return total
-    cache: dict = {}
-    for q in _p1_points_shell(hi1, w.metric):
-        sq = _shell_value(q, w.metric)
-        if sq < lo1:
-            continue
-        if w.metric is Metric.SUP:
-            # H_P = max(g sq, |z|)
-            for g in range(1, hi0 // sq + 1):
-                if g * sq >= lo0:
-                    total += _coprime_signed_count(g, 0, hi0, cache)
-                else:
-                    total += _coprime_signed_count(g, lo0, hi0, cache)
-        else:
-            # k_P = g^2 sq + z^2
-            g = 1
-            while g * g * sq <= hi0:
-                zmax = math.isqrt(hi0 - g * g * sq)
-                need = lo0 - g * g * sq
-                zmin = 0 if need <= 0 else math.isqrt(need - 1) + 1
-                total += _coprime_signed_count(g, zmin, zmax, cache)
-                g += 1
-    return total
+    # the fibre over a Q of shell s has P-shells >= s
+    return total + _count_off_center(w.metric, lo1, min(hi1, hi0),
+                                     lambda s: (lo0, hi0))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heightlab
 from heightlab.cli import VERSION, main
@@ -245,6 +249,19 @@ class TestFreeness:
         # only the coordinate points (0:1), (1:0) have l = 0 on the line
         assert doc["below"]["0.2"] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--variety", "blowup", "--dim", "2"], "not the blown-up plane"),
+        (["--variety", "blowup", "--dim", "3"], "blowup is a surface"),
+        (["--variety", "pn", "--dim", "0"], "n must be >= 1"),
+    ])
+    def test_unsupported_variety_is_usage_error(self, capsys, argv, message):
+        assert main(["freeness"] + argv + ["--bound", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heightlab: ")
+        assert message in captured.err
+        assert "computation failed" not in captured.err
+
 
 class TestCurve:
     def make_line(self, tmp_path):
@@ -412,7 +429,65 @@ class TestPlumbing:
             [sys.executable, "-m", "heightlab", "count", "--variety", "pn",
              "--dim", "1", "--bound", "10"],
             capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": src}, check=False)
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=False)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["count"] == count_points(
             variety("pn", 1), 10)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+_BOUNDS = st.one_of(
+    st.integers(-5, 40).map(str),
+    st.fractions(min_value=-5, max_value=40, max_denominator=9).map(str))
+
+
+@st.composite
+def _window_flags(draw, kind, dim):
+    """--d1 and --u strings: mostly one piece per Picard component, at
+    times one too few or too many, with malformed and out-of-range pieces
+    mixed in.  Ends and directions stay small (on P^n ends <= 1 and
+    u <= 1, since the euclid P^3 count scans a box), so that every drawn
+    window counts in under a second."""
+    rank = {"pn": 1, "p1n": dim, "blowup": 2}[kind]
+    ends = ["1/2,1", "1/3,2/3", "2/3,1"] * 5 + ["1,1/2", "0,1", "a,b", "1"]
+    dirs = ["1/2", "1"] * 5 + ["0", "-1", "x"]
+    if kind != "pn":
+        ends += ["1,3/2", "2/3,3/2"] * 5
+        dirs += ["3/2"] * 5
+
+    def pieces(options):
+        k = draw(st.sampled_from([rank] * 8 + [rank - 1, rank + 1]))
+        return draw(st.lists(st.sampled_from(options), min_size=max(k, 0),
+                             max_size=max(k, 0)))
+
+    d1 = ";".join(pieces(ends))
+    u = ",".join(pieces(dirs)) if draw(st.booleans()) else None
+    return d1, u
+
+
+@settings(deadline=None, max_examples=60)
+@given(command=st.sampled_from(["count", "window"]),
+       kind=st.sampled_from(["pn", "p1n", "blowup"]),
+       dim=st.integers(0, 3), metric=st.sampled_from(["sup", "euclid"]),
+       bound=_BOUNDS, data=st.data())
+def test_cli_fuzz_exit_codes_and_strict_json(command, kind, dim, metric,
+                                             bound, data):
+    argv = [command, "--variety", kind, f"--dim={dim}", "--metric", metric,
+            f"--bound={bound}"]
+    if command == "window":
+        d1, u = data.draw(_window_flags(kind, dim))
+        argv.append(f"--d1={d1}")
+        if u is not None:
+            argv.append(f"--u={u}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "", argv

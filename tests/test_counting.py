@@ -142,8 +142,29 @@ class TestClassCounts:
 
 class TestProducts:
     def test_rank_one_product_is_projective_line(self):
-        for bound in (1, 4, 50, 200):
-            assert count_p1n(1, bound) == count_pn_sieved(1, math.isqrt(bound))
+        for bound in (1, 4, 50, 200, 10**4, 10**6 + 1, 2 * 10**6,
+                      Fraction(241, 3), Fraction(10001, 7)):
+            assert count_p1n(1, bound) == \
+                count_pn_sieved(1, math.isqrt(math.floor(bound)))
+
+    # Regression oracles recorded from the implementation that built one
+    # sieve per shell value: (n, bound) -> (sup count, euclid count).
+    FROZEN = {
+        (1, 10**4): (12176, 9544), (2, 10**4): (192448, 110496),
+        (3, 10**4): (1985280, 817712), (1, 10**5): (121616, 95520),
+        (2, 10**5): (2235584, 1317712), (3, 10**5): (26226048, 11249456),
+        (1, Fraction(241, 3)): (88, 76), (2, Fraction(241, 3)): (832, 528),
+        (3, Fraction(241, 3)): (5888, 2560),
+        (1, Fraction(10001, 7)): (1728, 1368),
+        (2, Fraction(10001, 7)): (22592, 13168),
+        (3, Fraction(10001, 7)): (203008, 83616),
+        (2, 2_000_000): (53528640, 31791472),
+    }
+
+    @pytest.mark.parametrize("n,bound", list(FROZEN))
+    def test_frozen_counts(self, n, bound):
+        assert (count_p1n(n, bound, Metric.SUP),
+                count_p1n(n, bound, Metric.EUCLID)) == self.FROZEN[n, bound]
 
     def test_square_product_small(self):
         # B = 1 forces both factors to height one: 4 * 4
@@ -201,9 +222,48 @@ class TestProductEnumeration:
                     reference_enum_p1n(n, bound, metric, r)
 
 
+def reference_count_blowup(bound, metric):
+    """The O(B^1.5) box scan that count_blowup used before the fibred sum,
+    kept as an oracle: every primitive (x, y, z) off the center with
+    coordinates at most sqrt(B), tested against H_P^2 H_Q <= B exactly."""
+    b = Fraction(bound)
+    bn, bd = b.numerator, b.denominator
+    radius = rational_power_floor(b, Fraction(1, 2))
+    y = np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
+    z = np.arange(-radius, radius + 1, dtype=np.int64)[None, :]
+    total = 0
+    for x in range(-radius, radius + 1):
+        g2 = np.gcd(abs(x), np.abs(y))
+        prim = np.gcd(g2, np.abs(z)) == 1
+        off_center = g2 > 0
+        g2safe = np.where(off_center, g2, 1)
+        if metric is Metric.SUP:
+            hp = np.maximum(np.maximum(abs(x), np.abs(y)), np.abs(z))
+            hq = np.maximum(abs(x), np.abs(y)) // g2safe
+            ok = hp * hp * hq * bd <= bn
+        else:
+            kp = x * x + y * y + z * z
+            kq = (x * x + y * y) // (g2safe * g2safe)
+            # H_P^2 H_Q = kp sqrt(kq) <= b  <=>  kp^2 kq bd^2 <= bn^2
+            ok = kp * kp * kq * bd * bd <= bn * bn
+        total += int(np.count_nonzero(prim & off_center & ok))
+    assert total % 2 == 0
+    return count_pn(1, b, metric), total // 2
+
+
 class TestBlowup:
     def test_unit_ball_split(self):
         assert count_blowup(1, Metric.SUP) == (4, 12)
+
+    # The euclid exceptional count scans a (2B+1)^2 box: 2.1 s at B = 3000,
+    # growing like B^2, so the euclid list stops at 1400.
+    @pytest.mark.parametrize("metric,top", [(Metric.SUP, 15000),
+                                            (Metric.EUCLID, 1400)])
+    def test_matches_box_scan(self, metric, top):
+        for bound in [*range(1, 41), Fraction(241, 3), Fraction(10001, 7),
+                      1000, top]:
+            assert count_blowup(bound, metric) == \
+                reference_count_blowup(bound, metric), bound
 
     def test_enum_matches_count(self):
         for bound in (1, 4, 10):
@@ -275,6 +335,12 @@ class TestWindows:
             HeightWindow(variety=VB, metric=metric,
                          box=((Fraction(1), Fraction(4)), (Fraction(1), Fraction(3))),
                          direction=(Fraction(2), Fraction(1)), scale=Fraction(2)),
+            HeightWindow(variety=VB, metric=metric,
+                         box=((Fraction(1, 2), Fraction(7, 3)), (Fraction(2, 3), Fraction(5, 2))),
+                         direction=(Fraction(3, 2), Fraction(1)), scale=Fraction(4)),
+            HeightWindow(variety=VB, metric=metric,
+                         box=((Fraction(3, 2), Fraction(9, 4)), (Fraction(1, 5), Fraction(1, 2))),
+                         direction=(Fraction(3, 2), Fraction(1)), scale=Fraction(4)),
         ]
         for w in cases:
             assert count_window(w).count == sum(1 for _ in enum_points(w))
