@@ -43,7 +43,6 @@ from .geomcurve import (
     approx_exponent,
     curve_from_json,
     geometric_freeness,
-    is_very_free,
     limit_experiment,
     mckinnon_roth_alpha,
     splitting_type,
@@ -411,6 +410,12 @@ def _cmd_window(cfg: RunConfig, args) -> tuple:
                          direction=direction, scale=args.bound)
     except ValueError as exc:
         raise UsageError(str(exc))
+    # the counts tabulate every shell value up to the largest component cap
+    cap = max(w.component_cap(i) for i in range(len(w.box)))
+    if cap >= sys.maxsize:
+        raise UsageError(f"--bound {_num(args.bound)} is too large: the window "
+                         f"reaches shell value {cap}, past the largest table "
+                         f"size {sys.maxsize}")
     report = count_window(w)
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,
@@ -485,15 +490,16 @@ def _cmd_curve(cfg: RunConfig, args) -> tuple:
         st = splitting_type(c)
         data = {"op": "splitting", "n": c.n, "d": c.d,
                 "splitting": list(st.a), "degree_sum": st.degree,
-                "very_free": is_very_free(c)}
+                "very_free": st.is_very_free}
         table = (["index", "twist"],
                  [[i + 1, a] for i, a in enumerate(st.a)])
         return data, table
     if args.op == "freeness":
-        l = geometric_freeness(c)
+        st = splitting_type(c)
+        l = st.freeness
         data = {"op": "freeness", "n": c.n, "d": c.d,
                 "freeness": str(_num(l)), "freeness_float": float(l),
-                "very_free": is_very_free(c)}
+                "very_free": st.is_very_free}
         return data, None
     if args.op == "limit":
         heights = [float(h) for h in

@@ -142,8 +142,9 @@ def _chunk_step(n_inner: int, radius: int) -> int:
     return max(1, 2 * 10 ** 6 // width)
 
 
-def _count_pn_euclid_vectors(n: int, norm_bound: int) -> int:
-    """Primitive integer vectors (all signs) with sum of squares <= norm_bound."""
+def _count_pn_euclid_vectors(n: int, norm_bound: int, norm_lo: int = 1) -> int:
+    """Primitive integer vectors (all signs) with sum of squares in
+    [norm_lo, norm_bound]."""
     radius = math.isqrt(norm_bound)
     if radius == 0:
         return 0
@@ -156,7 +157,10 @@ def _count_pn_euclid_vectors(n: int, norm_bound: int) -> int:
         g = np.zeros((), dtype=np.int64)
         for gr in grids:
             g = np.gcd(g, np.abs(gr))
-        total += int(np.count_nonzero((norm <= norm_bound) & (g == 1)))
+        inside = (norm <= norm_bound) & (g == 1)
+        if norm_lo > 1:
+            inside &= norm >= norm_lo
+        total += int(np.count_nonzero(inside))
     return total
 
 
@@ -479,11 +483,15 @@ def _count_pn_shell_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     lo = max(lo, 1)
     if hi < lo:
         return 0
-    if metric is Metric.SUP:
-        return count_pn_sieved(n, hi) - (count_pn_sieved(n, lo - 1) if lo > 1 else 0)
-    total = _count_pn_euclid_vectors(n, hi) - (_count_pn_euclid_vectors(n, lo - 1) if lo > 1 else 0)
-    assert total % 2 == 0
-    return total // 2
+    if metric is Metric.EUCLID:
+        # one scan of the shell, in chunks: a table indexed by the squared
+        # norm would need O(hi) memory
+        total = _count_pn_euclid_vectors(n, hi, lo)
+        assert total % 2 == 0
+        return total // 2
+    if n == 1:
+        return sum(_p1_shells(hi, metric)[lo:hi + 1])
+    return count_pn_sieved(n, hi) - (count_pn_sieved(n, lo - 1) if lo > 1 else 0)
 
 
 def bounded_window(v: VarietyId, bound, metric: Metric = Metric.SUP) -> HeightWindow:

@@ -1,4 +1,5 @@
-"""Exact scalar types and small number-theoretic utilities.
+"""Exact scalar types, exact integer linear algebra and small
+number-theoretic utilities.
 
 Heights of rational points are half-logarithms of positive rationals, so we
 never store them as floats.  `LogRat` keeps the rational argument and all
@@ -6,6 +7,11 @@ arithmetic stays on the argument side; `LogLin` extends this to rational
 linear combinations of logarithms, which is what Newton-polygon chords
 produce.  Comparisons go through a floating filter and fall back to exact
 rational power comparisons only when the filter cannot decide.
+
+`int_det`, `int_rank` and `int_adjugate` are the package's one exact linear
+algebra: fraction-free (Bareiss) elimination on integer matrices, so every
+intermediate entry is an integer minor of the input and no Fraction is
+built.  Rational matrices are scaled to integers by their callers.
 """
 
 from __future__ import annotations
@@ -220,6 +226,69 @@ class LogLin:
             return "LogLin(0)"
         parts = " + ".join(f"{c}*log({a})" for a, c in self.terms)
         return f"LogLin({parts})"
+
+
+# ---------------------------------------------------------------------------
+# exact integer linear algebra (Bareiss, Math. Comp. 22, 1968)
+
+
+def int_det(m) -> int:
+    """Determinant of a square integer matrix; 1 for the empty matrix."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix of any shape.
+
+    Fraction-free row echelon form: a column without a pivot below the
+    current row is skipped, and every row below the pivot is updated, so
+    each entry stays an integer minor and the division by the previous
+    pivot is exact.
+    """
+    a = [list(row) for row in rows]
+    rank = 0
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def int_adjugate(m) -> list:
+    """Adjugate of a square integer matrix, from its signed minors:
+    adj(M) M = M adj(M) = det(M) I, also when M is singular."""
+    n = len(m)
+    return [[(-1) ** (i + j) * int_det([row[:i] + row[i + 1:]
+                                        for k, row in enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exactnum import LogLin, LogRat
-from .lattice import EucLattice, degree, max_deg_rank, newton_polygon
+from .lattice import EucLattice, degree, lagrange_gauss, max_deg_rank, newton_polygon
 from .projpoint import Metric, PrimPoint, VarietyId
 
 
@@ -102,22 +102,7 @@ def _quotient_int_gram(y: Sequence[int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fast certified integer minima (ranks 2 and 3)
-
-
-def _min2(a: int, b: int, c: int) -> int:
-    """lambda_1^2 of the integer form [[a, b], [b, c]] by Lagrange-Gauss."""
-    if a > c:
-        a, c = c, a
-    while True:
-        q = (2 * b + a) // (2 * a) if b >= 0 else -((2 * (-b) + a) // (2 * a))
-        if q:
-            c += q * q * a - 2 * q * b
-            b -= q * a
-        if c < a:
-            a, c = c, a
-        else:
-            return a
+# fast certified integer minima (rank 3; rank 2 is `lattice.lagrange_gauss`)
 
 
 def _adj3(g):
@@ -179,7 +164,7 @@ def _pn_minima(y: Sequence[int]) -> tuple:
     adjugate (None on P^2)."""
     gq, m = _quotient_int_gram(y)
     if len(gq) == 2:
-        return m, _min2(gq[0][0], gq[0][1], gq[1][1]), None
+        return m, lagrange_gauss(gq)[0], None
     return m, _min3(gq), _min3(_adj3(gq))
 
 

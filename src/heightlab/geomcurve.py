@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exactnum import int_rank
 from .freeness import point_freeness
 from .projpoint import PrimPoint, VarietyId
 
@@ -81,7 +82,7 @@ class CurveMap:
             raise ValueError("zero map")
         if self.d == 0:
             raise ConstantMap("degree zero map is constant")
-        if _coeff_rank(forms) < 2:
+        if int_rank(forms) < 2:
             raise ConstantMap("all forms proportional: image is a point")
         self._check_base_point_free()
 
@@ -113,24 +114,6 @@ class CurveMap:
         )
 
 
-def _coeff_rank(rows) -> int:
-    mat = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class SplittingType:
     """Degrees a_1 >= ... >= a_n of the pulled-back tangent bundle."""
@@ -146,6 +129,18 @@ class SplittingType:
     @property
     def degree(self) -> int:
         return sum(self.a)
+
+    @property
+    def is_very_free(self) -> bool:
+        """True when the smallest splitting degree is positive."""
+        return self.a[-1] > 0
+
+    @property
+    def freeness(self) -> Fraction:
+        """l = n a_n / sum(a_i), an exact rational in [0, 1]; 0 unless very free."""
+        if not self.is_very_free:
+            return Fraction(0)
+        return Fraction(len(self.a) * self.a[-1], self.degree)
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,7 @@ def _mult_rank(c: CurveMap, e: int) -> int:
             for i, coeff in enumerate(f):
                 row[i + j] = coeff
             rows.append(row)
-    return _coeff_rank(rows)
+    return int_rank(rows)
 
 
 def h0_twist(c: CurveMap, m: int) -> int:
@@ -234,10 +229,7 @@ def splitting_type(c: CurveMap) -> SplittingType:
 
 def geometric_freeness(c: CurveMap) -> Fraction:
     """l(f) = n a_n / sum(a_i), an exact rational in [0, 1]."""
-    st = splitting_type(c)
-    if st.a[-1] <= 0:
-        return Fraction(0)
-    return Fraction(c.n * st.a[-1], st.degree)
+    return splitting_type(c).freeness
 
 
 def is_very_free(c: CurveMap) -> bool:
@@ -247,7 +239,7 @@ def is_very_free(c: CurveMap) -> bool:
     trivial bundle, so a_n >= d >= 1 and this always holds; the check is
     kept explicit because freeness is defined through it.
     """
-    return splitting_type(c).a[-1] > 0
+    return splitting_type(c).is_very_free
 
 
 def mckinnon_roth_alpha(b: BranchData) -> Fraction:

@@ -16,6 +16,12 @@ Each integer Gram is LLL-reduced once, with exact Gram-Schmidt data updated
 incrementally, and the reduction is kept on the lattice: the Newton polygon,
 the successive minima and every certified search on that lattice reuse it
 (one reduction for the Gram, one for its adjugate).
+
+A rational Gram enters the integer routines of `exactnum` (determinant,
+rank, adjugate) as den * gram, with den the common denominator: the
+positivity check, the dual lattice and every covolume go through them.
+Rank 2 has its own reduction, `lagrange_gauss`, which the P^2 freeness
+kernel shares.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import LogLin, LogRat
+from .exactnum import LogLin, LogRat, int_adjugate, int_det, int_rank
 
 RANK_CAP = 6
 
@@ -57,9 +63,10 @@ class EucLattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
-        # leading principal minors must be positive
-        m = [list(row) for row in g]
-        if _det_frac(m) <= 0 or any(_det_frac([row[:k] for row in m[:k]]) <= 0 for k in range(1, r)):
+        # leading principal minors must be positive; scaling by den^k keeps
+        # the sign of each
+        m, _ = _int_gram(self)
+        if any(int_det([row[:k] for row in m[:k]]) <= 0 for k in range(1, r + 1)):
             raise NotPositiveDefinite("gram is not positive definite")
 
     @property
@@ -75,57 +82,7 @@ def lattice_from_basis(rows: Sequence[Sequence]) -> EucLattice:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def _det_frac(m) -> Fraction:
-    m = [list(map(Fraction, row)) for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((k for k in range(col, n) if m[k][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for k in range(col + 1, n):
-            f = m[k][col] * inv
-            if f:
-                m[k] = [a - f * b for a, b in zip(m[k], m[col])]
-    return det
-
-
-def _det_int(m) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _adjugate_int(g):
-    n = len(g)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[g[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * (_det_int(minor) if minor else 1)
-    return adj
+# integer Grams
 
 
 def _matmul_int(a, b):
@@ -226,13 +183,13 @@ def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
     if red is None:
         g, _ = _int_gram(lat)
         if dual:
-            g = _adjugate_int(g)
+            g = int_adjugate(g)
         u = _lll_transform(g)
         gg = _gram_of_transform(u, g)
-        det = _det_int(gg)
+        det = int_det(gg)
         if det <= 0:
             raise NotPositiveDefinite("degenerate gram in enumeration")
-        red = _Reduction(g, u, gg, det, _adjugate_int(gg))
+        red = _Reduction(g, u, gg, det, int_adjugate(gg))
         object.__setattr__(lat, attr, red)
     return red
 
@@ -294,7 +251,7 @@ def _content_of_minors(x_rows):
     r = len(x_rows[0])
     gcd = 0
     for cols in itertools.combinations(range(r), i):
-        minor = _det_int([[row[c] for c in cols] for row in x_rows])
+        minor = int_det([[row[c] for c in cols] for row in x_rows])
         gcd = math.gcd(gcd, abs(minor))
         if gcd == 1:
             return 1
@@ -305,7 +262,7 @@ def _subset_covol2(g, rows):
     """covol^2 of the saturation of the span of the given coefficient rows."""
     gram = [[sum(rows[a][i] * g[i][j] * rows[b][j] for i in range(len(g)) for j in range(len(g)))
              for b in range(len(rows))] for a in range(len(rows))]
-    d = _det_int(gram)
+    d = int_det(gram)
     if d == 0:
         return None
     c = _content_of_minors(rows)
@@ -318,7 +275,7 @@ def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:
     r = lat.rank
     if i == r:
         g, _ = _int_gram(lat)
-        return Fraction(_det_int(g))
+        return Fraction(int_det(g))
     if i == 1:
         q, _ = _svp_int(_reduction(lat))
         return Fraction(q)
@@ -355,7 +312,7 @@ def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:
 def degree(lat: EucLattice) -> LogRat:
     """Arakelov-style degree -(1/2) log det(gram)."""
     g, den = _int_gram(lat)
-    d = Fraction(_det_int(g), den ** lat.rank)
+    d = Fraction(int_det(g), den ** lat.rank)
     return LogRat(1 / d)
 
 
@@ -443,7 +400,7 @@ def successive_minima(lat: EucLattice) -> tuple:
     norms = []
     chosen: list = []
     for q, x in vecs:
-        if _rank_int(chosen + [list(x)]) > len(chosen):
+        if int_rank(chosen + [list(x)]) > len(chosen):
             chosen.append(list(x))
             norms.append(q)
             if len(chosen) == r:
@@ -452,43 +409,13 @@ def successive_minima(lat: EucLattice) -> tuple:
     return tuple(LogRat(Fraction(q, den)) for q in norms)
 
 
-def _rank_int(rows) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    piv_col = 0
-    for col in range(ncols):
-        piv = next((k for k in range(rank, len(m)) if m[k][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        for k in range(len(m)):
-            if k != rank and m[k][col] != 0:
-                f = m[k][col] * inv
-                m[k] = [a - f * b for a, b in zip(m[k], m[rank])]
-        rank += 1
-    return rank
-
-
 def dual_lattice(lat: EucLattice) -> EucLattice:
-    """Dual metric structure: the inverse Gram matrix."""
-    g = [list(row) for row in lat.gram]
-    r = lat.rank
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next(k for k in range(col, r) if g[k][col] != 0)
-        g[col], g[piv] = g[piv], g[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = 1 / g[col][col]
-        g[col] = [x * f for x in g[col]]
-        inv[col] = [x * f for x in inv[col]]
-        for k in range(r):
-            if k != col and g[k][col] != 0:
-                f = g[k][col]
-                g[k] = [a - f * b for a, b in zip(g[k], g[col])]
-                inv[k] = [a - f * b for a, b in zip(inv[k], inv[col])]
-    return EucLattice(tuple(tuple(row) for row in inv))
+    """Dual metric structure: the inverse Gram matrix, den adj(G) / det(G)
+    for gram = G / den."""
+    g, den = _int_gram(lat)
+    det = int_det(g)
+    return EucLattice(tuple(tuple(Fraction(den * x, det) for x in row)
+                            for row in int_adjugate(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,32 +443,29 @@ class TauInvariant:
 
 
 def lagrange_gauss(gram) -> tuple:
-    """Reduced Gram (a, b, c) with 2|b| <= a <= c, plus the transform rows."""
-    a, b, c = Fraction(gram[0][0]), Fraction(gram[0][1]), Fraction(gram[1][1])
-    u = [[1, 0], [0, 1]]
+    """Reduced form (a, b, c) of [[a, b], [b, c]], with 2|b| <= a <= c.
+
+    Exact for int and Fraction entries alike; a is lambda_1^2.
+    """
+    a, b, c = gram[0][0], gram[0][1], gram[1][1]
     if a > c:
         a, c = c, a
-        u = [u[1], u[0]]
     while True:
         # nearest integer to b/a, ties toward zero for determinism
         q = (2 * b + a) // (2 * a) if b >= 0 else -((2 * (-b) + a) // (2 * a))
         if q:
             c = c - 2 * q * b + q * q * a
             b = b - q * a
-            u[1] = [x - q * y for x, y in zip(u[1], u[0])]
         if c < a:
             a, c = c, a
-            b = b
-            u = [u[1], u[0]]
         else:
-            break
-    return (a, b, c), u
+            return a, b, c
 
 
 def tau_invariant(lat: EucLattice) -> TauInvariant:
     if lat.rank != 2:
         raise UnsupportedRank("tau invariant needs rank 2")
-    (a, b, c), _ = lagrange_gauss(lat.gram)
+    a, b, c = lagrange_gauss(lat.gram)
     det = a * c - b * b
     return TauInvariant(x=abs(b) / a, y2=det / (a * a))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import build_sieve, zeta
+from .exactnum import build_sieve, int_adjugate, int_det, zeta
 from .projpoint import Metric, VarietyId
 
 
@@ -69,16 +69,18 @@ def cone_alpha(variety: VarietyId) -> Fraction:
     anticanonical class sum(c_i g_i) this is 1/((t-1)! |det G| prod c_i);
     the normalisation is the one entering N(B) ~ alpha beta tau B log^(t-1) B.
     """
-    gens = [list(g) for g in variety.effective_cone]
+    gens = variety.effective_cone
     t = variety.picard_rank
-    det = _det_int(gens)
-    coeffs = _solve_int(gens, list(variety.anticanonical))
+    det = int_det(gens)
+    adj = int_adjugate(gens)
+    # the coefficients c with c^T G = anticanonical are anticanonical adj(G) / det(G)
     prod = Fraction(1)
-    for c in coeffs:
+    for j in range(t):
+        c = Fraction(sum(w * adj[i][j] for i, w in enumerate(variety.anticanonical)), det)
         if c <= 0:
             raise ValueError("anticanonical class not interior to the cone")
         prod *= c
-    return Fraction(1, math.factorial(t - 1)) / (abs(Fraction(det)) * prod)
+    return Fraction(1, math.factorial(t - 1)) / (abs(det) * prod)
 
 
 def cone_alpha_montecarlo(variety: VarietyId, samples: int = 200_000, seed: int = 0):
@@ -91,11 +93,11 @@ def cone_alpha_montecarlo(variety: VarietyId, samples: int = 200_000, seed: int 
     Returns (estimate_of_alpha, standard_error_of_alpha).
     """
     t = variety.picard_rank
-    gens = [list(g) for g in variety.effective_cone]
-    for i in range(t):
-        coeffs = _solve_int(gens, [1 if j == i else 0 for j in range(t)])
-        if any(c < 0 for c in coeffs):
-            raise ValueError("dual cone is not contained in the positive orthant")
+    gens = variety.effective_cone
+    # e_i = sum_j c_j g_j has c = row i of G^-1 = adj(G) / det(G)
+    det = int_det(gens)
+    if any(x * det < 0 for row in int_adjugate(gens) for x in row):
+        raise ValueError("dual cone is not contained in the positive orthant")
     rng = np.random.default_rng(seed)
     w = np.array(variety.anticanonical, dtype=float)
     rates = w / 2.0
@@ -186,29 +188,3 @@ def uniform_class_share(variety: VarietyId, modulus: int) -> Fraction:
     if variety.kind != "pn":
         raise ValueError("class shares are implemented for projective space")
     return Fraction(1, card_projective_mod(variety.n, modulus))
-
-
-def _det_int(m) -> int:
-    from .lattice import _det_int as det
-
-    return det(m)
-
-
-def _solve_int(m, rhs):
-    """Solve x^T M = rhs over the rationals (rows of m are cone generators)."""
-    t = len(m)
-    a = [[Fraction(m[j][i]) for j in range(t)] for i in range(t)]
-    b = [Fraction(r) for r in rhs]
-    for col in range(t):
-        piv = next(r for r in range(col, t) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
-        for r in range(t):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return b

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heightlab
+from heightlab import cli
 from heightlab.cli import VERSION, main
 from heightlab.counting import (
     bounded_window,
@@ -20,7 +21,8 @@ from heightlab.counting import (
     enum_points,
 )
 from heightlab.counting import HeightWindow
-from heightlab.geomcurve import curve_to_json, line_p2
+from heightlab import geomcurve
+from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
 from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import variety
 
@@ -184,9 +186,14 @@ class TestWindow:
         (["--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2",
           "--u", "1,-1"], "dual effective cone"),
         (["--variety", "pn", "--dim", "1", "--d1", "2,1"], "lo < hi"),
+        (["--variety", "pn", "--dim", "2", "--d1", "1,2", "--u", "1",
+          "--bound", "1e37"], "too large"),
+        (["--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2", "--u", "1,2",
+          "--bound", "1e37"], "too large"),
     ])
     def test_invalid_window_is_usage_error(self, capsys, argv, message):
-        assert main(["window"] + argv + ["--bound", "10"]) == 2
+        # a --bound in argv comes later and wins
+        assert main(["window", "--bound", "10"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("heightlab: ")
@@ -276,6 +283,25 @@ class TestCurve:
         assert doc["splitting"] == [2, 1]
         assert doc["very_free"] is True
         assert doc["degree_sum"] == 3
+
+    @pytest.mark.parametrize("op", ["splitting", "freeness"])
+    def test_one_splitting_type_per_run(self, tmp_path, capsys, monkeypatch, op):
+        calls = []
+        orig = geomcurve.splitting_type
+
+        def counted(c):
+            calls.append(c)
+            return orig(c)
+
+        monkeypatch.setattr(geomcurve, "splitting_type", counted)
+        monkeypatch.setattr(cli, "splitting_type", counted)
+        for c in (line_p2(), twisted_cubic()):
+            f = tmp_path / "c.json"
+            f.write_text(curve_to_json(c))
+            calls.clear()
+            doc = run_json(capsys, ["curve", "--file", str(f), "--op", op])
+            assert len(calls) == 1
+            assert doc["very_free"] is is_very_free(c)
 
     def test_freeness(self, tmp_path, capsys):
         doc = run_json(capsys, ["curve", "--file",

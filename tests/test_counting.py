@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heightlab import counting
 from heightlab.counting import (
     CountReport,
     HeightWindow,
@@ -317,6 +318,23 @@ class TestWindows:
             # boundary of the dual effective cone is rejected
             HeightWindow(variety=VB, box=((Fraction(1), Fraction(2)),) * 2,
                          direction=(Fraction(1), Fraction(1)), scale=Fraction(2))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID])
+    def test_shell_range_is_difference_of_counts(self, metric, n):
+        def upto(k):
+            if k < 1:
+                return 0
+            if metric is Metric.SUP:
+                return count_pn_sieved(n, k)
+            return counting._count_pn_euclid_vectors(n, k) // 2
+
+        for lo, hi in [(1, 1), (1, 50), (0, 13), (-3, 2), (2, 2), (5, 4), (9, 3),
+                       (7, 97), (50, 50), (64, 65), (100, 400), (399, 1000)]:
+            got = counting._count_pn_shell_range(n, lo, hi, metric)
+            lo1 = max(lo, 1)
+            want = upto(hi) - upto(lo1 - 1) if hi >= lo1 else 0
+            assert got == want, (lo, hi)
 
     def test_box_recovers_plain_bound(self):
         bound = 20

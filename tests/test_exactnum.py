@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heightlab.exactnum import LogLin, LogRat, build_sieve, factorize, zeta
+from heightlab.exactnum import (
+    LogLin,
+    LogRat,
+    build_sieve,
+    factorize,
+    int_adjugate,
+    int_det,
+    int_rank,
+    zeta,
+)
+from linalg_reference import reference_adjugate, reference_det, reference_rank
 
 
 class TestLogRat:
@@ -73,6 +83,71 @@ class TestLogLin:
         fa, fb = a.to_float(), b.to_float()
         if abs(fa - fb) > 1e-9:
             assert a.compare(b) == (1 if fa > fb else -1)
+
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12))
+
+
+@st.composite
+def int_matrices(draw, square=True):
+    """Integer matrices up to 7 x 7: full, of forced low rank (a product
+    through k < min(rows, cols) columns), or with zeroed rows."""
+    rows = draw(st.integers(1, 7))
+    cols = rows if square else draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["full", "low_rank", "zero_rows"]))
+
+    def mat(r, c):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if shape == "low_rank":
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        left, right = mat(rows, k), mat(k, cols)
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+                for i in range(rows)]
+    m = mat(rows, cols)
+    if shape == "zero_rows":
+        for i in draw(st.sets(st.integers(0, rows - 1), min_size=1)):
+            m[i] = [0] * cols
+    return m
+
+
+class TestIntLinearAlgebra:
+    @given(int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_det_matches_reference(self, m):
+        assert int_det(m) == reference_det(m)
+
+    @given(int_matrices(square=False))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_matches_reference(self, m):
+        rank = int_rank(m)
+        assert rank == reference_rank(m)
+        assert int_rank([list(col) for col in zip(*m)]) == rank
+
+    @given(int_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_adjugate_matches_reference(self, m):
+        adj = int_adjugate(m)
+        assert adj == reference_adjugate(m)
+        det = int_det(m)
+        n = len(m)
+        for i in range(n):
+            for j in range(n):
+                assert sum(adj[i][k] * m[k][j] for k in range(n)) == (det if i == j else 0)
+
+    def test_small_and_degenerate_inputs(self):
+        assert int_det([]) == 1
+        assert int_det([[-4]]) == -4
+        assert int_det([[0, 1], [1, 0]]) == -1
+        assert int_rank([]) == 0
+        assert int_rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert int_rank([[0, 2, 4], [0, 1, 2], [0, 0, 0]]) == 1
+        # rows with a zero in the pivot column must still be scaled, or the
+        # next exact division floors [0, 0, 1] // 2 to a zero row
+        assert int_rank([[2, 0, 0], [0, 1, 1], [0, 1, 2]]) == 3
+        assert int_adjugate([[7]]) == [[1]]
+        assert int_adjugate([[1, 2], [2, 4]]) == [[4, -2], [-2, 1]]
 
 
 class TestSieve:

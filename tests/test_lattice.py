@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightlab import lattice
-from heightlab.exactnum import LogLin, LogRat
+from heightlab.exactnum import LogLin, LogRat, int_adjugate
 from heightlab.lattice import (
     EucLattice,
     NotPositiveDefinite,
@@ -26,6 +26,7 @@ from heightlab.lattice import (
     successive_minima,
     tau_invariant,
 )
+from linalg_reference import reference_det, reference_inverse
 
 
 def random_gram(rng, rank, spread=2):
@@ -77,6 +78,27 @@ def oracle_min_covol2(gram, i, box=6):
     return best
 
 
+@st.composite
+def symmetric_grams(draw):
+    """Symmetric Fraction Grams of rank 1-6: R R^T + I (definite), R R^T with
+    R of fewer columns (semidefinite, singular), or arbitrary symmetric
+    entries (mostly indefinite), each conjugated by a diagonal of unit
+    fractions so that entries carry varied denominators."""
+    r = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["definite", "semidefinite", "indefinite"]))
+    small = st.integers(-4, 4)
+    if kind == "indefinite":
+        upper = {(i, j): draw(small) for i in range(r) for j in range(i, r)}
+        g = [[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
+    else:
+        k = r if kind == "definite" else draw(st.integers(0, r - 1))
+        rows = [[draw(small) for _ in range(k)] for _ in range(r)]
+        g = [[sum(a * b for a, b in zip(u, v)) + (kind == "definite" and u is v)
+              for v in rows] for u in rows]
+    d = [Fraction(1, draw(st.integers(1, 9))) for _ in range(r)]
+    return tuple(tuple(d[i] * g[i][j] * d[j] for j in range(r)) for i in range(r))
+
+
 def reference_lll_transform(g, delta=Fraction(99, 100)):
     """Exact LLL that rebuilds the Gram-Schmidt data after every step."""
     r = len(g)
@@ -117,7 +139,7 @@ class TestReduction:
     def test_incremental_lll_matches_reference(self, seed, rank):
         rng = np.random.default_rng(seed)
         g = [list(row) for row in random_gram(rng, rank, spread=3)]
-        for h in (g, lattice._adjugate_int(g)):
+        for h in (g, int_adjugate(g)):
             assert lattice._lll_transform(h) == reference_lll_transform(h), h
 
     def test_polygon_and_minima_reduce_two_grams_once(self, monkeypatch):
@@ -134,7 +156,7 @@ class TestReduction:
         lat = EucLattice(g)
         newton_polygon(lat)
         successive_minima(lat)
-        adj = tuple(map(tuple, lattice._adjugate_int([list(r) for r in g])))
+        adj = tuple(map(tuple, int_adjugate(g)))
         assert counts == {g: 1, adj: 1}
 
     def test_cached_reduction_leaves_identity_alone(self):
@@ -194,6 +216,27 @@ class TestDegreesAndPolygon:
     def test_scaled_gram_entries(self):
         lat = EucLattice(((Fraction(1, 2), 0), (0, Fraction(9, 2))))
         assert degree(lat) == LogRat(Fraction(4, 9))
+
+    @given(symmetric_grams())
+    @settings(max_examples=120, deadline=None)
+    def test_not_positive_definite_exactly_when_a_leading_minor_is_not_positive(self, g):
+        r = len(g)
+        if any(reference_det([row[:k] for row in g[:k]]) <= 0 for k in range(1, r + 1)):
+            with pytest.raises(NotPositiveDefinite):
+                EucLattice(g)
+        else:
+            assert EucLattice(g).gram == g
+
+    @given(symmetric_grams())
+    @settings(max_examples=60, deadline=None)
+    def test_dual_lattice_matches_reference_inverse(self, g):
+        try:
+            lat = EucLattice(g)
+        except NotPositiveDefinite:
+            return
+        want = tuple(map(tuple, reference_inverse(g)))
+        assert dual_lattice(lat).gram == want
+        assert dual_lattice(dual_lattice(lat)) == lat
 
     def test_validation(self):
         with pytest.raises(UnsupportedRank):
@@ -273,8 +316,18 @@ class TestAgainstOracle:
 
 class TestRankTwoShape:
     def test_lagrange_gauss_unimodular(self):
-        (a, b, c), _ = lagrange_gauss(((5, 3), (3, 2)))
-        assert (a, b, c) == (1, 0, 1)
+        assert lagrange_gauss(((5, 3), (3, 2))) == (1, 0, 1)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_lagrange_gauss_int_and_fraction_agree(self, seed):
+        g = random_gram(np.random.default_rng(seed), 2, spread=6)
+        a, b, c = lagrange_gauss(g)
+        assert all(type(x) is int for x in (a, b, c))
+        assert lagrange_gauss(EucLattice(g).gram) == (a, b, c)
+        assert 2 * abs(b) <= a <= c
+        assert a * c - b * b == g[0][0] * g[1][1] - g[0][1] ** 2
+        assert LogRat(a) == successive_minima(EucLattice(g))[0]
 
     def test_tau_diag(self):
         t = tau_invariant(EucLattice(((1, 0), (0, 4))))

@@ -15,6 +15,7 @@ from heightlab.tamagawa import (
     uniform_class_share,
     nu_window,
 )
+from linalg_reference import reference_det, reference_solve
 
 
 class TestLocalDensities:
@@ -61,6 +62,18 @@ class TestConeAlpha:
 
     def test_blowup(self):
         assert cone_alpha(variety("blowup", 2)) == Fraction(1, 6)
+
+    @pytest.mark.parametrize("kind,n", [("pn", 1), ("pn", 4), ("p1n", 1),
+                                        ("p1n", 3), ("blowup", 2)])
+    def test_matches_reference_solve(self, kind, n):
+        v = variety(kind, n)
+        gens = v.effective_cone
+        coeffs = reference_solve(gens, v.anticanonical)
+        prod = Fraction(1)
+        for c in coeffs:
+            prod *= c
+        want = Fraction(1, math.factorial(v.picard_rank - 1)) / (abs(reference_det(gens)) * prod)
+        assert cone_alpha(v) == want
 
     @pytest.mark.parametrize("kind,n", [("blowup", 2), ("p1n", 2), ("pn", 2)])
     def test_montecarlo_agrees(self, kind, n):
