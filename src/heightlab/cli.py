@@ -42,7 +42,6 @@ from .geomcurve import (
     NotAMorphism,
     approx_exponent,
     curve_from_json,
-    geometric_freeness,
     limit_experiment,
     mckinnon_roth_alpha,
     splitting_type,
@@ -504,8 +503,9 @@ def _cmd_curve(cfg: RunConfig, args) -> tuple:
     if args.op == "limit":
         heights = [float(h) for h in
                    _parse_fracs(args.heights, "--heights")]
-        rows = limit_experiment(c, heights)
-        limit = float(geometric_freeness(c))
+        result = limit_experiment(c, heights)
+        rows = result.rows
+        limit = float(result.geometric_freeness)
         out_rows = [[r.param[0], r.param[1], r.h_param, r.h_image, r.l,
                      r.gap] for r in rows]
         data = {"op": "limit", "n": c.n, "d": c.d,
@@ -623,10 +623,14 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+# --dim defaults to the variety's only dimension where it has one, else 1
+ONLY_DIM = {"blowup": 2}
+
+
 def _add_variety(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variety", choices=["pn", "p1n", "blowup"],
                    default="pn")
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--metric", choices=["sup", "euclid"], default="sup")
 
 
@@ -725,6 +729,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if getattr(args, "variety", None) is not None and args.dim is None:
+        args.dim = ONLY_DIM.get(args.variety, 1)
     cfg = _config_from(args)
     try:
         if getattr(args, "bound", None) is not None and args.bound <= 0:
@@ -736,6 +742,9 @@ def main(argv=None) -> int:
         return 2
     except COMPUTE_ERRORS as exc:
         print(f"heightlab: computation failed: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("heightlab: computation failed: out of memory", file=sys.stderr)
         return 3
     _write(cfg, text)
     return 0

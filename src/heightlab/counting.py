@@ -354,6 +354,35 @@ def _iter_coords(n_coords: int, radius: int, first_range=None) -> Iterator:
                     yield (y0,) + rest
 
 
+def _pn_orbits(n: int, o1_bound: Fraction, metric: Metric) -> Iterator[tuple]:
+    """(y, weight) over the sorted primitive 0 <= y_0 <= ... <= y_n of the
+    P^n ball that `_pn_points` enumerates (sup box of radius int(B), or
+    euclid ball |y|^2 <= floor(B^2)).
+
+    Both balls are invariant under the signed permutations of coordinates,
+    and every orbit holds exactly one sorted nonnegative y.  The weight is
+    the orbit's number of projective points, (n+1)!/prod(mult!) *
+    2^#nonzero / 2: distinct permutations times sign choices on the
+    nonzero coordinates, over the global sign.
+    """
+    o1_bound = Fraction(o1_bound)
+    if metric is Metric.SUP:
+        radius, norm_bound = int(o1_bound), None
+    else:
+        norm_bound = (o1_bound.numerator ** 2) // (o1_bound.denominator ** 2)
+        radius = math.isqrt(norm_bound)
+    perms = math.factorial(n + 1)
+    for y in itertools.combinations_with_replacement(range(radius + 1), n + 1):
+        if norm_bound is not None and sum(c * c for c in y) > norm_bound:
+            continue
+        if math.gcd(*y) != 1:
+            continue
+        weight = perms << sum(1 for c in y if c)
+        for _, run in itertools.groupby(y):
+            weight //= math.factorial(len(tuple(run)))
+        yield y, weight // 2
+
+
 def _pn_points_sup(n: int, radius: int, first_range=None) -> Iterator[PrimPoint]:
     for t in _iter_coords(n + 1, radius, first_range):
         yield PrimPoint(t)

@@ -24,6 +24,15 @@ exactly on mu_min.  The returned l is a float, rounded through
 n * mu / h: a point whose exact l equals a threshold t may come out on
 either side of t.  `freeness_sweep` audits whole balls with its own
 float assembly of the same minima.
+
+On P^n with n <= 3 both ball statistics pay once per orbit of the signed
+permutations, not once per point.  Such a permutation is an isometry of
+Z^(n+1) that preserves the sup and euclid balls and carries the quotient
+form of y to that of its image, so m = |y|^2, lam2 and lam2_adj are
+orbit invariants; `point_freeness` and the sweep's assembly are functions
+of these three integers alone.  Each orbit is visited at its sorted
+representative 0 <= y_0 <= ... <= y_n and counts with weight
+(n+1)!/prod(mult!) * 2^#nonzero / 2, its number of projective points.
 """
 
 from __future__ import annotations
@@ -481,16 +490,26 @@ def freeness_rows(v: VarietyId, bound, metric: Metric = Metric.SUP) -> Iterator[
 
 def freeness_statistics(v: VarietyId, bound, metric: Metric = Metric.SUP,
                         thresholds: Sequence[float] = (), bins: int = 20) -> FreenessStats:
+    """Threshold counts and histogram of l over the height-bound window;
+    on P^n with n <= 3 once per signed-permutation orbit, weighted by its
+    size (see the module docstring), elsewhere once per point."""
+    if v.kind == "pn" and v.n <= 3:
+        from .counting import _pn_orbits
+
+        weighted = ((point_freeness(v, PrimPoint(y))[2], w)
+                    for y, w in _pn_orbits(v.n, bound, metric))
+    else:
+        weighted = ((l, 1) for _, _, _, l in freeness_rows(v, bound, metric))
     thr = list(thresholds)
     counts = {t: 0 for t in thr}
     hist = [0] * bins
     total = 0
-    for _, _, _, l in freeness_rows(v, bound, metric):
-        total += 1
+    for l, w in weighted:
+        total += w
         for t in thr:
             if l < t:
-                counts[t] += 1
-        hist[min(bins - 1, int(l * bins))] += 1
+                counts[t] += w
+        hist[min(bins - 1, int(l * bins))] += w
     return FreenessStats(total=total, threshold_counts=counts,
                          histogram=tuple(hist), bins=bins)
 
@@ -551,8 +570,17 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
     and generic assemblies share these minima; their coefficient lists
     are compared exactly once (they are point-independent), and the
     machinery-level equality is covered by tests on subsamples.
+
+    A signed permutation of coordinates is an isometry of Z^(n+1) that
+    maps the sup ball to itself, so it carries the quotient form of y to
+    that of its image: m, lam2 and lam2_adj, hence l and every per-point
+    quantity here, are constant on orbits.  The sweep visits each orbit
+    once, at its sorted representative 0 <= y_0 <= ... <= y_n, and weights
+    it by its number of projective points (n+1)!/prod(mult!) *
+    2^#nonzero / 2 (`counting._pn_orbits`).  `tests/freeness_reference.py`
+    keeps the per-point loop as the oracle.
     """
-    from .counting import _iter_coords
+    from .counting import _pn_orbits
 
     if n not in (2, 3):
         raise ValueError("sweep covers P^2 and P^3")
@@ -563,14 +591,13 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
     total = 0
     holds = True
     min_l = 1.0
-    ratio = n / (n + 1)
-    for y in _iter_coords(n + 1, bound):
-        total += 1
+    for y, w in _pn_orbits(n, bound, Metric.SUP):
+        total += w
         m, lam2, lam2_adj = _pn_minima(y)
         if m == 1:
             min_l = 0.0
             for t in thr:
-                below[t] += 1
+                below[t] += w
             continue
         if n == 2:
             if lam2 < 1:
@@ -587,7 +614,7 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
             min_l = l
         for t in thr:
             if l < t:
-                below[t] += 1
+                below[t] += w
     return SweepResult(n=n, bound=bound, total=total, bound_holds=holds,
                        coeffs_match=coeffs_match, min_l=min_l, below_counts=below)
 

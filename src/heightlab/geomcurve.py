@@ -278,13 +278,22 @@ def _point_l(coords: Sequence[int]):
     return p, h, l
 
 
-def limit_experiment(c: CurveMap, t_heights: Sequence[int]):
+@dataclass(frozen=True)
+class LimitExperiment:
+    rows: tuple                  # LimitRow per kept parameter height
+    geometric_freeness: Fraction  # l(f), the limit the rows approach
+
+
+def limit_experiment(c: CurveMap, t_heights: Sequence[int]) -> LimitExperiment:
     """Arithmetic freeness along the curve at prescribed parameter heights.
 
     Parameters are t = [k : k+1] with k = H - 1 for each requested sup
-    height H >= 2.  Rows with image height zero are skipped.
+    height H >= 2.  Rows with image height zero are skipped.  The result
+    also carries l(f), so that callers need not build the splitting type
+    a second time.
     """
-    lf = float(geometric_freeness(c))
+    geo = geometric_freeness(c)
+    lf = float(geo)
     rows = []
     for height in t_heights:
         k = max(1, int(height) - 1)
@@ -294,7 +303,7 @@ def limit_experiment(c: CurveMap, t_heights: Sequence[int]):
             continue
         rows.append(LimitRow(param=(k, k + 1), h_param=math.log(k + 1),
                              h_image=h_img, l=l, gap=abs(l - lf)))
-    return rows
+    return LimitExperiment(rows=tuple(rows), geometric_freeness=geo)
 
 
 def approx_exponent(rows: Sequence[LimitRow]) -> float:

@@ -6,9 +6,14 @@ then rescales by B^alpha.  Heights are O(1)-normalized (sup or euclidean
 on each factor, products over factors), so the critical exponent of P^1
 sits at alpha = 1; anticanonical conventions would halve it.
 
-Membership is decided exactly: for alpha = p/q the condition
-|y| <= R B^(-alpha) is the integer-exponent comparison |y|^q B^p <= R^q
-between rationals.  Rescaled coordinates are floats for display only.
+Membership is decided exactly, in integers.  For alpha = p/r the
+condition |y| <= R B^(-alpha) reads |y|^r <= R^r / B^p.  For a chart
+coordinate y = a/q - cn/cd that is |a cd - cn q| <= K(q) with
+K(q) = floor(((q cd R)^r / B^p)^(1/r)), an exact integer root, so for each
+denominator q the window is the integer range of a between
+ceil((cn q - K)/cd) and floor((cn q + K)/cd), clamped to |a| <= B.  No
+candidate outside the window is ever built.  Rescaled coordinates are
+floats for display only.
 """
 
 from __future__ import annotations
@@ -17,17 +22,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Sequence
 
+from .counting import int_nth_root
 from .freeness import point_freeness
 from .projpoint import Metric, PrimPoint, VarietyId
-
-
-def _in_ball(y: Fraction, radius: Fraction, b: Fraction, alpha: Fraction) -> bool:
-    """Exact test |y| <= radius * b^(-alpha) for rational alpha >= 0."""
-    p, q = alpha.numerator, alpha.denominator
-    return abs(y) ** q * b ** p <= radius ** q
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class ZoomCloud:
     def size(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def rescaled(self) -> tuple:
         scale = float(self.B_pow_alpha())
         return tuple(tuple(float(y) * scale for y in ys) for ys in self.chart)
@@ -101,41 +102,63 @@ class ZoomCloud:
         return float(self.config.B) ** float(self.config.alpha)
 
 
-def _candidate_range(center_times_q: float, q: int, window: float, clamp: int):
-    lo = math.floor(center_times_q - q * window) - 1
-    hi = math.ceil(center_times_q + q * window) + 1
-    return range(max(lo, -clamp), min(hi, clamp) + 1)
+def _radius_power(radius: Fraction, cfg: ZoomConfig) -> tuple:
+    """(tn, td, r) with |y| <= radius B^(-alpha) iff |y|^r td <= tn, where
+    alpha = p/r and tn/td = radius^r / B^p in lowest terms."""
+    p, r = cfg.alpha.numerator, cfg.alpha.denominator
+    t = radius ** r / cfg.B ** p
+    return t.numerator, t.denominator, r
+
+
+def _window_ranges(cfg: ZoomConfig, c: Fraction) -> list:
+    """For q = 1..floor(B), the range of integers a with |a| <= B and
+    |a/q - c| <= R B^(-alpha), exactly."""
+    tn, td, r = _radius_power(cfg.R, cfg)
+    cn, cd = c.numerator, c.denominator
+    clamp = int(cfg.B)
+    out = []
+    for q in range(1, clamp + 1):
+        k = int_nth_root((q * cd) ** r * tn // td, r)
+        lo = -((k - cn * q) // cd)
+        hi = (cn * q + k) // cd
+        out.append(range(max(lo, -clamp), min(hi, clamp) + 1))
+    return out
+
+
+def _height_cap(cfg: ZoomConfig) -> int:
+    """floor(B) for sup, floor(B^2) for euclid: the integer cap on factor
+    heights resp. squared heights."""
+    if cfg.metric is Metric.SUP:
+        return int(cfg.B)
+    return cfg.B.numerator ** 2 // cfg.B.denominator ** 2
 
 
 def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
     n = cfg.variety.n
     center = cfg.center
     j = max(i for i, c in enumerate(center) if c != 0)
-    cf = [Fraction(center[i], center[j]) for i in range(n + 1)]
-    clamp = int(cfg.B)
-    window = cfg.window
-    b2 = cfg.B * cfg.B
-    rows = []
     others = [i for i in range(n + 1) if i != j]
-    for q in range(1, clamp + 1):
-        ranges = [_candidate_range(float(cf[i]) * q, q, window, clamp)
-                  for i in others]
+    cf = [Fraction(center[i], center[j]) for i in others]
+    cap = _height_cap(cfg)
+    if cfg.metric is Metric.SUP:
+        cap *= cap
+    rows = []
+    windows = zip(*(_window_ranges(cfg, c) for c in cf))
+    for q, ranges in enumerate(windows, start=1):
         for combo in iproduct(*ranges):
             x = [0] * (n + 1)
             x[j] = q
             for i, v in zip(others, combo):
                 x[i] = v
-            if math.gcd(*[abs(c) for c in x]) != 1:
-                continue
-            ys = tuple(Fraction(x[i], q) - cf[i] for i in others)
-            if not all(_in_ball(y, cfg.R, cfg.B, cfg.alpha) for y in ys):
+            if math.gcd(*x) != 1:
                 continue
             if cfg.metric is Metric.SUP:
                 h_sq = max(abs(c) for c in x) ** 2
             else:
                 h_sq = sum(c * c for c in x)
-            if h_sq > b2:
+            if h_sq > cap:
                 continue
+            ys = tuple(Fraction(v, q) - c for v, c in zip(combo, cf))
             rows.append((PrimPoint(_normalize_vector(x)), ys, math.sqrt(h_sq)))
     points, chart, heights = zip(*rows) if rows else ((), (), ())
     return ZoomCloud(config=cfg, points=tuple(points), chart=tuple(chart),
@@ -150,44 +173,47 @@ def _p1_factor_candidates(cfg: ZoomConfig, center: tuple):
     """
     j = 1 if center[1] != 0 else 0
     cf = Fraction(center[1 - j], center[j])
-    clamp = int(cfg.B)
-    window = cfg.window
+    cn, cd = cf.numerator, cf.denominator
     out = []
-    for q in range(1, clamp + 1):
-        for a in _candidate_range(float(cf) * q, q, window, clamp):
+    for q, window in enumerate(_window_ranges(cfg, cf), start=1):
+        for a in window:
             if math.gcd(a, q) != 1:
-                continue
-            y = Fraction(a, q) - cf
-            if not _in_ball(y, cfg.R, cfg.B, cfg.alpha):
                 continue
             pair = (a, q) if j == 1 else (q, a)
             key = max(abs(a), q) if cfg.metric is Metric.SUP else a * a + q * q
+            y = Fraction(a * cd - cn * q, q * cd)  # a/q - cf
             out.append((_normalize_vector(pair), y, key))
     out.sort(key=lambda row: row[2])
     return out
 
 
+def _product_rows(factors: list, cap: int, prefix: tuple = ()):
+    """Tuples of candidate rows, one per factor, whose integer height keys
+    multiply to at most cap, in lexicographic candidate order.  A product
+    of integer keys is at most a bound iff it is at most its floor, so
+    the caps stay integers."""
+    cands, keys = factors[0]
+    for row in cands[:bisect_right(keys, cap)]:
+        if len(factors) == 1:
+            yield prefix + (row,)
+        else:
+            yield from _product_rows(factors[1:], cap // row[2], prefix + (row,))
+
+
 def _p1n_cloud(cfg: ZoomConfig) -> ZoomCloud:
-    n = cfg.variety.n
-    factors = [_p1_factor_candidates(cfg, c) for c in cfg.center]
-    keys = [[row[2] for row in f] for f in factors]
-    if cfg.metric is Metric.SUP:
-        cap0 = cfg.B
-    else:
-        cap0 = cfg.B * cfg.B  # keys are squared heights
+    candidates = {}
+    for c in cfg.center:
+        if c not in candidates:
+            f = _p1_factor_candidates(cfg, c)
+            candidates[c] = (f, [row[2] for row in f])
     rows = []
-
-    def descend(idx, cap, pts, ys, hkey):
-        if idx == n:
-            h = float(hkey)
-            rows.append((tuple(pts), tuple(ys), math.sqrt(h) if
-                         cfg.metric is Metric.EUCLID else h))
-            return
-        limit = bisect_right(keys[idx], cap)
-        for pair, y, key in factors[idx][:limit]:
-            descend(idx + 1, cap / key, pts + [pair], ys + [y], hkey * key)
-
-    descend(0, cap0, [], [], 1)
+    # keys are factor heights (sup) or squared heights (euclid)
+    for combo in _product_rows([candidates[c] for c in cfg.center],
+                               _height_cap(cfg)):
+        h = float(math.prod(row[2] for row in combo))
+        rows.append((tuple(row[0] for row in combo),
+                     tuple(row[1] for row in combo),
+                     math.sqrt(h) if cfg.metric is Metric.EUCLID else h))
     points, chart, heights = zip(*rows) if rows else ((), (), ())
     return ZoomCloud(config=cfg, points=tuple(points), chart=tuple(chart),
                      heights=tuple(heights))
@@ -236,7 +262,8 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
     """Fraction of the cloud within rescaled sup-distance delta of an axis.
 
     A rescaled coordinate Y_i = B^alpha y_i is within delta of the axis
-    {Y_i = 0} iff |y_i| <= delta B^(-alpha), tested exactly.
+    {Y_i = 0} iff |y_i| <= delta B^(-alpha), i.e. |y_i|^r <= delta^r / B^p
+    for alpha = p/r: one integer comparison per coordinate.
     """
     if cloud.config.variety.kind != "p1n":
         raise ValueError("fiber share needs a product variety")
@@ -245,10 +272,11 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
         raise ValueError("band width must be positive")
     if cloud.size == 0:
         raise ValueError("empty cloud")
-    cfg = cloud.config
+    tn, td, r = _radius_power(delta, cloud.config)
     hits = sum(
         1 for ys in cloud.chart
-        if any(_in_ball(y, delta, cfg.B, cfg.alpha) for y in ys)
+        if any(abs(y.numerator) ** r * td <= tn * y.denominator ** r
+               for y in ys)
     )
     return hits / cloud.size
 
@@ -264,11 +292,15 @@ class OverlayRow:
 def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     """Cloud rows joined with the arithmetic freeness of each source point."""
     v = cloud.config.variety
+    factors = {}  # one PrimPoint per distinct factor of a product cloud
     out = []
     for point, rescaled, height in zip(cloud.points, cloud.rescaled,
                                        cloud.heights):
         if v.kind == "p1n":
-            _, _, l = point_freeness(v, [PrimPoint(p) for p in point])
+            for p in point:
+                if p not in factors:
+                    factors[p] = PrimPoint(p)
+            _, _, l = point_freeness(v, [factors[p] for p in point])
         else:
             _, _, l = point_freeness(v, point)
             point = point.coords

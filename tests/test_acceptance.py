@@ -337,7 +337,7 @@ def test_09_rational_curve_splitting_and_limit():
         st = splitting_type(c)
         assert sum(st.a) == (c.n + 1) * c.d
 
-    rows = limit_experiment(line_p2(), [10, 100, 1000, 10_000])
+    rows = limit_experiment(line_p2(), [10, 100, 1000, 10_000]).rows
     by_h = {round(r.h_param / math.log(10)): r for r in rows}
     assert by_h[3].gap <= 0.05  # parameter height 1e3
     assert by_h[4].gap <= 0.05

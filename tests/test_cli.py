@@ -66,6 +66,23 @@ class TestCount:
         assert lines[1] == "# columns v1"
         assert lines[2].split(",")[:2] == ["variety", "dim"]
 
+    def test_blowup_dim_defaults_to_its_only_dimension(self, capsys):
+        outs = []
+        for dim in ([], ["--dim", "2"]):
+            assert main(["count", "--variety", "blowup", *dim,
+                         "--bound", "100"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["dim"] == 2
+        assert main(["count", "--variety", "blowup", "--dim", "1",
+                     "--bound", "100"]) == 2
+        assert "blowup is a surface" in capsys.readouterr().err
+
+    def test_pn_dim_still_defaults_to_one(self, capsys):
+        doc = run_json(capsys, ["count", "--variety", "pn", "--bound", "10"])
+        assert doc["provenance"]["command"] == \
+            "count --bound 10 --dim 1 --metric sup --variety pn"
+
 
 class TestEnumerate:
     def test_matches_library_order(self, tmp_path, capsys):
@@ -303,6 +320,23 @@ class TestCurve:
             assert len(calls) == 1
             assert doc["very_free"] is is_very_free(c)
 
+    def test_limit_builds_one_splitting_type(self, tmp_path, capsys,
+                                             monkeypatch):
+        calls = []
+        orig = geomcurve.splitting_type
+
+        def counted(c):
+            calls.append(c)
+            return orig(c)
+
+        monkeypatch.setattr(geomcurve, "splitting_type", counted)
+        monkeypatch.setattr(cli, "splitting_type", counted)
+        doc = run_json(capsys, ["curve", "--file",
+                                str(self.make_line(tmp_path)),
+                                "--op", "limit", "--heights", "10,100"])
+        assert len(calls) == 1
+        assert doc["geometric_freeness"] == 2 / 3
+
     def test_freeness(self, tmp_path, capsys):
         doc = run_json(capsys, ["curve", "--file",
                                 str(self.make_line(tmp_path)),
@@ -413,6 +447,17 @@ class TestPlumbing:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_memory_error_is_exit_3_with_one_line(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "count_blowup", exhausted)
+        assert main(["count", "--variety", "blowup", "--dim", "2",
+                     "--bound", "1e12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "heightlab: computation failed: out of memory\n"
 
     def test_rational_flag_rejected_politely(self, capsys):
         assert main(["count", "--variety", "pn", "--dim", "1",

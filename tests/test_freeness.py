@@ -31,6 +31,8 @@ from heightlab.freeness import (
 from heightlab.lattice import EucLattice, degree, max_deg_rank
 from heightlab.projpoint import Metric, PrimPoint, variety
 
+from freeness_reference import reference_statistics, reference_sweep
+
 V2 = variety("pn", 2)
 V3 = variety("pn", 3)
 VP2 = variety("p1n", 2)
@@ -274,6 +276,38 @@ class TestStatisticsAndSweep:
         # the gap itself shrinks for the highest points
         top = [abs(l0 - l1) for h, l0, l1 in rows if h > 0.9 * max(r[0] for r in rows)]
         assert max(top) <= max(prods) / (0.9 * max(r[0] for r in rows))
+
+
+# the threshold sets of the benchmark's freeness tasks, as floats
+BENCH_THRESHOLDS = sorted({float(Fraction(x)) for t in (
+    "1/5,1/2,4/5", "1/4,1/2,3/4", "1/10,1/3,2/3", "3/10,3/5,9/10",
+    "1/6,2/5,5/6") for x in t.split(",")})
+
+
+class TestOrbitWeighting:
+    """Orbit sums against the per-point loops of `freeness_reference`."""
+
+    @pytest.mark.parametrize("n,bounds", [(2, range(1, 13)), (3, range(1, 6))],
+                             ids=["p2", "p3"])
+    def test_sweep_equals_per_point_oracle(self, n, bounds):
+        for bound in bounds:
+            got = freeness_sweep(n, bound, BENCH_THRESHOLDS)
+            assert got == reference_sweep(n, bound, BENCH_THRESHOLDS), bound
+
+    @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                             ids=["sup", "euclid"])
+    @pytest.mark.parametrize("n,bounds", [
+        (1, [7, Fraction(707, 100)]),
+        (2, [1, 6, Fraction(707, 100), Fraction(9, 2)]),
+        (3, [2, Fraction(603, 200), Fraction(9, 2)])],
+        ids=["p1", "p2", "p3"])
+    def test_statistics_equal_per_point_sum(self, n, bounds, metric):
+        v = variety("pn", n)
+        for bound in bounds:
+            got = freeness_statistics(v, bound, metric, BENCH_THRESHOLDS,
+                                      bins=20)
+            assert got == reference_statistics(v, bound, metric,
+                                               BENCH_THRESHOLDS, 20), bound
 
 
 @settings(deadline=None, max_examples=30)

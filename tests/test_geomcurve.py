@@ -169,7 +169,7 @@ class TestExpectedDim:
 class TestLimitExperiment:
     def test_line_gap_law(self):
         # image points (k, k+1, k+1) satisfy |l - 2/3| * h = log 2 exactly
-        rows = limit_experiment(line_p2(), [10, 100, 1000, 10000])
+        rows = limit_experiment(line_p2(), [10, 100, 1000, 10000]).rows
         assert len(rows) == 4
         for r in rows:
             assert abs(r.gap * r.h_image - math.log(2)) < 1e-9
@@ -178,23 +178,23 @@ class TestLimitExperiment:
         assert rows[2].gap <= 0.05  # parameter height 10^3
 
     def test_line_fit_exponent(self):
-        rows = limit_experiment(line_p2(), [10, 32, 100, 316, 1000])
+        rows = limit_experiment(line_p2(), [10, 32, 100, 316, 1000]).rows
         assert abs(approx_exponent(rows) + 1.0) < 1e-6
 
     def test_identity_all_free(self):
-        rows = limit_experiment(identity_p1(), [5, 50, 500])
+        rows = limit_experiment(identity_p1(), [5, 50, 500]).rows
         assert all(r.l == 1.0 for r in rows)
         with pytest.raises(ValueError):
             approx_exponent(rows)  # every gap is zero
 
     def test_zero_height_image_skipped(self):
         c = CurveMap(n=1, d=1, forms=((2, -1), (-1, 1)))
-        rows = limit_experiment(c, [2, 3])
+        rows = limit_experiment(c, [2, 3]).rows
         assert [r.param for r in rows] == [(2, 3)]
 
     def test_double_cover_converges_to_two_thirds(self):
         # image points sit on the coordinate line, where l = 2/3 exactly
-        rows = limit_experiment(double_cover_line(), [10, 100])
+        rows = limit_experiment(double_cover_line(), [10, 100]).rows
         for r in rows:
             assert abs(r.l - 2 / 3) < 1e-12
             assert r.gap < 1e-12

@@ -336,3 +336,88 @@ def test_window_membership_is_exact(a, b, alpha_num, bound):
         assert v != 0 and Fraction(u, v) - cf == y
     # the center has height max(|a|,|b|)/gcd <= 8 <= B, so it is present
     assert any(pt.coords == cfg.center for pt in cloud.points)
+
+
+def zoom_oracle(cfg):
+    """Brute-force zoom: every point of the height ball, kept when each of
+    its chart coordinates passes the exact Fraction test
+    |y|^r B^p <= R^r (alpha = p/r).  Returns {point: (chart, height)}."""
+    p, r = cfg.alpha.numerator, cfg.alpha.denominator
+
+    def inside(y):
+        return abs(y) ** r * cfg.B ** p <= cfg.R ** r
+
+    def chart(x, c):
+        j = max(i for i, ci in enumerate(c) if ci != 0)
+        if x[j] == 0:
+            return None
+        return tuple(Fraction(x[i], x[j]) - Fraction(c[i], c[j])
+                     for i in range(len(c)) if i != j)
+
+    out = {}
+    v, sup = cfg.variety, cfg.metric is Metric.SUP
+    if v.kind == "pn":
+        for pt in enum_points(bounded_window(v, cfg.B, cfg.metric)):
+            ys = chart(pt.coords, cfg.center)
+            if ys is not None and all(inside(y) for y in ys):
+                x = pt.coords
+                h_sq = max(abs(c) for c in x) ** 2 if sup else \
+                    sum(c * c for c in x)
+                out[pt] = (ys, math.sqrt(h_sq))
+        return out
+    # (P^1)^n: the anticanonical bound B^2 caps the product of factor
+    # heights (sup) resp. squared heights (euclid) by B resp. B^2
+    for pts in enum_points(bounded_window(v, cfg.B ** 2, cfg.metric)):
+        ys = [chart(f.coords, c) for f, c in zip(pts, cfg.center)]
+        if any(y is None for y in ys) or not all(inside(y[0]) for y in ys):
+            continue
+        key = 1
+        for f in pts:
+            a, b = f.coords
+            key *= max(abs(a), abs(b)) if sup else a * a + b * b
+        height = float(key) if sup else math.sqrt(float(key))
+        out[tuple(f.coords for f in pts)] = (tuple(y[0] for y in ys), height)
+    return out
+
+
+_ALPHAS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+           Fraction(1), Fraction(3, 2)]
+_RADII = st.fractions(min_value=Fraction(1, 4), max_value=3,
+                      max_denominator=5).filter(lambda x: x > 0)
+
+
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+@pytest.mark.parametrize("kind", ["p1", "p2", "p1n2"])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), alpha=st.sampled_from(_ALPHAS), radius=_RADII,
+       bound=st.fractions(min_value=2, max_value=14, max_denominator=3))
+def test_exact_windows_match_brute_force(kind, metric, data, alpha, radius,
+                                         bound):
+    coord = st.integers(-3, 3)
+    if kind == "p1":
+        v, center = V1, data.draw(st.tuples(coord, coord))
+    elif kind == "p2":
+        v, center = V2, data.draw(st.tuples(coord, coord, coord))
+    else:
+        v = VP2
+        center = data.draw(st.tuples(st.tuples(coord, coord),
+                                     st.tuples(coord, coord)))
+    parts = center if kind == "p1n2" else (center,)
+    if any(not any(c) for c in parts):
+        return
+    bound = max(bound, Fraction(2))
+    cfg = ZoomConfig(variety=v, center=center, alpha=alpha, R=radius,
+                     B=bound, metric=metric)
+    cloud = zoom_cloud(cfg)
+    oracle = zoom_oracle(cfg)
+    got = dict(zip(cloud.points, zip(cloud.chart, cloud.heights)))
+    assert len(got) == cloud.size
+    assert got == oracle
+    if kind == "p1n2" and cloud.size:
+        p, r = alpha.numerator, alpha.denominator
+        for delta in (Fraction(1, 10), Fraction(1, 2), Fraction(7, 3)):
+            hits = sum(1 for ys, _ in oracle.values()
+                       if any(abs(y) ** r * bound ** p <= delta ** r
+                              for y in ys))
+            assert fiber_share(cloud, delta) == hits / len(oracle)
