@@ -198,7 +198,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cache_dir = Path(cache) if cache else args.cache_dir
     return RunConfig(command=args.command, params=tuple(params),
                      format=args.format, out=args.out, cache_dir=cache_dir,
-                     workers=max(1, args.workers), seed=args.seed)
+                     workers=args.workers, seed=args.seed)
 
 
 def _render(cfg: RunConfig, data: dict, table) -> str:
@@ -281,6 +281,13 @@ def _enum_chunk(window: HeightWindow, rng) -> list:
     return [_point_token(p) for p in enum_points(window, rng)]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
 def _cache_key(args) -> str:
     bound = Fraction(args.bound)
     tag = str(bound.numerator) if bound.denominator == 1 else \
@@ -311,9 +318,12 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
         cache_file = cfg.cache_dir / _cache_key(args)
     tokens = _read_cache(cache_file) if cache_file is not None else None
     if tokens is None:
-        if cfg.workers > 1:
-            ranges = partition_leading_ranges(w, cfg.workers)
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # a fork pool starts all of its processes at the first submit, so
+        # it gets one per leading range, and no more ranges than CPUs
+        workers = min(cfg.workers, _usable_cpus())
+        ranges = partition_leading_ranges(w, workers) if workers > 1 else []
+        if len(ranges) > 1:
+            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
                 chunks = list(pool.map(_enum_chunk, [w] * len(ranges),
                                        ranges))
             tokens = [t for chunk in chunks for t in chunk]
@@ -735,6 +745,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "bound", None) is not None and args.bound <= 0:
             raise UsageError(f"--bound must be positive, got {_num(args.bound)}")
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         data, table = args.handler(cfg, args)
         text = _render(cfg, data, table)
     except UsageError as exc:

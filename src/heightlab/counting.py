@@ -12,8 +12,10 @@ counts and boxed windows.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
-the effective cone.  Membership tests compare rational powers exactly, so
-window counts are reproducible bit for bit.
+the effective cone.  Every window, bounded or boxed, decides membership by
+integer shell intervals, one per component, and a cap on their joint
+product; counts and enumeration read the same intervals, so window counts
+are exact and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -64,19 +66,51 @@ def rational_power_floor(base: Fraction, expo: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
+# shell values
+
+# Heights enter through the integer "shell value" of a primitive vector: the
+# sup height itself, or the squared euclidean norm.  Every height condition
+# becomes an integer interval of shell values, or a cap on a product of them.
+
+
+def _shell_value(coords: Sequence[int], metric: Metric) -> int:
+    if metric is Metric.SUP:
+        return max(abs(c) for c in coords)
+    return sum(c * c for c in coords)
+
+
+def _shell_cap(sq_bound: Fraction, metric: Metric) -> int:
+    """Largest shell value of a height H with H^2 <= sq_bound: floor(sqrt)
+    for sup, where the shell is H, and floor for euclid, where it is H^2."""
+    floor = sq_bound.numerator // sq_bound.denominator
+    return math.isqrt(floor) if metric is Metric.SUP else floor
+
+
+def _shell_radius(cap: int, metric: Metric) -> int:
+    """Largest coordinate of a vector with shell value <= cap."""
+    return cap if metric is Metric.SUP else math.isqrt(cap)
+
+
+# ---------------------------------------------------------------------------
 # sieved counts on P^n
 
 
 def count_pn_sieved(n: int, bound: int) -> int:
     """#P^n(Q) with sup height <= bound: (1/2) sum mu(d) ((2 floor(B/d)+1)^(n+1) - 1)."""
-    if bound < 1:
+    return _count_pn_sup_range(n, 1, bound)
+
+
+def _count_pn_sup_range(n: int, lo: int, hi: int) -> int:
+    """#P^n(Q) with sup height in [lo, hi], lo >= 1, from one sieve to hi:
+    (1/2) sum mu(d) ((2 floor(hi/d)+1)^(n+1) - (2 floor((lo-1)/d)+1)^(n+1))."""
+    if hi < lo:
         return 0
-    table = build_sieve(bound + 1)
+    mu = build_sieve(hi + 1).mu
+    e, below = n + 1, lo - 1
     total = 0
-    for d in range(1, bound + 1):
-        mu = table.mobius(d)
-        if mu:
-            total += mu * ((2 * (bound // d) + 1) ** (n + 1) - 1)
+    for d in range(1, hi + 1):
+        if mu[d]:
+            total += mu[d] * ((2 * (hi // d) + 1) ** e - (2 * (below // d) + 1) ** e)
     assert total % 2 == 0
     return total // 2
 
@@ -169,10 +203,10 @@ def count_pn(n: int, bound, metric: Metric = Metric.SUP) -> int:
     b = Fraction(bound)
     if b < 1:
         return 0
+    cap = _shell_cap(b * b, metric)
     if metric is Metric.SUP:
-        return count_pn_sieved(n, int(b))
-    norm_bound = (b.numerator ** 2) // (b.denominator ** 2)
-    vecs = _count_pn_euclid_vectors(n, norm_bound)
+        return count_pn_sieved(n, cap)
+    vecs = _count_pn_euclid_vectors(n, cap)
     assert vecs % 2 == 0
     return vecs // 2
 
@@ -180,15 +214,9 @@ def count_pn(n: int, bound, metric: Metric = Metric.SUP) -> int:
 # ---------------------------------------------------------------------------
 # products of lines and the blown-up plane
 
-# Factor heights enter through the integer "shell value": the sup height
-# itself, or the squared euclidean norm.  Anticanonical height <= B becomes
-# prod shell_i <= cap with cap = floor(sqrt(B)) resp. floor(B).
-
-
-def _shell_cap(bound: Fraction, metric: Metric) -> int:
-    if metric is Metric.SUP:
-        return rational_power_floor(bound, Fraction(1, 2))
-    return int(bound)
+# Anticanonical height <= B is prod H_i^2 <= B on (P^1)^n, so the shells
+# multiply to at most _shell_cap(B); on the blown-up plane it is
+# H_P^2 H_Q <= B, so s_P^2 s_Q <= _shell_cap(B^2) in both metrics.
 
 
 def _p1_shells(cap: int, metric: Metric) -> list:
@@ -241,16 +269,8 @@ def count_blowup(bound, metric: Metric = Metric.SUP) -> tuple:
     b = Fraction(bound)
     if b < 1:
         return 0, 0
-    count_e = count_pn(1, b, metric)
-    # With s the shell value of Q, H_P^2 H_Q <= B caps the P-shell at
-    # R_s = isqrt(floor(B / s)) (sup: max(g s, |z|)^2 s <= B) or at
-    # R_s = isqrt(floor(B^2 / s)) (euclid: (g^2 s + z^2)^2 s <= B^2).
-    # A fibre is nonempty only while s <= R_s, that is s^3 <= B resp. B^2.
-    e = 1 if metric is Metric.SUP else 2
-    num, den = b.numerator ** e, b.denominator ** e
-    count_u = _count_off_center(metric, 1, int_nth_root(num // den, 3),
-                                lambda s: (1, math.isqrt(num // (den * s))))
-    return count_e, count_u
+    w = HeightWindow(variety=VarietyId("blowup", 2), metric=metric, bound=b)
+    return _count_blowup_window(*_shell_spec(w), metric)
 
 
 def count_points(v: VarietyId, bound, metric: Metric = Metric.SUP) -> int:
@@ -365,15 +385,12 @@ def _pn_orbits(n: int, o1_bound: Fraction, metric: Metric) -> Iterator[tuple]:
     2^#nonzero / 2: distinct permutations times sign choices on the
     nonzero coordinates, over the global sign.
     """
-    o1_bound = Fraction(o1_bound)
-    if metric is Metric.SUP:
-        radius, norm_bound = int(o1_bound), None
-    else:
-        norm_bound = (o1_bound.numerator ** 2) // (o1_bound.denominator ** 2)
-        radius = math.isqrt(norm_bound)
+    cap = _shell_cap(Fraction(o1_bound) ** 2, metric)
+    euclid = metric is Metric.EUCLID
     perms = math.factorial(n + 1)
-    for y in itertools.combinations_with_replacement(range(radius + 1), n + 1):
-        if norm_bound is not None and sum(c * c for c in y) > norm_bound:
+    for y in itertools.combinations_with_replacement(
+            range(_shell_radius(cap, metric) + 1), n + 1):
+        if euclid and sum(c * c for c in y) > cap:
             continue
         if math.gcd(*y) != 1:
             continue
@@ -383,46 +400,6 @@ def _pn_orbits(n: int, o1_bound: Fraction, metric: Metric) -> Iterator[tuple]:
         yield y, weight // 2
 
 
-def _pn_points_sup(n: int, radius: int, first_range=None) -> Iterator[PrimPoint]:
-    for t in _iter_coords(n + 1, radius, first_range):
-        yield PrimPoint(t)
-
-
-def _pn_points_norm(n: int, norm_bound: int, first_range=None) -> Iterator[PrimPoint]:
-    radius = math.isqrt(norm_bound)
-    for t in _iter_coords(n + 1, radius, first_range):
-        if sum(c * c for c in t) <= norm_bound:
-            yield PrimPoint(t)
-
-
-def _pn_points(n: int, o1_bound: Fraction, metric: Metric, first_range=None) -> Iterator[PrimPoint]:
-    if metric is Metric.SUP:
-        yield from _pn_points_sup(n, int(o1_bound), first_range)
-    else:
-        yield from _pn_points_norm(n, (o1_bound.numerator ** 2) // (o1_bound.denominator ** 2), first_range)
-
-
-def _shell_value(p: PrimPoint, metric: Metric) -> int:
-    # sup height for SUP, squared norm for EUCLID: the integer the product
-    # conditions are expressed in
-    if metric is Metric.SUP:
-        return max(abs(c) for c in p.coords)
-    return sum(c * c for c in p.coords)
-
-
-def _sq_height_arg(p: PrimPoint, metric: Metric) -> Fraction:
-    # argument of the squared O(1) height
-    s = _shell_value(p, metric)
-    return Fraction(s * s if metric is Metric.SUP else s)
-
-
-def _p1_points_shell(cap: int, metric: Metric) -> list:
-    """P^1 points with shell value <= cap, lexicographic order."""
-    if metric is Metric.SUP:
-        return list(_pn_points_sup(1, cap))
-    return list(_pn_points_norm(1, cap))
-
-
 @dataclass(frozen=True)
 class HeightWindow:
     """Either a plain height bound, or a box of scaled multiheight intervals.
@@ -430,6 +407,8 @@ class HeightWindow:
     Boxed windows hold per-component intervals [a_i, b_i] of exponential
     heights, a direction u strictly inside the dual effective cone, and the
     scale B; membership means H_i in [a_i B^(u_i), b_i B^(u_i)] for all i.
+    Both kinds reduce to one integer shell spec (`_shell_spec`), which
+    enumeration, the leading-range split and the counts all read.
     """
 
     variety: VarietyId
@@ -465,15 +444,6 @@ class HeightWindow:
         object.__setattr__(self, "direction", u)
         object.__setattr__(self, "scale", scale)
 
-    def height_in_component(self, i: int, sq_height_arg: Fraction) -> bool:
-        """Exact membership of a height (given by its squared value) in the
-        scaled interval [a_i B^u_i, b_i B^u_i]: compares 2q-th powers."""
-        a, b = self.box[i]
-        p, q = self.direction[i].numerator, self.direction[i].denominator
-        lhs = Fraction(sq_height_arg) ** q
-        scale_pow = self.scale ** (2 * p)
-        return (a ** (2 * q)) * scale_pow <= lhs <= (b ** (2 * q)) * scale_pow
-
     def component_cap(self, i: int) -> int:
         """Largest integer shell value possibly inside component i."""
         return _shell_interval(self, i)[1]
@@ -507,6 +477,32 @@ def _shell_interval(w: "HeightWindow", i: int) -> tuple:
     return _ceil_scaled(a, scale, u), _floor_scaled(b, scale, u)
 
 
+def _shell_spec(w: HeightWindow) -> tuple:
+    """(shells, joint): the window's points are those whose shell values
+    s_i lie in shells[i] = (lo_i, hi_i) and whose joint shell, s_1 ... s_n
+    on (P^1)^n and s_P^2 s_Q on the blown-up plane, is at most joint.
+
+    A bounded window caps the joint shell, and each factor only as far as
+    that cap implies.  A boxed window caps each factor; its joint cap is
+    the joint shell of the interval tops, which the whole box meets.  On
+    P^n joint is unused.
+    """
+    if w.box is not None:
+        shells = [_shell_interval(w, i) for i in range(len(w.box))]
+        joint = math.prod(hi for _, hi in shells)
+        if w.variety.kind == "blowup":
+            joint *= shells[0][1]
+        return shells, joint
+    if w.variety.kind == "p1n":
+        cap = _shell_cap(w.bound, w.metric)
+        return [(1, cap)] * w.variety.n, cap
+    cap = _shell_cap(w.bound * w.bound, w.metric)
+    if w.variety.kind == "pn":
+        return [(1, cap)], cap
+    # s_P^2 s_Q <= cap with s_P, s_Q >= 1
+    return [(1, math.isqrt(cap)), (1, cap)], cap
+
+
 def _count_pn_shell_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     """#P^n points with shell value in [lo, hi]."""
     lo = max(lo, 1)
@@ -520,7 +516,7 @@ def _count_pn_shell_range(n: int, lo: int, hi: int, metric: Metric) -> int:
         return total // 2
     if n == 1:
         return sum(_p1_shells(hi, metric)[lo:hi + 1])
-    return count_pn_sieved(n, hi) - (count_pn_sieved(n, lo - 1) if lo > 1 else 0)
+    return _count_pn_sup_range(n, lo, hi)
 
 
 def bounded_window(v: VarietyId, bound, metric: Metric = Metric.SUP) -> HeightWindow:
@@ -536,105 +532,76 @@ def enum_points(w: HeightWindow, first_range=None) -> Iterator:
     restricts the leading coordinate of the first factor; the ranges from
     `partition_leading_ranges` concatenate to the full enumeration.
     """
-    if w.bound is not None:
-        yield from _enum_bounded(w.variety, w.metric, w.bound, first_range)
+    shells, joint = _shell_spec(w)
+    if w.variety.kind == "pn":
+        yield from _pn_points(w.variety.n, *shells[0], w.metric, first_range)
+    elif w.variety.kind == "p1n":
+        yield from _p1n_points(shells, joint, w.metric, first_range)
     else:
-        yield from _enum_boxed(w, first_range)
+        yield from _blowup_points(shells, joint, w.metric, first_range)
 
 
-def _enum_bounded(v: VarietyId, metric: Metric, bound: Fraction, first_range=None) -> Iterator:
-    if v.kind == "pn":
-        yield from _pn_points(v.n, bound, metric, first_range)
-        return
-    if v.kind == "p1n":
-        cap = _shell_cap(bound, metric)
-        factors = [(p, _shell_value(p, metric)) for p in _p1_points_shell(cap, metric)]
-        by_shell = sorted(range(len(factors)), key=lambda i: factors[i][1])
-        shells = [factors[i][1] for i in by_shell]
-        below = {}
-
-        def within(c: int) -> list:
-            # factors with shell value <= c in lexicographic order, built
-            # once per distinct c from a prefix of the shell-sorted order
-            if c not in below:
-                k = bisect_right(shells, c)
-                below[c] = [factors[i] for i in sorted(by_shell[:k])]
-            return below[c]
-
-        def rec(level: int, prefix: tuple, cap_left: int, items: list) -> Iterator:
-            if level == v.n - 1:
-                for p, _ in items:
-                    yield prefix + (p,)
-                return
-            for p, s in items:
-                c = cap_left // s
-                yield from rec(level + 1, prefix + (p,), c, within(c))
-
-        top = factors if first_range is None else \
-            [f for f in factors if f[0].coords[0] in first_range]
-        yield from rec(0, (), cap, top)
-        return
-    yield from _enum_blowup(bound, metric, first_range)
+def _pn_points(n: int, lo: int, hi: int, metric: Metric, first_range=None) -> Iterator[PrimPoint]:
+    """P^n points with shell value in [lo, hi], lexicographic."""
+    coords = _iter_coords(n + 1, _shell_radius(hi, metric), first_range)
+    if metric is Metric.SUP and lo <= 1:
+        return map(PrimPoint, coords)  # the sup box is the whole range
+    return (PrimPoint(t) for t in coords if lo <= _shell_value(t, metric) <= hi)
 
 
-def _enum_blowup(bound: Fraction, metric: Metric, first_range=None) -> Iterator:
+def _p1n_points(shells: list, joint: int, metric: Metric, first_range=None) -> Iterator[tuple]:
+    """Tuples of P^1 points, factor i of shell value in shells[i], whose
+    shells multiply to at most joint, in lexicographic order."""
+    tables: dict = {}
+
+    def within(i: int, c: int) -> list:
+        # (point, shell) of factor i with shell value <= c, lexicographic:
+        # one table per distinct interval, cut once per distinct c from a
+        # prefix of its shell-sorted order
+        lo, hi = shells[i]
+        if (lo, hi) not in tables:
+            pts = [(p, _shell_value(p.coords, metric)) for p in _pn_points(1, lo, hi, metric)]
+            order = sorted(range(len(pts)), key=lambda k: pts[k][1])
+            tables[lo, hi] = (pts, order, [pts[k][1] for k in order], {})
+        pts, order, keys, cut = tables[lo, hi]
+        if c >= hi:
+            return pts
+        if c not in cut:
+            cut[c] = [pts[k] for k in sorted(order[:bisect_right(keys, c)])]
+        return cut[c]
+
+    def rec(i: int, prefix: tuple, cap_left: int, items: list) -> Iterator:
+        if i == len(shells) - 1:
+            for p, _ in items:
+                yield prefix + (p,)
+            return
+        for p, s in items:
+            c = cap_left // s
+            yield from rec(i + 1, prefix + (p,), c, within(i + 1, c))
+
+    top = within(0, joint)
+    if first_range is not None:
+        top = [f for f in top if f[0].coords[0] in first_range]
+    yield from rec(0, (), joint, top)
+
+
+def _blowup_points(shells: list, joint: int, metric: Metric, first_range=None) -> Iterator[tuple]:
+    """Pairs (P, Q) of the window: the exceptional fibre, then off it."""
     from .projpoint import blowup_from_plane, blowup_point
 
-    center = PrimPoint(CENTER)
-    if first_range is None or 0 in first_range:
-        for q in _pn_points(1, bound, metric):
+    (lo0, hi0), (lo1, hi1) = shells
+    if (first_range is None or 0 in first_range) and lo0 <= 1 <= hi0:
+        # P is the center, of shell value 1, so s_Q <= joint
+        center = PrimPoint(CENTER)
+        for q in _pn_points(1, lo1, min(hi1, joint), metric):
             yield blowup_point(center, q)
-    # U-points: H_P^2 <= bound caps the P coordinates
-    radius = rational_power_floor(bound, Fraction(1, 2))
-    b2 = bound ** 2
-    for t in _iter_coords(3, radius, first_range):
-        if t == CENTER:
-            continue
-        p = PrimPoint(t)
-        if metric is Metric.EUCLID and sum(c * c for c in t) > int(bound):
-            continue
-        pair = blowup_from_plane(p)
-        hp2 = _sq_height_arg(p, metric)
-        hq2 = _sq_height_arg(pair[1], metric)
-        if hp2 ** 2 * hq2 <= b2:
-            yield pair
-
-
-def _enum_boxed(w: HeightWindow, first_range=None) -> Iterator:
-    from .projpoint import blowup_from_plane, blowup_point
-
-    v, metric = w.variety, w.metric
-    if v.kind == "pn":
-        cap = w.component_cap(0)
-        it = _pn_points_sup(v.n, cap, first_range) if metric is Metric.SUP \
-            else _pn_points_norm(v.n, cap, first_range)
-        for p in it:
-            if w.height_in_component(0, _sq_height_arg(p, metric)):
-                yield p
-        return
-    if v.kind == "p1n":
-        per_factor = []
-        for i in range(v.n):
-            pts = [p for p in _p1_points_shell(w.component_cap(i), metric)
-                   if w.height_in_component(i, _sq_height_arg(p, metric))]
-            per_factor.append(pts)
-        if first_range is not None:
-            per_factor[0] = [p for p in per_factor[0] if p.coords[0] in first_range]
-        yield from itertools.product(*per_factor)
-        return
-    center = PrimPoint(CENTER)
-    if (first_range is None or 0 in first_range) and w.height_in_component(0, Fraction(1)):
-        for q in _p1_points_shell(w.component_cap(1), metric):
-            if w.height_in_component(1, _sq_height_arg(q, metric)):
-                yield blowup_point(center, q)
-    cap = w.component_cap(0)
-    it = _pn_points_sup(2, cap, first_range) if metric is Metric.SUP else _pn_points_norm(2, cap, first_range)
-    for p in it:
+    for p in _pn_points(2, lo0, hi0, metric, first_range):
         if p.coords == CENTER:
             continue
         pair = blowup_from_plane(p)
-        if w.height_in_component(0, _sq_height_arg(p, metric)) and \
-           w.height_in_component(1, _sq_height_arg(pair[1], metric)):
+        s_p = _shell_value(p.coords, metric)
+        s_q = _shell_value(pair[1].coords, metric)
+        if lo1 <= s_q <= hi1 and s_p * s_p * s_q <= joint:
             yield pair
 
 
@@ -643,19 +610,8 @@ def partition_leading_ranges(w: HeightWindow, workers: int) -> list:
     concatenated in order, equals the single-range enumeration."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    v, metric = w.variety, w.metric
-    if w.bound is not None:
-        if v.kind == "pn":
-            radius = int(w.bound) if metric is Metric.SUP else math.isqrt(
-                (w.bound.numerator ** 2) // (w.bound.denominator ** 2))
-        elif v.kind == "p1n":
-            cap = _shell_cap(w.bound, metric)
-            radius = cap if metric is Metric.SUP else math.isqrt(cap)
-        else:
-            radius = rational_power_floor(w.bound, Fraction(1, 2))
-    else:
-        cap = w.component_cap(0)
-        radius = cap if metric is Metric.SUP else math.isqrt(cap)
+    shells, _ = _shell_spec(w)
+    radius = _shell_radius(shells[0][1], w.metric)
     edges = sorted({round(i * (radius + 1) / workers) for i in range(workers + 1)})
     return [range(edges[i], edges[i + 1]) for i in range(len(edges) - 1) if edges[i] < edges[i + 1]]
 
@@ -693,19 +649,17 @@ def count_window(w: HeightWindow) -> CountReport:
 
 
 def _count_boxed(w: HeightWindow) -> int:
-    v, metric = w.variety, w.metric
-    if v.kind == "pn":
-        lo, hi = _shell_interval(w, 0)
-        return _count_pn_shell_range(v.n, lo, hi, metric)
-    if v.kind == "p1n":
-        total = 1
-        for i in range(v.n):
-            lo, hi = _shell_interval(w, i)
-            total *= _count_pn_shell_range(1, lo, hi, metric)
-            if total == 0:
-                return 0
-        return total
-    return _count_boxed_blowup(w)
+    shells, joint = _shell_spec(w)
+    if w.variety.kind == "blowup":
+        return sum(_count_blowup_window(shells, joint, w.metric))
+    # a boxed (P^1)^n window is a product of P^1 shell ranges
+    n = w.variety.n if w.variety.kind == "pn" else 1
+    total = 1
+    for lo, hi in shells:
+        total *= _count_pn_shell_range(n, lo, hi, w.metric)
+        if total == 0:
+            return 0
+    return total
 
 
 def _squarefree_divisors(g: int, cache: dict) -> list:
@@ -769,15 +723,14 @@ def _count_off_center(metric: Metric, s_lo: int, s_hi: int, p_shells) -> int:
     return total
 
 
-def _count_boxed_blowup(w: HeightWindow) -> int:
-    lo0, hi0 = _shell_interval(w, 0)
-    lo1, hi1 = _shell_interval(w, 1)
-    lo0, lo1 = max(lo0, 1), max(lo1, 1)
-    total = 0
-    if lo0 <= 1 <= hi0:  # exceptional fiber: H_P = 1 at the center
-        total += _count_pn_shell_range(1, lo1, hi1, w.metric)
-    if hi0 < lo0:
-        return total
-    # the fibre over a Q of shell s has P-shells >= s
-    return total + _count_off_center(w.metric, lo1, min(hi1, hi0),
-                                     lambda s: (lo0, hi0))
+def _count_blowup_window(shells: list, joint: int, metric: Metric) -> tuple:
+    """(E, U) counts of a blown-up plane window given by its shell spec."""
+    (lo0, hi0), (lo1, hi1) = shells
+    count_e = _count_pn_shell_range(1, lo1, min(hi1, joint), metric) \
+        if lo0 <= 1 <= hi0 else 0
+    # The fibre over a Q of shell value s has P-shells >= s, and s_P^2 s
+    # <= joint caps them at isqrt(joint // s); so s^3 <= joint.
+    count_u = _count_off_center(
+        metric, lo1, min(hi1, hi0, int_nth_root(joint, 3)),
+        lambda s: (lo0, min(hi0, math.isqrt(joint // s))))
+    return count_e, count_u

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import product as iproduct
 from typing import Sequence
 
-from .counting import int_nth_root
+from .counting import _shell_cap, _shell_value, int_nth_root
 from .freeness import point_freeness
 from .projpoint import Metric, PrimPoint, VarietyId
 
@@ -125,23 +125,13 @@ def _window_ranges(cfg: ZoomConfig, c: Fraction) -> list:
     return out
 
 
-def _height_cap(cfg: ZoomConfig) -> int:
-    """floor(B) for sup, floor(B^2) for euclid: the integer cap on factor
-    heights resp. squared heights."""
-    if cfg.metric is Metric.SUP:
-        return int(cfg.B)
-    return cfg.B.numerator ** 2 // cfg.B.denominator ** 2
-
-
 def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
     n = cfg.variety.n
     center = cfg.center
     j = max(i for i, c in enumerate(center) if c != 0)
     others = [i for i in range(n + 1) if i != j]
     cf = [Fraction(center[i], center[j]) for i in others]
-    cap = _height_cap(cfg)
-    if cfg.metric is Metric.SUP:
-        cap *= cap
+    cap = _shell_cap(cfg.B ** 2, cfg.metric)
     rows = []
     windows = zip(*(_window_ranges(cfg, c) for c in cf))
     for q, ranges in enumerate(windows, start=1):
@@ -152,14 +142,12 @@ def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
                 x[i] = v
             if math.gcd(*x) != 1:
                 continue
-            if cfg.metric is Metric.SUP:
-                h_sq = max(abs(c) for c in x) ** 2
-            else:
-                h_sq = sum(c * c for c in x)
-            if h_sq > cap:
+            s = _shell_value(x, cfg.metric)
+            if s > cap:
                 continue
             ys = tuple(Fraction(v, q) - c for v, c in zip(combo, cf))
-            rows.append((PrimPoint(_normalize_vector(x)), ys, math.sqrt(h_sq)))
+            height = float(s) if cfg.metric is Metric.SUP else math.sqrt(s)
+            rows.append((PrimPoint(_normalize_vector(x)), ys, height))
     points, chart, heights = zip(*rows) if rows else ((), (), ())
     return ZoomCloud(config=cfg, points=tuple(points), chart=tuple(chart),
                      heights=tuple(heights))
@@ -180,7 +168,7 @@ def _p1_factor_candidates(cfg: ZoomConfig, center: tuple):
             if math.gcd(a, q) != 1:
                 continue
             pair = (a, q) if j == 1 else (q, a)
-            key = max(abs(a), q) if cfg.metric is Metric.SUP else a * a + q * q
+            key = _shell_value(pair, cfg.metric)
             y = Fraction(a * cd - cn * q, q * cd)  # a/q - cf
             out.append((_normalize_vector(pair), y, key))
     out.sort(key=lambda row: row[2])
@@ -209,7 +197,7 @@ def _p1n_cloud(cfg: ZoomConfig) -> ZoomCloud:
     rows = []
     # keys are factor heights (sup) or squared heights (euclid)
     for combo in _product_rows([candidates[c] for c in cfg.center],
-                               _height_cap(cfg)):
+                               _shell_cap(cfg.B ** 2, cfg.metric)):
         h = float(math.prod(row[2] for row in combo))
         rows.append((tuple(row[0] for row in combo),
                      tuple(row[1] for row in combo),

@@ -103,6 +103,48 @@ class TestEnumerate:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_gets_one_process_per_range_up_to_the_cpus(
+            self, monkeypatch, capsys):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        outs = []
+        # bound 20: leading coordinates 0..4; bound 1: only 0 and 1
+        for bound, workers in (("20", "1"), ("20", "1000000"), ("20", "3"),
+                               ("1", "1"), ("1", "1000000")):
+            assert main(["enumerate", "--variety", "p1n", "--dim", "2",
+                         "--bound", bound, "--workers", workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[2] == outs[0] and outs[4] == outs[3]
+        assert sizes == [4, 3, 2]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert main(["enumerate", "--variety", "p1n", "--dim", "2",
+                     "--bound", "20", "--workers", "8"]) == 0
+        assert capsys.readouterr().out == outs[0]
+        assert sizes == [4, 3, 2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        assert main(["enumerate", "--variety", "pn", "--dim", "1",
+                     "--bound", "5", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers must be at least 1" in captured.err
+
     def test_cache_roundtrip(self, tmp_path):
         cache = tmp_path / "cache"
         cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
@@ -540,13 +582,21 @@ def _window_flags(draw, kind, dim):
     return d1, u
 
 
+# enumerate lists every point, so its bounds stay small
+_SMALL_BOUNDS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.fractions(min_value=-2, max_value=6, max_denominator=5).map(str))
+
+
 @settings(deadline=None, max_examples=60)
-@given(command=st.sampled_from(["count", "window"]),
+@given(command=st.sampled_from(["count", "window", "enumerate"]),
        kind=st.sampled_from(["pn", "p1n", "blowup"]),
        dim=st.integers(0, 3), metric=st.sampled_from(["sup", "euclid"]),
        bound=_BOUNDS, data=st.data())
 def test_cli_fuzz_exit_codes_and_strict_json(command, kind, dim, metric,
                                              bound, data):
+    if command == "enumerate":
+        bound = data.draw(_SMALL_BOUNDS)
     argv = [command, "--variety", kind, f"--dim={dim}", "--metric", metric,
             f"--bound={bound}"]
     if command == "window":
@@ -559,6 +609,11 @@ def test_cli_fuzz_exit_codes_and_strict_json(command, kind, dim, metric,
         code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "", argv
+    if command == "enumerate" and code == 0:
+        counted = io.StringIO()
+        with contextlib.redirect_stdout(counted):
+            assert main(["count", *argv[1:]]) == 0
+        assert doc["count"] == json.loads(counted.getvalue())["count"], argv

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,14 @@ from heightlab.counting import (
     sup_box_measure,
 )
 from heightlab.exactnum import LogRat
-from heightlab.projpoint import Metric, anticanonical_height, reduce_mod, variety
+from heightlab.projpoint import (
+    Metric,
+    PrimPoint,
+    anticanonical_height,
+    normalize,
+    reduce_mod,
+    variety,
+)
 
 V1 = variety("pn", 1)
 V2 = variety("pn", 2)
@@ -187,15 +195,26 @@ class TestProducts:
 def reference_enum_p1n(n, bound, metric, first_range=None):
     """The quadratic (P^1)^n enumerator, kept as an oracle: it rescans the
     whole factor list at every level, in lexicographic order."""
-    from heightlab.counting import _p1_points_shell, _shell_cap, _shell_value
+    def shell(p):  # sup height, or squared norm
+        a, c = p.coords
+        return max(abs(a), abs(c)) if metric is Metric.SUP else a * a + c * c
 
-    cap = _shell_cap(Fraction(bound), metric)
-    factors = _p1_points_shell(cap, metric)
+    # prod H_i^2 <= B: the shells multiply to at most floor(sqrt(B)) (sup)
+    # resp. floor(B) (euclid)
+    cap = math.floor(Fraction(bound))
+    if metric is Metric.SUP:
+        cap = math.isqrt(cap)
+    radius = cap if metric is Metric.SUP else math.isqrt(cap)
+    factors = [p for p in (PrimPoint((a, c))
+                           for a in range(radius + 1)
+                           for c in range(-radius, radius + 1)
+                           if math.gcd(a, c) == 1 and (a > 0 or c == 1))
+               if shell(p) <= cap]
 
     def rec(level, cap_left, rng):
         for p in (factors if rng is None else
                   (q for q in factors if q.coords[0] in rng)):
-            s = _shell_value(p, metric)
+            s = shell(p)
             if s > cap_left:
                 continue
             if level == n - 1:
@@ -394,6 +413,90 @@ class TestWindows:
                              box=((Fraction(1, 2), Fraction(1)),), scale=Fraction(scale))
             rels.append(count_window(w).rel_error)
         assert rels[2] < rels[0]
+
+
+def reference_in_component(w, i, sq_height):
+    """Exact membership of a height, given by its square, in the scaled
+    interval [a_i B^u_i, b_i B^u_i] by comparing 2q-th powers of rationals:
+    the decision windows made before they read integer shell intervals,
+    kept as an oracle."""
+    a, b = w.box[i]
+    p, q = w.direction[i].numerator, w.direction[i].denominator
+    lhs = Fraction(sq_height) ** q
+    scale_pow = w.scale ** (2 * p)
+    return a ** (2 * q) * scale_pow <= lhs <= b ** (2 * q) * scale_pow
+
+
+def reference_enum_boxed(w):
+    """Every canonical point of a box that holds the window, in
+    lexicographic order, filtered by `reference_in_component`."""
+    def sq_height(p):
+        if w.metric is Metric.SUP:
+            return max(abs(c) for c in p.coords) ** 2
+        return sum(c * c for c in p.coords)
+
+    def candidates(n_coords, i):
+        b = w.box[i][1]  # coordinates are at most b_i B^u_i
+        r = math.floor(float(b) * float(w.scale) ** float(w.direction[i])) + 1
+        return [PrimPoint(t) for t in itertools.product(range(-r, r + 1), repeat=n_coords)
+                if math.gcd(*t) == 1 and next(c for c in t if c) > 0]
+
+    v = w.variety
+    if v.kind == "pn":
+        return [p for p in candidates(v.n + 1, 0)
+                if reference_in_component(w, 0, sq_height(p))]
+    if v.kind == "p1n":
+        factors = [[p for p in candidates(2, i)
+                    if reference_in_component(w, i, sq_height(p))]
+                   for i in range(v.n)]
+        return list(itertools.product(*factors))
+    center = PrimPoint((0, 0, 1))
+    out = []
+    if reference_in_component(w, 0, 1):
+        out += [(center, q) for q in candidates(2, 1)
+                if reference_in_component(w, 1, sq_height(q))]
+    for p in candidates(3, 0):
+        if p == center:
+            continue
+        q = normalize(p.coords[:2])
+        if reference_in_component(w, 0, sq_height(p)) and \
+                reference_in_component(w, 1, sq_height(q)):
+            out.append((p, q))
+    return out
+
+
+@st.composite
+def boxed_windows(draw):
+    """Small boxed windows: every coordinate inside is at most
+    (5/2) 3^(3/2) < 13, so the reference box scan stays quick."""
+    kind, n = draw(st.sampled_from([("pn", 1), ("pn", 2), ("p1n", 2),
+                                    ("blowup", 2)]))
+    v = variety(kind, n)
+
+    def frac(lo, hi):
+        return st.fractions(Fraction(lo), Fraction(hi), max_denominator=4)
+
+    if kind == "blowup":  # the dual effective cone is u_0 > u_1 > 0
+        u1 = draw(frac(Fraction(1, 4), Fraction(3, 4)))
+        u = (u1 + draw(frac(Fraction(1, 4), Fraction(3, 4))), u1)
+    else:
+        u = tuple(draw(frac(Fraction(1, 4), Fraction(3, 2)))
+                  for _ in range(v.picard_rank))
+    box = []
+    for _ in range(v.picard_rank):
+        a = draw(frac(Fraction(1, 4), Fraction(3, 2)))
+        box.append((a, a + draw(frac(Fraction(1, 4), 1))))
+    return HeightWindow(variety=v, metric=draw(st.sampled_from(list(Metric))),
+                        box=tuple(box), direction=u,
+                        scale=draw(frac(1, 3)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(boxed_windows())
+def test_boxed_window_matches_rational_power_membership(w):
+    points = list(enum_points(w))
+    assert points == reference_enum_boxed(w)
+    assert count_window(w).count == len(points)
 
 
 class TestEquidistribution:
