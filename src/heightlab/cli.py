@@ -240,9 +240,19 @@ def _point_token(pt) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_shell_cap(w: HeightWindow, bound) -> None:
+    # the counts tabulate every shell value up to the largest component cap
+    cap = max(w.component_cap(i) for i in range(w.variety.picard_rank))
+    if cap >= sys.maxsize:
+        raise UsageError(f"--bound {_num(bound)} is too large: the window "
+                         f"reaches shell value {cap}, past the largest table "
+                         f"size {sys.maxsize}")
+
+
 def _cmd_count(cfg: RunConfig, args) -> tuple:
     v = _variety(args)
     metric = _metric(args)
+    _check_shell_cap(bounded_window(v, args.bound, metric), args.bound)
     b = float(args.bound)
     if v.kind == "blowup":
         count_e, count_u = count_blowup(args.bound, metric)
@@ -361,6 +371,10 @@ def _cmd_constant(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_equidist(cfg: RunConfig, args) -> tuple:
+    if args.modulus < 2:
+        raise UsageError(f"--modulus must be at least 2, got {args.modulus}")
+    if args.dim < 1:
+        raise UsageError(f"--dim must be at least 1, got {args.dim}")
     v = variety("pn", args.dim)
     counts = count_classes_pn(args.dim, args.modulus, int(args.bound))
     total = sum(counts.values())
@@ -419,12 +433,7 @@ def _cmd_window(cfg: RunConfig, args) -> tuple:
                          direction=direction, scale=args.bound)
     except ValueError as exc:
         raise UsageError(str(exc))
-    # the counts tabulate every shell value up to the largest component cap
-    cap = max(w.component_cap(i) for i in range(len(w.box)))
-    if cap >= sys.maxsize:
-        raise UsageError(f"--bound {_num(args.bound)} is too large: the window "
-                         f"reaches shell value {cap}, past the largest table "
-                         f"size {sys.maxsize}")
+    _check_shell_cap(w, args.bound)
     report = count_window(w)
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,

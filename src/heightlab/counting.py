@@ -4,11 +4,11 @@ Height conventions per family: on P^n the bound B caps the O(1) height
 (max |y_i| for sup, euclidean norm for euclid), so counts grow like
 C B^(n+1).  On (P^1)^n and the blown-up plane B caps the anticanonical
 height (product of squared factor heights, resp. H_P^2 H_Q), growing like
-C B (log B)^(t-1).  All counts are exact integers: a Mobius sieve on P^n
-(sup), chunked numpy box scans on euclid P^n, one per-shell table of P^1
-counts for (P^1)^n, and on the blown-up plane a sum over the shells of
-Q = [a : b] of coprime lattice counts in the fibres, shared by bounded
-counts and boxed windows.
+C B (log B)^(t-1).  All counts are exact integers: one Mobius sum over
+lattice counts of boxes (sup) or balls (euclid) for every P^n shell
+range, one per-shell table of P^1 counts for (P^1)^n, and on the blown-up
+plane a sum over the shells of Q = [a : b] of coprime lattice counts in
+the fibres, shared by bounded counts and boxed windows.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -92,27 +92,81 @@ def _shell_radius(cap: int, metric: Metric) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sieved counts on P^n
+# counts on P^n by Mobius inversion
+
+
+def count_pn(n: int, bound, metric: Metric = Metric.SUP) -> int:
+    """#P^n(Q) with O(1) height <= bound (exact; bound may be rational)."""
+    b = Fraction(bound)
+    if b < 1:
+        return 0
+    return _count_pn_range(n, 1, _shell_cap(b * b, metric), metric)
 
 
 def count_pn_sieved(n: int, bound: int) -> int:
     """#P^n(Q) with sup height <= bound: (1/2) sum mu(d) ((2 floor(B/d)+1)^(n+1) - 1)."""
-    return _count_pn_sup_range(n, 1, bound)
+    return _count_pn_range(n, 1, bound, Metric.SUP)
 
 
-def _count_pn_sup_range(n: int, lo: int, hi: int) -> int:
-    """#P^n(Q) with sup height in [lo, hi], lo >= 1, from one sieve to hi:
-    (1/2) sum mu(d) ((2 floor(hi/d)+1)^(n+1) - (2 floor((lo-1)/d)+1)^(n+1))."""
+def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
+    """#P^n points with shell value in [lo, hi]: (1/2) sum_d mu(d)
+    (F(hi, d) - F(lo - 1, d)), where F(x, d) counts the vectors of Z^(n+1),
+    zero included, of shell value <= x after division by d:
+    (2 floor(x/d) + 1)^(n+1) under sup, V_(n+1)(floor(x/d^2)) under euclid.
+    The zero vector cancels and y, -y are one point.  F depends on d only
+    through q = floor(x/d^e), so the sum runs over the runs of d sharing q,
+    weighted by the Mertens function; terms with d^e > hi vanish."""
+    lo = max(lo, 1)
     if hi < lo:
         return 0
-    mu = build_sieve(hi + 1).mu
-    e, below = n + 1, lo - 1
+    sup = metric is Metric.SUP
+    top = hi if sup else math.isqrt(hi)
+    mertens = list(itertools.accumulate(build_sieve(top).mu))
     total = 0
-    for d in range(1, hi + 1):
-        if mu[d]:
-            total += mu[d] * ((2 * (hi // d) + 1) ** e - (2 * (below // d) + 1) ** e)
+    for x, sign in ((hi, 1), (lo - 1, -1)):
+        d = 1
+        while d <= top:
+            q = x // d if sup else x // (d * d)
+            end = top if q == 0 else (x // q if sup else math.isqrt(x // q))
+            ball = (2 * q + 1) ** (n + 1) if sup else _ball_count(n + 1, q)
+            total += sign * (mertens[end] - mertens[d - 1]) * ball
+            d = end + 1
     assert total % 2 == 0
     return total // 2
+
+
+def _isqrt_array(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) for an int64 array with 0 <= m < 2^63, exactly.  The
+    float root is at most one off and at most floor(sqrt(2^63)), so s * s
+    cannot overflow; nor can m - s^2 > 2 s, the test for (s + 1)^2 <= m."""
+    s = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    s -= s * s > m
+    s += m - s * s > 2 * s
+    return s
+
+
+def _ball_count(k: int, n: int) -> int:
+    """V_k(n) = #{x in Z^k : x_1^2 + ... + x_k^2 <= n}, k >= 2, exactly.
+
+    The first k - 1 coordinates run over nonnegative values, in chunks of
+    the first one, pruned to the ball; j nonzero entries stand for 2^j
+    sign choices.  The last coordinate takes 2 isqrt(rest) + 1 values.
+    Each int64 sum is at most len(rest) 2^33, far below 2^63."""
+    r = math.isqrt(n)
+    axis = np.arange(r + 1, dtype=np.int64)
+    sq, nonzero = axis * axis, (axis > 0).astype(np.int64)
+    step = _chunk_step(k - 2, r)
+    total = 0
+    for a in range(0, r + 1, step):
+        rest, signs = n - sq[a:a + step], nonzero[a:a + step]
+        for _ in range(k - 2):
+            rest = (rest[:, None] - sq).ravel()
+            signs = (signs[:, None] + nonzero).ravel()
+            inside = rest >= 0
+            rest, signs = rest[inside], signs[inside]
+        last = 2 * _isqrt_array(rest) + 1
+        total += sum(int(last[signs == j].sum()) << j for j in range(k))
+    return total
 
 
 def _cnt_residue(r: int, m: int, t: int) -> int:
@@ -174,41 +228,6 @@ def _axis_coords(n_coords: int, radius: int, chunk: np.ndarray) -> list:
 def _chunk_step(n_inner: int, radius: int) -> int:
     width = max(1, (2 * radius + 1) ** n_inner)
     return max(1, 2 * 10 ** 6 // width)
-
-
-def _count_pn_euclid_vectors(n: int, norm_bound: int, norm_lo: int = 1) -> int:
-    """Primitive integer vectors (all signs) with sum of squares in
-    [norm_lo, norm_bound]."""
-    radius = math.isqrt(norm_bound)
-    if radius == 0:
-        return 0
-    total = 0
-    full = np.arange(-radius, radius + 1, dtype=np.int64)
-    step = _chunk_step(n, radius)
-    for lo in range(0, len(full), step):
-        grids = _axis_coords(n + 1, radius, full[lo:lo + step])
-        norm = sum(g * g for g in grids)
-        g = np.zeros((), dtype=np.int64)
-        for gr in grids:
-            g = np.gcd(g, np.abs(gr))
-        inside = (norm <= norm_bound) & (g == 1)
-        if norm_lo > 1:
-            inside &= norm >= norm_lo
-        total += int(np.count_nonzero(inside))
-    return total
-
-
-def count_pn(n: int, bound, metric: Metric = Metric.SUP) -> int:
-    """#P^n(Q) with O(1) height <= bound (exact; bound may be rational)."""
-    b = Fraction(bound)
-    if b < 1:
-        return 0
-    cap = _shell_cap(b * b, metric)
-    if metric is Metric.SUP:
-        return count_pn_sieved(n, cap)
-    vecs = _count_pn_euclid_vectors(n, cap)
-    assert vecs % 2 == 0
-    return vecs // 2
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +465,7 @@ class HeightWindow:
 
     def component_cap(self, i: int) -> int:
         """Largest integer shell value possibly inside component i."""
-        return _shell_interval(self, i)[1]
+        return _shell_spec(self)[0][i][1]
 
 
 def _inside_dual_cone(v: VarietyId, u: tuple) -> bool:
@@ -501,22 +520,6 @@ def _shell_spec(w: HeightWindow) -> tuple:
         return [(1, cap)], cap
     # s_P^2 s_Q <= cap with s_P, s_Q >= 1
     return [(1, math.isqrt(cap)), (1, cap)], cap
-
-
-def _count_pn_shell_range(n: int, lo: int, hi: int, metric: Metric) -> int:
-    """#P^n points with shell value in [lo, hi]."""
-    lo = max(lo, 1)
-    if hi < lo:
-        return 0
-    if metric is Metric.EUCLID:
-        # one scan of the shell, in chunks: a table indexed by the squared
-        # norm would need O(hi) memory
-        total = _count_pn_euclid_vectors(n, hi, lo)
-        assert total % 2 == 0
-        return total // 2
-    if n == 1:
-        return sum(_p1_shells(hi, metric)[lo:hi + 1])
-    return _count_pn_sup_range(n, lo, hi)
 
 
 def bounded_window(v: VarietyId, bound, metric: Metric = Metric.SUP) -> HeightWindow:
@@ -654,12 +657,7 @@ def _count_boxed(w: HeightWindow) -> int:
         return sum(_count_blowup_window(shells, joint, w.metric))
     # a boxed (P^1)^n window is a product of P^1 shell ranges
     n = w.variety.n if w.variety.kind == "pn" else 1
-    total = 1
-    for lo, hi in shells:
-        total *= _count_pn_shell_range(n, lo, hi, w.metric)
-        if total == 0:
-            return 0
-    return total
+    return math.prod(_count_pn_range(n, lo, hi, w.metric) for lo, hi in shells)
 
 
 def _squarefree_divisors(g: int, cache: dict) -> list:
@@ -726,7 +724,7 @@ def _count_off_center(metric: Metric, s_lo: int, s_hi: int, p_shells) -> int:
 def _count_blowup_window(shells: list, joint: int, metric: Metric) -> tuple:
     """(E, U) counts of a blown-up plane window given by its shell spec."""
     (lo0, hi0), (lo1, hi1) = shells
-    count_e = _count_pn_shell_range(1, lo1, min(hi1, joint), metric) \
+    count_e = _count_pn_range(1, lo1, min(hi1, joint), metric) \
         if lo0 <= 1 <= hi0 else 0
     # The fibre over a Q of shell value s has P-shells >= s, and s_P^2 s
     # <= joint caps them at isqrt(joint // s); so s^3 <= joint.

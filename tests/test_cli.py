@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,21 @@ class TestCount:
         assert main(["count", "--variety", "blowup", "--dim", "1",
                      "--bound", "100"]) == 2
         assert "blowup is a surface" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--variety", "pn", "--dim", "2"],
+        ["--variety", "pn", "--dim", "2", "--metric", "euclid"],
+        ["--variety", "blowup"],
+    ])
+    def test_huge_bound_is_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(["count", *argv, "--bound", "1e30"]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("heightlab: --bound ")
+        assert "too large" in captured.err
 
     def test_pn_dim_still_defaults_to_one(self, capsys):
         doc = run_json(capsys, ["count", "--variety", "pn", "--bound", "10"])
@@ -221,6 +237,18 @@ class TestEquidist:
         assert doc["mu_box"] == 0.5
         assert abs(doc["joint_share"] - doc["predicted_joint"]) < 0.02
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--modulus", "1"], "--modulus must be at least 2, got 1"),
+        (["--modulus", "0"], "--modulus must be at least 2, got 0"),
+        (["--dim", "0", "--modulus", "3"], "--dim must be at least 1, got 0"),
+    ])
+    def test_degenerate_modulus_or_dim_is_usage_error(self, capsys, flags,
+                                                       message):
+        assert main(["equidist", *flags, "--bound", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"heightlab: {message}\n"
+
     def test_imprimitive_class_rejected(self, capsys):
         code = main(["equidist", "--dim", "1", "--modulus", "4",
                      "--bound", "10", "--class", "2:2"])
@@ -238,6 +266,12 @@ class TestWindow:
         assert doc["fitted"] == pytest.approx(report.fitted)
         assert doc["rel_error"] == pytest.approx(report.rel_error)
 
+    def test_euclid_product_window_at_scale_300(self, capsys):
+        # the second factor's shell values reach 4 * 300^4
+        doc = run_json(capsys, ["window", "--variety", "p1n", "--dim", "2",
+                                "--metric", "euclid", "--d1", "1,2;1,2",
+                                "--u", "1,2", "--bound", "300"])
+        assert doc["rel_error"] < 1e-3
 
     @pytest.mark.parametrize("argv, message", [
         (["--variety", "p1n", "--dim", "2", "--d1", "1,2"],
@@ -563,8 +597,7 @@ def _window_flags(draw, kind, dim):
     """--d1 and --u strings: mostly one piece per Picard component, at
     times one too few or too many, with malformed and out-of-range pieces
     mixed in.  Ends and directions stay small (on P^n ends <= 1 and
-    u <= 1, since the euclid P^3 count scans a box), so that every drawn
-    window counts in under a second."""
+    u <= 1), so that every drawn window counts in under a second."""
     rank = {"pn": 1, "p1n": dim, "blowup": 2}[kind]
     ends = ["1/2,1", "1/3,2/3", "2/3,1"] * 5 + ["1,1/2", "0,1", "a,b", "1"]
     dirs = ["1/2", "1"] * 5 + ["0", "-1", "x"]

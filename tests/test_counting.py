@@ -127,6 +127,21 @@ class TestProjectiveCounts:
     def test_rational_bound_truncates(self):
         assert count_pn(1, Fraction(7, 2)) == count_pn_sieved(1, 3)
 
+    def test_frozen_euclid_counts(self):
+        # recorded from the box scan that counted euclid P^n before the
+        # Mobius sum over ball counts replaced it
+        assert count_pn(2, 1000, Metric.EUCLID) == 1742341561
+        assert count_pn(1, 3000, Metric.EUCLID) == 8594304
+        assert count_pn(3, 60, Metric.EUCLID) == 29546896
+
+    # the float root is corrected in int64 up to the top of its range
+    @pytest.mark.parametrize("s", [2**26, 2**31, 3 * 10**9])
+    def test_isqrt_array_is_exact(self, s):
+        m = [t * t + e for t in range(s - 2, s + 3) for e in (-1, 0, 2 * t)]
+        m.append(2**63 - 1)
+        got = counting._isqrt_array(np.array(m, dtype=np.int64)).tolist()
+        assert got == [math.isqrt(x) for x in m]
+
 
 class TestClassCounts:
     def test_class_sum_is_total(self):
@@ -242,6 +257,26 @@ class TestProductEnumeration:
                     reference_enum_p1n(n, bound, metric, r)
 
 
+def reference_count_pn_euclid_vectors(n, norm_bound):
+    """The chunked box scan that count_pn used on euclid P^n before the
+    Mobius sum, kept as an oracle: primitive integer vectors (all signs)
+    with sum of squares at most norm_bound."""
+    radius = math.isqrt(norm_bound)
+    if radius == 0:
+        return 0
+    total = 0
+    full = np.arange(-radius, radius + 1, dtype=np.int64)
+    step = counting._chunk_step(n, radius)
+    for lo in range(0, len(full), step):
+        grids = counting._axis_coords(n + 1, radius, full[lo:lo + step])
+        norm = sum(g * g for g in grids)
+        g = np.zeros((), dtype=np.int64)
+        for gr in grids:
+            g = np.gcd(g, np.abs(gr))
+        total += int(np.count_nonzero((norm <= norm_bound) & (g == 1)))
+    return total
+
+
 def reference_count_blowup(bound, metric):
     """The O(B^1.5) box scan that count_blowup used before the fibred sum,
     kept as an oracle: every primitive (x, y, z) off the center with
@@ -275,8 +310,8 @@ class TestBlowup:
     def test_unit_ball_split(self):
         assert count_blowup(1, Metric.SUP) == (4, 12)
 
-    # The euclid exceptional count scans a (2B+1)^2 box: 2.1 s at B = 3000,
-    # growing like B^2, so the euclid list stops at 1400.
+    # The euclid list stops at 1400, the bound of the benchmark's euclid
+    # blow-up count.
     @pytest.mark.parametrize("metric,top", [(Metric.SUP, 15000),
                                             (Metric.EUCLID, 1400)])
     def test_matches_box_scan(self, metric, top):
@@ -338,7 +373,7 @@ class TestWindows:
             HeightWindow(variety=VB, box=((Fraction(1), Fraction(2)),) * 2,
                          direction=(Fraction(1), Fraction(1)), scale=Fraction(2))
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID])
     def test_shell_range_is_difference_of_counts(self, metric, n):
         def upto(k):
@@ -346,14 +381,25 @@ class TestWindows:
                 return 0
             if metric is Metric.SUP:
                 return count_pn_sieved(n, k)
-            return counting._count_pn_euclid_vectors(n, k) // 2
+            return reference_count_pn_euclid_vectors(n, k) // 2
 
         for lo, hi in [(1, 1), (1, 50), (0, 13), (-3, 2), (2, 2), (5, 4), (9, 3),
                        (7, 97), (50, 50), (64, 65), (100, 400), (399, 1000)]:
-            got = counting._count_pn_shell_range(n, lo, hi, metric)
+            got = counting._count_pn_range(n, lo, hi, metric)
             lo1 = max(lo, 1)
             want = upto(hi) - upto(lo1 - 1) if hi >= lo1 else 0
             assert got == want, (lo, hi)
+
+    # recorded from the per-factor box scans that counted boxed euclid
+    # (P^1)^n windows before the Mobius sum over ball counts
+    def test_frozen_euclid_product_windows(self):
+        for scale, count in [(20, 526211056), (40, 33501839904),
+                             (60, 382713279936)]:
+            w = HeightWindow(variety=VP2, metric=Metric.EUCLID,
+                             box=((Fraction(1), Fraction(2)),) * 2,
+                             direction=(Fraction(1), Fraction(2)),
+                             scale=Fraction(scale))
+            assert count_window(w).count == count, scale
 
     def test_box_recovers_plain_bound(self):
         bound = 20

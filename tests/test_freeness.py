@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab.counting import _count_pn_euclid_vectors, bounded_window, count_pn_sieved, enum_points
+from heightlab.counting import bounded_window, count_pn, count_pn_sieved, enum_points
 from heightlab.exactnum import LogRat
 from heightlab.freeness import (
     FreenessReport,
@@ -247,7 +247,7 @@ class TestStatisticsAndSweep:
     def test_product_share_identity(self):
         # at B <= 2^9 every l < 0.2 point has a height-zero factor
         stats = freeness_statistics(VP2, 100, Metric.EUCLID, thresholds=[0.2])
-        cum = _count_pn_euclid_vectors(1, 100) // 2
+        cum = count_pn(1, 10, Metric.EUCLID)
         assert stats.threshold_counts[0.2] == 4 * cum - 4
 
     def test_sweep_matches_statistics(self):
