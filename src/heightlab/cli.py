@@ -376,6 +376,16 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
     if args.dim < 1:
         raise UsageError(f"--dim must be at least 1, got {args.dim}")
     v = variety("pn", args.dim)
+    target = None
+    if args.cls is not None:
+        coords = _parse_ints(args.cls, "--class")
+        if len(coords) != args.dim + 1:
+            raise UsageError(f"--class needs n + 1 = {args.dim + 1} "
+                             f"coordinates on P^{args.dim}, got {len(coords)}")
+        target = _canonical_mod(coords, args.modulus)
+    box = None if args.box is None else _parse_box(args.box, "--box")
+    if box is not None and len(box) != args.dim + 1:
+        raise UsageError("--box needs one interval per coordinate")
     counts = count_classes_pn(args.dim, args.modulus, int(args.bound))
     total = sum(counts.values())
     uniform = uniform_class_share(v, args.modulus)
@@ -391,19 +401,14 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
         "per_class": [{"class": r[0], "count": r[1], "share": r[2]}
                       for r in rows],
     }
-    if args.cls is not None:
-        target = _canonical_mod(_parse_ints(args.cls, "--class"),
-                                args.modulus)
+    if target is not None:
         key = ModPoint(args.modulus, target)
         if key not in counts:
             raise UsageError(f"class {args.cls!r} is not primitive "
                              f"mod {args.modulus}")
         data["class"] = ":".join(map(str, target))
         data["class_share"] = _ratio(counts[key], total)
-    if args.box is not None:
-        box = _parse_box(args.box, "--box")
-        if len(box) != args.dim + 1:
-            raise UsageError("--box needs one interval per coordinate")
+    if box is not None:
         joint = joint_class_box_counts(args.dim, args.modulus,
                                        int(args.bound), box)
         vec_total = sum(joint.values())
@@ -411,9 +416,7 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
         mu = sup_box_measure(box, args.dim)
         data["mu_box"] = float(mu)
         data["box_share"] = _ratio(inside, vec_total)
-        if args.cls is not None:
-            target = _canonical_mod(_parse_ints(args.cls, "--class"),
-                                    args.modulus)
+        if target is not None:
             hit = 0
             for sign in (1, -1):
                 vec = tuple((sign * x) % args.modulus for x in target)

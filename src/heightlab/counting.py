@@ -4,11 +4,11 @@ Height conventions per family: on P^n the bound B caps the O(1) height
 (max |y_i| for sup, euclidean norm for euclid), so counts grow like
 C B^(n+1).  On (P^1)^n and the blown-up plane B caps the anticanonical
 height (product of squared factor heights, resp. H_P^2 H_Q), growing like
-C B (log B)^(t-1).  All counts are exact integers: one Mobius sum over
-lattice counts of boxes (sup) or balls (euclid) for every P^n shell
-range, one per-shell table of P^1 counts for (P^1)^n, and on the blown-up
-plane a sum over the shells of Q = [a : b] of coprime lattice counts in
-the fibres, shared by bounded counts and boxed windows.
+C B (log B)^(t-1).  All counts are exact integers.  One walk over the
+runs of d sharing floor(x/d^e) evaluates every divisor sum: P^n shell
+ranges (Mobius weights on box or ball counts), their classes mod M, and
+(P^1)^n (P^1 shell counts as weights).  The blown-up plane sums coprime
+lattice counts in the fibres over the shells of Q = [a : b].
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -114,25 +114,33 @@ def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     zero included, of shell value <= x after division by d:
     (2 floor(x/d) + 1)^(n+1) under sup, V_(n+1)(floor(x/d^2)) under euclid.
     The zero vector cancels and y, -y are one point.  F depends on d only
-    through q = floor(x/d^e), so the sum runs over the runs of d sharing q,
+    through q = floor(x/d^e), so the sum runs over `_quotient_runs`,
     weighted by the Mertens function; terms with d^e > hi vanish."""
     lo = max(lo, 1)
     if hi < lo:
         return 0
-    sup = metric is Metric.SUP
-    top = hi if sup else math.isqrt(hi)
+    e = 1 if metric is Metric.SUP else 2
+    top = int_nth_root(hi, e)
     mertens = list(itertools.accumulate(build_sieve(top).mu))
     total = 0
     for x, sign in ((hi, 1), (lo - 1, -1)):
-        d = 1
-        while d <= top:
-            q = x // d if sup else x // (d * d)
-            end = top if q == 0 else (x // q if sup else math.isqrt(x // q))
-            ball = (2 * q + 1) ** (n + 1) if sup else _ball_count(n + 1, q)
-            total += sign * (mertens[end] - mertens[d - 1]) * ball
-            d = end + 1
+        for q, w in _quotient_runs(x, top, mertens, e):
+            ball = (2 * q + 1) ** (n + 1) if e == 1 else _ball_count(n + 1, q)
+            total += sign * w * ball
     assert total % 2 == 0
     return total // 2
+
+
+def _quotient_runs(x: int, top: int, cum: Sequence[int], e: int) -> Iterator[tuple]:
+    """(q, cum[end] - cum[d - 1]) for each run d..end <= top of the d sharing
+    q = floor(x/d^e), the last (q = 0) ending at top: the O(x^(1/(e+1)))
+    terms of sum_(d <= top) f(d) F(floor(x/d^e)), cum the prefix sums of f."""
+    d = 1
+    while d <= top:
+        q = x // d ** e
+        end = top if q == 0 else min(top, int_nth_root(x // q, e))
+        yield q, cum[end] - cum[d - 1]
+        d = end + 1
 
 
 def _isqrt_array(m: np.ndarray) -> np.ndarray:
@@ -177,37 +185,31 @@ def _cnt_residue(r: int, m: int, t: int) -> int:
 def count_classes_pn(n: int, modulus: int, bound: int) -> dict:
     """Exact per-class counts of sup-height <= B points by reduction mod M.
 
-    Congruence-restricted Mobius sieve.  Only d coprime to M contribute:
-    every class representative has a unit coordinate mod M, hence mod every
-    prime dividing both d and M, which contradicts d | gcd(y).  Each point
-    has representatives t*rep mod M over units t, in both global signs.
+    Congruence-restricted Mobius sieve.  A point of class [c] has two
+    primitive vectors, +-y, and y = t c (mod M) for one unit t, as c is
+    primitive mod M.  So no prime of M divides all of y, only d prime to M
+    contribute, and for those y/d = (t/d) c with t/d running over the
+    units: the term of d depends on q = floor(B/d) alone, summed over
+    `_quotient_runs`.  As z and -z are equally often in |z| <= q, classes
+    that differ by permuting or negating coordinates share their count.
     """
     from .projpoint import enum_projective_mod
 
-    classes = enum_projective_mod(n, modulus)
-    table = build_sieve(bound + 1)
+    mu = build_sieve(bound + 1).mu
+    prime_to_m = list(itertools.accumulate(
+        m if math.gcd(d, modulus) == 1 else 0 for d, m in enumerate(mu)))
+    runs = list(_quotient_runs(bound, bound, prime_to_m, 1))
     units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
-    out = {}
-    for cls in classes:
-        rep = cls.coords
-        total = 0
-        for d in range(1, bound + 1):
-            mu = table.mobius(d)
-            if not mu or math.gcd(d, modulus) != 1:
-                continue
-            dinv = pow(d, -1, modulus)
-            t_box = bound // d
-            for t in units:
-                scale = (dinv * t) % modulus
-                prod = 1
-                for c in rep:
-                    prod *= _cnt_residue((scale * c) % modulus, modulus, t_box)
-                    if prod == 0:
-                        break
-                total += mu * prod
+    keys = {cls: tuple(sorted(min(c, modulus - c) for c in cls.coords))
+            for cls in enum_projective_mod(n, modulus)}
+    counts = {}
+    for key in set(keys.values()):
+        total = sum(w * sum(math.prod(_cnt_residue(t * c % modulus, modulus, q)
+                                      for c in key) for t in units)
+                    for q, w in runs)
         assert total % 2 == 0 and total >= 0
-        out[cls] = total // 2
-    return out
+        counts[key] = total // 2
+    return {cls: counts[key] for cls, key in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +259,20 @@ def _p1_shells(cap: int, metric: Metric) -> list:
 
 
 def count_p1n(n: int, bound, metric: Metric = Metric.SUP) -> int:
-    """#((P^1)^n)(Q) with anticanonical height prod H_i^2 <= bound, exact."""
+    """#((P^1)^n)(Q) with anticanonical height prod H_i^2 <= bound, exact:
+    k factors under a shell cap c are the sum over shells h of the first
+    of #{P^1 points of shell h} times k - 1 factors under floor(c/h)."""
     b = Fraction(bound)
     if b < 1:
         return 0
     cap = _shell_cap(b, metric)
-    if cap < 1:
-        return 0
-    shell = _p1_shells(cap, metric)
-    cum = list(itertools.accumulate(shell))
+    cum = list(itertools.accumulate(_p1_shells(cap, metric)))
 
     def rec(factors_left: int, cap_left: int) -> int:
-        if cap_left < 1:
-            return 0
         if factors_left == 1:
             return cum[cap_left]
-        return sum(shell[h] * rec(factors_left - 1, cap_left // h)
-                   for h in range(1, cap_left + 1) if shell[h])
+        return sum(w * rec(factors_left - 1, q)
+                   for q, w in _quotient_runs(cap_left, cap_left, cum, 1))
 
     return rec(n, cap)
 

@@ -255,6 +255,22 @@ class TestEquidist:
         capsys.readouterr()
         assert code == 2
 
+    # checked before the class counts, which sieve to the bound
+    @pytest.mark.parametrize("flags, message", [
+        (["--class", "1:1"],
+         "--class needs n + 1 = 3 coordinates on P^2, got 2"),
+        (["--class", "1:1:1:1"],
+         "--class needs n + 1 = 3 coordinates on P^2, got 4"),
+        (["--box", "0,1;-1,1"], "--box needs one interval per coordinate"),
+    ])
+    def test_arity_is_usage_error(self, capsys, flags, message):
+        code = main(["equidist", "--dim", "2", "--modulus", "3",
+                     "--bound", "200", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"heightlab: {message}\n"
+
 
 class TestWindow:
     def test_matches_library_report(self, capsys):

@@ -26,9 +26,10 @@ from heightlab.counting import (
     rational_power_floor,
     sup_box_measure,
 )
-from heightlab.exactnum import LogRat
+from heightlab.exactnum import LogRat, build_sieve
 from heightlab.projpoint import (
     Metric,
+    ModPoint,
     PrimPoint,
     anticanonical_height,
     normalize,
@@ -143,6 +144,47 @@ class TestProjectiveCounts:
         assert got == [math.isqrt(x) for x in m]
 
 
+def reference_count_classes_pn(n, modulus, bound):
+    """The per-d Mobius loop that count_classes_pn ran before it walked the
+    runs of floor(B/d), kept as an oracle: every d <= B prime to M, every
+    unit t, each class rescaled by t/d."""
+    from heightlab.projpoint import enum_projective_mod
+
+    classes = enum_projective_mod(n, modulus)
+    table = build_sieve(bound + 1)
+    units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
+    out = {}
+    for cls in classes:
+        rep = cls.coords
+        total = 0
+        for d in range(1, bound + 1):
+            mu = table.mobius(d)
+            if not mu or math.gcd(d, modulus) != 1:
+                continue
+            dinv = pow(d, -1, modulus)
+            t_box = bound // d
+            for t in units:
+                scale = (dinv * t) % modulus
+                prod = 1
+                for c in rep:
+                    prod *= counting._cnt_residue((scale * c) % modulus,
+                                                  modulus, t_box)
+                    if prod == 0:
+                        break
+                total += mu * prod
+        assert total % 2 == 0 and total >= 0
+        out[cls] = total // 2
+    return out
+
+
+def brute_class_counts(n, modulus, bound):
+    brute: dict = {}
+    for p in enum_points(bounded_window(variety("pn", n), bound)):
+        cls = reduce_mod(p, modulus)
+        brute[cls] = brute.get(cls, 0) + 1
+    return brute
+
+
 class TestClassCounts:
     def test_class_sum_is_total(self):
         counts = count_classes_pn(1, 3, 50)
@@ -150,18 +192,44 @@ class TestClassCounts:
         assert len(counts) == 4
 
     def test_classes_match_enumeration(self):
-        bound, modulus = 50, 3
-        sieved = count_classes_pn(1, modulus, bound)
-        brute: dict = {}
-        for p in enum_points(bounded_window(V1, bound)):
-            cls = reduce_mod(p, modulus)
-            brute[cls] = brute.get(cls, 0) + 1
-        assert {k: v for k, v in sieved.items() if v} == brute
+        sieved = count_classes_pn(1, 3, 50)
+        assert {k: v for k, v in sieved.items() if v} == \
+            brute_class_counts(1, 3, 50)
 
     def test_plane_classes_mod_two(self):
         counts = count_classes_pn(2, 2, 20)
         assert len(counts) == 7
         assert sum(counts.values()) == count_pn_sieved(2, 20)
+
+    # P^1(Z/6) holds [2:3] and [3:2], and P^2(Z/6) classes like [2:3:0],
+    # without a unit coordinate
+    @pytest.mark.parametrize("n,bound", [(1, 60), (2, 12)])
+    def test_composite_modulus_matches_enumeration(self, n, bound):
+        sieved = count_classes_pn(n, 6, bound)
+        brute = brute_class_counts(n, 6, bound)
+        assert {k: v for k, v in sieved.items() if v} == brute
+        if n == 1:
+            assert brute[ModPoint(6, (2, 3))] > 0
+            assert brute[ModPoint(6, (3, 2))] > 0
+
+    # P^3(Z/30) has 93,600 classes, which the per-d oracle rescales for
+    # every d: there it runs at B = 2 only (about a minute at B = 300).
+    @pytest.mark.parametrize("modulus,n,bound", [
+        (m, n, b) for m in (2, 4, 6, 7, 12, 30) for n in (1, 2, 3)
+        for b in (0, 1, 2, 37, 300) if (m, n) != (30, 3) or b == 2])
+    def test_matches_per_d_reference(self, modulus, n, bound):
+        got = count_classes_pn(n, modulus, bound)
+        want = reference_count_classes_pn(n, modulus, bound)
+        assert list(got.items()) == list(want.items())
+
+    # recorded from the per-d loop on the benchmark's largest class input
+    def test_frozen_mod_seven_plane(self):
+        counts = count_classes_pn(2, 7, 3500)
+        assert len(counts) == 57
+        assert sum(counts.values()) == 142726961953
+        assert counts[ModPoint(7, (0, 0, 1))] == 2507606897
+        assert counts[ModPoint(7, (1, 1, 1))] == 2503014955
+        assert counts[ModPoint(7, (1, 2, 3))] == 2503015545
 
 
 class TestProducts:
@@ -190,6 +258,15 @@ class TestProducts:
         assert (count_p1n(n, bound, Metric.SUP),
                 count_p1n(n, bound, Metric.EUCLID)) == self.FROZEN[n, bound]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID])
+    @pytest.mark.parametrize("bound", [Fraction(1, 2), 1, 4, 9,
+                                       Fraction(241, 3), Fraction(10001, 7),
+                                       10**4, 10**5 + 1])
+    def test_matches_per_shell_reference(self, n, metric, bound):
+        assert count_p1n(n, bound, metric) == \
+            reference_count_p1n(n, bound, metric)
+
     def test_square_product_small(self):
         # B = 1 forces both factors to height one: 4 * 4
         assert count_p1n(2, 1) == 16
@@ -205,6 +282,27 @@ class TestProducts:
         bound = 9
         for pts in enum_points(bounded_window(VP2, bound)):
             assert anticanonical_height(VP2, pts) <= LogRat(Fraction(bound**2))
+
+
+def reference_count_p1n(n, bound, metric):
+    """The per-shell recursion that count_p1n ran before it walked the runs
+    of floor(c/h), kept as an oracle: every first shell h <= c in turn."""
+    b = Fraction(bound)
+    if b < 1:
+        return 0
+    cap = counting._shell_cap(b, metric)
+    shell = counting._p1_shells(cap, metric)
+    cum = list(itertools.accumulate(shell))
+
+    def rec(factors_left, cap_left):
+        if cap_left < 1:
+            return 0
+        if factors_left == 1:
+            return cum[cap_left]
+        return sum(shell[h] * rec(factors_left - 1, cap_left // h)
+                   for h in range(1, cap_left + 1) if shell[h])
+
+    return rec(n, cap)
 
 
 def reference_enum_p1n(n, bound, metric, first_range=None):
