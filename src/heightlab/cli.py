@@ -417,10 +417,12 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
         data["mu_box"] = float(mu)
         data["box_share"] = _ratio(inside, vec_total)
         if target is not None:
-            hit = 0
-            for sign in (1, -1):
-                vec = tuple((sign * x) % args.modulus for x in target)
-                hit += joint.get((vec, True), 0)
+            # the class [c] holds the vectors t c for every unit t mod M,
+            # distinct as c is primitive
+            hit = sum(joint.get((tuple(t * x % args.modulus for x in target),
+                                 True), 0)
+                      for t in range(1, args.modulus)
+                      if math.gcd(t, args.modulus) == 1)
             data["joint_share"] = _ratio(hit, vec_total)
             data["predicted_joint"] = float(uniform) * float(mu)
     table = (["class", "count", "share"], rows)

@@ -7,8 +7,13 @@ height (product of squared factor heights, resp. H_P^2 H_Q), growing like
 C B (log B)^(t-1).  All counts are exact integers.  One walk over the
 runs of d sharing floor(x/d^e) evaluates every divisor sum: P^n shell
 ranges (Mobius weights on box or ball counts), their classes mod M, and
-(P^1)^n (P^1 shell counts as weights).  The blown-up plane sums coprime
-lattice counts in the fibres over the shells of Q = [a : b].
+(P^1)^n (P^1 shell counts as weights).  The Mobius weights are sums of
+mu(d) over d prime to M, read at run ends from `_CoprimeMertens`: a sieve
+table to about x^(2/3) and the Mertens recursion above it, so no count on
+P^n builds a table of size B.  The blown-up plane sums coprime lattice
+counts in the fibres over the shells of Q = [a : b].  Counts by residue
+class and cone box on P^n use the scale invariance of the cone: Mobius
+inversion over d prime to M of lattice counts summed over sup shells.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -115,13 +120,18 @@ def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     (2 floor(x/d) + 1)^(n+1) under sup, V_(n+1)(floor(x/d^2)) under euclid.
     The zero vector cancels and y, -y are one point.  F depends on d only
     through q = floor(x/d^e), so the sum runs over `_quotient_runs`,
-    weighted by the Mertens function; terms with d^e > hi vanish."""
+    weighted by the Mertens function; terms with d^e > hi vanish.
+
+    Under sup the runs end at quotients floor(x/k), where `_CoprimeMertens`
+    recurses above a table of about hi^(2/3) entries: O(hi^(2/3)) work in
+    all.  Under euclid they end at isqrt(x // q), arbitrary integers up to
+    isqrt(hi), so the table covers them; the ball counts dominate there."""
     lo = max(lo, 1)
     if hi < lo:
         return 0
     e = 1 if metric is Metric.SUP else 2
     top = int_nth_root(hi, e)
-    mertens = list(itertools.accumulate(build_sieve(top).mu))
+    mertens = _CoprimeMertens(1, top if e == 2 else int_nth_root(top * top, 3))
     total = 0
     for x, sign in ((hi, 1), (lo - 1, -1)):
         for q, w in _quotient_runs(x, top, mertens, e):
@@ -131,10 +141,54 @@ def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     return total // 2
 
 
-def _quotient_runs(x: int, top: int, cum: Sequence[int], e: int) -> Iterator[tuple]:
+class _CoprimeMertens:
+    """M_M(v) = sum of mu(d) over d <= v with gcd(d, M) = 1, at any v >= 0,
+    read as `sums[v]`.
+
+    Up to `limit` it reads prefix sums of a `build_sieve` table.  Above,
+    with chi the indicator of gcd(k, M) = 1, (mu chi) * chi = [n = 1] as
+    Dirichlet series (chi is completely multiplicative), so summing over
+    n <= v gives M_M(v) = 1 - sum_(2 <= k <= v, chi(k)) M_M(floor(v/k)).
+    The k sharing floor(v/k) form O(sqrt v) runs; the coprime k in a run
+    are counted by period M.  Values are memoized, and floor(floor(v/a)/b)
+    = floor(v/(ab)), so the quotients of one v share their recursion:
+    with limit about v^(2/3) that is O(v^(2/3)) work (Deleglise-Rivat).
+    """
+
+    def __init__(self, modulus: int, limit: int):
+        self.limit = max(1, limit)
+        self.modulus = modulus
+        mu = build_sieve(self.limit).mu
+        self.table = list(itertools.accumulate(
+            m if math.gcd(d, modulus) == 1 else 0 for d, m in enumerate(mu)))
+        # coprime[r] = #{1 <= k <= r : gcd(k, M) = 1}, for 0 <= r <= M
+        self.coprime = list(itertools.accumulate(
+            (math.gcd(k, modulus) == 1 for k in range(1, modulus + 1)),
+            initial=0))
+        self.memo: dict = {}
+
+    def __getitem__(self, v: int) -> int:
+        limit, table = self.limit, self.table
+        if v <= limit:
+            return table[v]
+        if v not in self.memo:
+            m, coprime = self.modulus, self.coprime
+            total, k, below = 1, 2, 1  # below: coprime k' < k
+            while k <= v:
+                q = v // k
+                end = v // q
+                upto = (end // m) * coprime[m] + coprime[end % m]
+                total -= (upto - below) * (table[q] if q <= limit else self[q])
+                k, below = end + 1, upto
+            self.memo[v] = total
+        return self.memo[v]
+
+
+def _quotient_runs(x: int, top: int, cum, e: int) -> Iterator[tuple]:
     """(q, cum[end] - cum[d - 1]) for each run d..end <= top of the d sharing
     q = floor(x/d^e), the last (q = 0) ending at top: the O(x^(1/(e+1)))
-    terms of sum_(d <= top) f(d) F(floor(x/d^e)), cum the prefix sums of f."""
+    terms of sum_(d <= top) f(d) F(floor(x/d^e)), cum the prefix sums of f
+    (a list, or `_CoprimeMertens`)."""
     d = 1
     while d <= top:
         q = x // d ** e
@@ -151,6 +205,11 @@ def _isqrt_array(m: np.ndarray) -> np.ndarray:
     s -= s * s > m
     s += m - s * s > 2 * s
     return s
+
+
+def _chunk_step(n_inner: int, radius: int) -> int:
+    width = max(1, (2 * radius + 1) ** n_inner)
+    return max(1, 2 * 10 ** 6 // width)
 
 
 def _ball_count(k: int, n: int) -> int:
@@ -177,9 +236,11 @@ def _ball_count(k: int, n: int) -> int:
     return total
 
 
-def _cnt_residue(r: int, m: int, t: int) -> int:
-    # integers z = r (mod m) with |z| <= t, for 0 <= r < m
-    return (t - r) // m + (t + r) // m + 1 if t >= 0 else 0
+def _residue_counts(modulus: int, lo: int, hi: int) -> list:
+    """[#{z in [lo, hi] : z = c (mod M)} for c in 0..M-1]."""
+    if hi < lo:
+        return [0] * modulus
+    return [(hi - c) // modulus - (lo - 1 - c) // modulus for c in range(modulus)]
 
 
 def count_classes_pn(n: int, modulus: int, bound: int) -> dict:
@@ -190,46 +251,27 @@ def count_classes_pn(n: int, modulus: int, bound: int) -> dict:
     primitive mod M.  So no prime of M divides all of y, only d prime to M
     contribute, and for those y/d = (t/d) c with t/d running over the
     units: the term of d depends on q = floor(B/d) alone, summed over
-    `_quotient_runs`.  As z and -z are equally often in |z| <= q, classes
-    that differ by permuting or negating coordinates share their count.
+    `_quotient_runs` with the sums of mu(d) over d prime to M from
+    `_CoprimeMertens` (O(B^(2/3)) work, no table of size B).  As z and -z
+    are equally often in |z| <= q, classes that differ by permuting or
+    negating coordinates share their count.
     """
     from .projpoint import enum_projective_mod
 
-    mu = build_sieve(bound + 1).mu
-    prime_to_m = list(itertools.accumulate(
-        m if math.gcd(d, modulus) == 1 else 0 for d, m in enumerate(mu)))
-    runs = list(_quotient_runs(bound, bound, prime_to_m, 1))
+    prime_to_m = _CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
+    runs = [(_residue_counts(modulus, -q, q), w)
+            for q, w in _quotient_runs(bound, bound, prime_to_m, 1)]
     units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
     keys = {cls: tuple(sorted(min(c, modulus - c) for c in cls.coords))
             for cls in enum_projective_mod(n, modulus)}
     counts = {}
     for key in set(keys.values()):
-        total = sum(w * sum(math.prod(_cnt_residue(t * c % modulus, modulus, q)
-                                      for c in key) for t in units)
-                    for q, w in runs)
+        total = sum(w * sum(math.prod(row[t * c % modulus] for c in key)
+                            for t in units)
+                    for row, w in runs)
         assert total % 2 == 0 and total >= 0
         counts[key] = total // 2
     return {cls: counts[key] for cls, key in keys.items()}
-
-
-# ---------------------------------------------------------------------------
-# vectorized box scans
-
-
-def _axis_coords(n_coords: int, radius: int, chunk: np.ndarray) -> list:
-    """Coordinate grids, shape (len(chunk), 2r+1, ..., 2r+1) by broadcasting."""
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = []
-    for i in range(n_coords):
-        shape = [1] * n_coords
-        shape[i] = -1
-        grids.append((chunk.astype(np.int64) if i == 0 else rng).reshape(shape))
-    return grids
-
-
-def _chunk_step(n_inner: int, radius: int) -> int:
-    width = max(1, (2 * radius + 1) ** n_inner)
-    return max(1, 2 * 10 ** 6 // width)
 
 
 # ---------------------------------------------------------------------------
@@ -334,40 +376,70 @@ def joint_class_box_counts(n: int, modulus: int, bound: int, box: Sequence) -> d
     Counts integer vectors with both signs, so shares refer to the uniform
     measure on primitive vectors of the sup ball.  Box membership is the
     exact rational test a_i * max <= y_i <= b_i * max.  Returns a dict
-    {(class_tuple, in_box_bool): count}.
-    """
+    {(class_tuple, in_box_bool): count} without zero counts.
+
+    The cone {a_i max|y| <= y_i <= b_i max|y|} is invariant under y -> d y.
+    The residue r of a primitive vector is primitive mod M, so y = d z = r
+    (mod M) forces d prime to M (a common prime would divide r) and
+    z = d^-1 r.  Mobius inversion over those d gives
+    count(r) = sum_(d <= B) mu(d) N(d^-1 r, floor(B/d)), where N(s, q)
+    counts the nonzero cone vectors y = s (mod M) with max|y| <= q.  N sums
+    over the sup shells m <= q: with max|y| = m the cone is the box
+    [ceil(a_i m), floor(b_i m)], so a shell holds the vectors of that box
+    in [-m, m]^(n+1) less those in [-(m-1), m-1]^(n+1), each a product of
+    per-coordinate residue counts.  The full box [-1, 1]^(n+1) gives the
+    totals, and the vectors outside the box are the rest.  N is read only
+    at the quotients floor(B/d), as the shell walk passes them: O(B M^(n+1))
+    exact work in numpy (int64 while the counts fit, Python ints beyond),
+    where a scan of the box is O(B^(n+1))."""
     iv = [(Fraction(a), Fraction(b)) for a, b in box]
     if len(iv) != n + 1:
         raise ValueError("box must have n+1 coordinate intervals")
-    out: dict = {}
-    full = np.arange(-bound, bound + 1, dtype=np.int64)
-    step = _chunk_step(n, bound)
-    for lo in range(0, len(full), step):
-        grids = _axis_coords(n + 1, bound, full[lo:lo + step])
-        g = np.zeros((), dtype=np.int64)
-        mx = np.zeros((), dtype=np.int64)
-        for gr in grids:
-            g = np.gcd(g, np.abs(gr))
-            mx = np.maximum(mx, np.abs(gr))
-        prim = g == 1
-        inside = prim.copy()
-        for (a, b), gr in zip(iv, grids):
-            inside &= (a.numerator * mx <= gr * a.denominator) & (gr * b.denominator <= b.numerator * mx)
-        flat = np.zeros((), dtype=np.int64)
-        for gr in grids:
-            flat = flat * modulus + np.mod(gr, modulus)
-        flat = np.broadcast_to(flat, prim.shape)
-        for in_box, sel in ((True, prim & inside), (False, prim & ~inside)):
-            codes, counts = np.unique(flat[sel], return_counts=True)
-            for code, cnt in zip(codes.tolist(), counts.tolist()):
-                digits = []
-                c = int(code)
-                for _ in range(n + 1):
-                    digits.append(c % modulus)
-                    c //= modulus
-                key = (tuple(reversed(digits)), in_box)
-                out[key] = out.get(key, 0) + int(cnt)
+    shape = (modulus,) * (n + 1)
+    residues = np.indices(shape).reshape(n + 1, -1)  # column j: residue j
+    # weights[q][u] = sum of mu(d) over the d prime to M with floor(B/d) = q
+    # and d^-1 = u (mod M)
+    weights: dict = {}
+    mu = build_sieve(max(bound, 1)).mu
+    for d in range(1, bound + 1):
+        if mu[d] and math.gcd(d, modulus) == 1:
+            row = weights.setdefault(bound // d, {})
+            u = pow(d, -1, modulus)
+            row[u] = row.get(u, 0) + mu[d]
+    scaled = {u: np.ravel_multi_index(u * residues % modulus, shape)
+              for row in weights.values() for u in row}
+    # every partial sum is at most 2 (2B+1)^(n+1) in absolute value
+    dtype = np.int64 if (2 * bound + 1) ** (n + 1) < 2 ** 61 else object
+    counts = []
+    for cone in (iv, [(Fraction(-1), Fraction(1))] * (n + 1)):
+        run = np.zeros(modulus ** (n + 1), dtype=dtype)  # N(s, m), by s
+        count = np.zeros_like(run)                       # primitive, by r
+        for m in range(1, bound + 1):
+            run += _cone_residue_counts(modulus, cone, m, m, dtype) \
+                - _cone_residue_counts(modulus, cone, m, m - 1, dtype)
+            for u, w in weights.get(m, {}).items():
+                count += w * run[scaled[u]]
+        counts.append(count)
+    inside, total = counts
+    out = {}
+    for j in np.flatnonzero(np.gcd.reduce(residues, axis=0, initial=modulus) == 1):
+        r = tuple(residues[:, j].tolist())
+        for in_box, c in ((True, inside[j]), (False, total[j] - inside[j])):
+            if c:
+                out[r, in_box] = int(c)
     return out
+
+
+def _cone_residue_counts(modulus: int, cone: list, m: int, r: int, dtype) -> np.ndarray:
+    """Vectors y with ceil(a_i m) <= y_i <= floor(b_i m) and max|y| <= r,
+    counted by residue y mod M (flattened, as `np.indices`)."""
+    counts = np.ones((), dtype=dtype)
+    for a, b in cone:
+        lo = -(-a.numerator * m // a.denominator)
+        hi = b.numerator * m // b.denominator
+        counts = np.multiply.outer(
+            counts, _residue_counts(modulus, max(lo, -r), min(hi, r)))
+    return counts.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ class TestEquidist:
         assert doc["mu_box"] == 0.5
         assert abs(doc["joint_share"] - doc["predicted_joint"]) < 0.02
 
+    # With the full box every vector is inside, so the joint share is the
+    # class share: the class [c] is every unit multiple t c, not only +-c.
+    @pytest.mark.parametrize("modulus", [2, 3, 5, 7, 9])
+    def test_full_box_joint_share_is_class_share(self, capsys, modulus):
+        doc = run_json(capsys, ["equidist", "--dim", "2", "--modulus",
+                                str(modulus), "--bound", "40", "--class",
+                                "1:1:1", "--box=-1,1;-1,1;-1,1"])
+        assert doc["mu_box"] == 1.0
+        assert doc["joint_share"] == doc["class_share"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--modulus", "1"], "--modulus must be at least 2, got 1"),
         (["--modulus", "0"], "--modulus must be at least 2, got 0"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,11 @@ class TestProjectiveCounts:
         assert count_pn(1, 3000, Metric.EUCLID) == 8594304
         assert count_pn(3, 60, Metric.EUCLID) == 29546896
 
+    def test_frozen_sup_line_count(self):
+        # recorded from the sieve of mu to B that counted sup P^n before the
+        # Mertens recursion (5.9 s and 746 MB there)
+        assert count_pn(1, 10**7) == 121585425708968
+
     # the float root is corrected in int64 up to the top of its range
     @pytest.mark.parametrize("s", [2**26, 2**31, 3 * 10**9])
     def test_isqrt_array_is_exact(self, s):
@@ -142,6 +148,45 @@ class TestProjectiveCounts:
         m.append(2**63 - 1)
         got = counting._isqrt_array(np.array(m, dtype=np.int64)).tolist()
         assert got == [math.isqrt(x) for x in m]
+
+
+def reference_coprime_mertens(modulus, top):
+    """The full-sieve prefix sums of mu(d) [gcd(d, M) = 1], d <= top, that
+    the P^n and class counts read before the Mertens recursion, kept as an
+    oracle."""
+    mu = build_sieve(top).mu
+    return list(itertools.accumulate(
+        m if math.gcd(d, modulus) == 1 else 0 for d, m in enumerate(mu)))
+
+
+class TestCoprimeMertens:
+    # a table of 16 entries, so every v > 16 goes through the recursion
+    @pytest.mark.parametrize("modulus", [1, 2, 6, 7, 30])
+    def test_recursion_matches_sieve(self, modulus):
+        want = reference_coprime_mertens(modulus, 5000)
+        sums = counting._CoprimeMertens(modulus, 16)
+        assert [sums[v] for v in range(5001)] == want
+        for v in (17, 2310, 4999, 5000):
+            assert counting._CoprimeMertens(modulus, 1)[v] == want[v]
+
+    # The guard against an O(B) table coming back: every sieve the sup
+    # counts ask for stays within about 2 v^(2/3) entries.
+    @pytest.mark.parametrize("count, bound", [
+        (lambda b: count_pn(1, b), 10**8),
+        (lambda b: count_classes_pn(2, 7, b), 10**6)])
+    def test_sieve_work_is_sublinear(self, monkeypatch, count, bound):
+        asked = []
+
+        def recording(limit):
+            asked.append(limit)
+            return build_sieve(limit)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("heightlab") and \
+                    getattr(mod, "build_sieve", None) is build_sieve:
+                monkeypatch.setattr(mod, "build_sieve", recording)
+        count(bound)
+        assert asked and sum(asked) <= 2 * int_nth_root(bound * bound, 3)
 
 
 def reference_count_classes_pn(n, modulus, bound):
@@ -167,8 +212,8 @@ def reference_count_classes_pn(n, modulus, bound):
                 scale = (dinv * t) % modulus
                 prod = 1
                 for c in rep:
-                    prod *= counting._cnt_residue((scale * c) % modulus,
-                                                  modulus, t_box)
+                    r = (scale * c) % modulus
+                    prod *= (t_box - r) // modulus + (t_box + r) // modulus + 1
                     if prod == 0:
                         break
                 total += mu * prod
@@ -230,6 +275,15 @@ class TestClassCounts:
         assert counts[ModPoint(7, (0, 0, 1))] == 2507606897
         assert counts[ModPoint(7, (1, 1, 1))] == 2503014955
         assert counts[ModPoint(7, (1, 2, 3))] == 2503015545
+
+    # recorded from the sieve of mu to B that the class counts read before
+    # the Mertens recursion
+    def test_frozen_mod_seven_plane_large(self):
+        counts = count_classes_pn(2, 7, 10**5)
+        assert sum(counts.values()) == 3327670384236577
+        assert counts[ModPoint(7, (0, 0, 1))] == 58378813934097
+        assert counts[ModPoint(7, (1, 1, 1))] == 58380547085299
+        assert counts[ModPoint(7, (1, 2, 3))] == 58380547011285
 
 
 class TestProducts:
@@ -355,6 +409,17 @@ class TestProductEnumeration:
                     reference_enum_p1n(n, bound, metric, r)
 
 
+def axis_coords(n_coords, radius, chunk):
+    """Coordinate grids, shape (len(chunk), 2r+1, ..., 2r+1) by broadcasting."""
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    grids = []
+    for i in range(n_coords):
+        shape = [1] * n_coords
+        shape[i] = -1
+        grids.append((chunk.astype(np.int64) if i == 0 else rng).reshape(shape))
+    return grids
+
+
 def reference_count_pn_euclid_vectors(n, norm_bound):
     """The chunked box scan that count_pn used on euclid P^n before the
     Mobius sum, kept as an oracle: primitive integer vectors (all signs)
@@ -366,7 +431,7 @@ def reference_count_pn_euclid_vectors(n, norm_bound):
     full = np.arange(-radius, radius + 1, dtype=np.int64)
     step = counting._chunk_step(n, radius)
     for lo in range(0, len(full), step):
-        grids = counting._axis_coords(n + 1, radius, full[lo:lo + step])
+        grids = axis_coords(n + 1, radius, full[lo:lo + step])
         norm = sum(g * g for g in grids)
         g = np.zeros((), dtype=np.int64)
         for gr in grids:
@@ -685,6 +750,81 @@ class TestEquidistribution:
                 key = tuple((sign * x) % 3 for x in mp.coords)
                 total_from_sieve[key] = total_from_sieve.get(key, 0) + c
         assert per_class == {k: v for k, v in total_from_sieve.items() if v}
+
+    # P^5 at B = 800 has more than 2^63 primitive vectors, all in the full
+    # box and in the one residue class mod 1: no int64 count holds them
+    def test_joint_counts_exact_beyond_int64(self):
+        total = 2 * count_pn_sieved(5, 800)
+        assert total > 2**63
+        full = [(Fraction(-1), Fraction(1))] * 6
+        assert joint_class_box_counts(5, 1, 800, full) == {((0,) * 6, True): total}
+        box = [(Fraction(0), Fraction(1))] + full[1:]
+        jc = joint_class_box_counts(5, 2, 800, box)
+        for mp, c in count_classes_pn(5, 2, 800).items():
+            assert jc.get((mp.coords, True), 0) + \
+                jc.get((mp.coords, False), 0) == 2 * c
+
+
+def reference_joint_class_box_counts(n, modulus, bound, box):
+    """The numpy scan of the whole (2B+1)^(n+1) box that
+    joint_class_box_counts ran before the shell sums, kept as an oracle."""
+    iv = [(Fraction(a), Fraction(b)) for a, b in box]
+    out = {}
+    full = np.arange(-bound, bound + 1, dtype=np.int64)
+    step = counting._chunk_step(n, bound)
+    for lo in range(0, len(full), step):
+        grids = axis_coords(n + 1, bound, full[lo:lo + step])
+        g = np.zeros((), dtype=np.int64)
+        mx = np.zeros((), dtype=np.int64)
+        for gr in grids:
+            g = np.gcd(g, np.abs(gr))
+            mx = np.maximum(mx, np.abs(gr))
+        prim = g == 1
+        inside = prim.copy()
+        for (a, b), gr in zip(iv, grids):
+            inside &= (a.numerator * mx <= gr * a.denominator) & \
+                (gr * b.denominator <= b.numerator * mx)
+        flat = np.zeros((), dtype=np.int64)
+        for gr in grids:
+            flat = flat * modulus + np.mod(gr, modulus)
+        flat = np.broadcast_to(flat, prim.shape)
+        for in_box, sel in ((True, prim & inside), (False, prim & ~inside)):
+            codes, counts = np.unique(flat[sel], return_counts=True)
+            for code, cnt in zip(codes.tolist(), counts.tolist()):
+                digits = []
+                c = int(code)
+                for _ in range(n + 1):
+                    digits.append(c % modulus)
+                    c //= modulus
+                key = (tuple(reversed(digits)), in_box)
+                out[key] = out.get(key, 0) + int(cnt)
+    return out
+
+
+@st.composite
+def class_box_inputs(draw):
+    n = draw(st.integers(1, 3))
+    modulus = draw(st.sampled_from([1, 2, 3, 4, 6, 7]))
+    bound = draw(st.integers(0, 30))
+    end = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    interval = st.one_of(st.just((Fraction(0), Fraction(0))),
+                         st.tuples(end, end).map(lambda t: tuple(sorted(t))))
+    box = draw(st.lists(interval, min_size=n + 1, max_size=n + 1))
+    return n, modulus, bound, box
+
+
+@settings(deadline=None, max_examples=40)
+@given(class_box_inputs())
+@example((2, 3, 30, [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1)),
+                     (Fraction(0), Fraction(1))]))
+@example((1, 7, 30, [(Fraction(0), Fraction(0)), (Fraction(-3), Fraction(3))]))
+@example((3, 6, 30, [(Fraction(-2, 3), Fraction(5, 2)), (Fraction(1, 3), Fraction(1)),
+                     (Fraction(-3), Fraction(-1, 2)), (Fraction(0), Fraction(0))]))
+@example((2, 1, 0, [(Fraction(-1), Fraction(1))] * 3))
+def test_joint_counts_match_box_scan(case):
+    n, modulus, bound, box = case
+    assert joint_class_box_counts(n, modulus, bound, box) == \
+        reference_joint_class_box_counts(n, modulus, bound, box)
 
 
 @settings(deadline=None, max_examples=25)
