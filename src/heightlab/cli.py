@@ -76,7 +76,7 @@ from .projpoint import (
     _canonical_mod,
     variety,
 )
-from .tamagawa import assemble_constant, uniform_class_share
+from .tamagawa import assemble_constant, closed_form, uniform_class_share
 from .zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
 
 COMPUTE_ERRORS = (
@@ -257,9 +257,8 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
     if v.kind == "blowup":
         count_e, count_u = count_blowup(args.bound, metric)
         fit_u = count_u / (b * math.log(b)) if b > 1 else None
-        ref_e = assemble_constant(variety("pn", 1), metric).closed_form(
-            variety("pn", 1))
-        ref_u = assemble_constant(v, metric).closed_form(v)
+        ref_e = closed_form(variety("pn", 1), metric)
+        ref_u = closed_form(v, metric)
         data = {
             "variety": args.variety, "dim": args.dim,
             "metric": args.metric, "bound": _num(args.bound),
@@ -274,12 +273,11 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
                   ["off_exceptional", count_u, fit_u, ref_u]])
         return data, table
     count = count_points(v, args.bound, metric)
-    const = assemble_constant(v, metric)
-    reference = const.closed_form(v)
+    reference = closed_form(v, metric)
     if v.kind == "pn":
         growth = b ** (v.n + 1)
     else:
-        growth = b * math.log(b) ** const.log_power if b > 1 else 1.0
+        growth = b * math.log(b) ** (v.picard_rank - 1) if b > 1 else 1.0
     fit = count / growth
     data = {"variety": args.variety, "dim": args.dim, "metric": args.metric,
             "bound": _num(args.bound), "count": count, "fit": fit,
@@ -355,7 +353,8 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
 
 def _cmd_constant(cfg: RunConfig, args) -> tuple:
     v = _variety(args)
-    const = assemble_constant(v, _metric(args), prime_limit=args.primes_up_to)
+    metric = _metric(args)
+    const = assemble_constant(v, metric, prime_limit=args.primes_up_to)
     beta = args.beta
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,
@@ -363,7 +362,7 @@ def _cmd_constant(cfg: RunConfig, args) -> tuple:
         "tau_inf": const.tau_inf, "tau_finite": const.tau_finite,
         "tau": const.tau,
         "value": float(const.alpha) * float(beta) * const.tau,
-        "closed_form": float(beta) * const.closed_form(v),
+        "closed_form": float(beta) * closed_form(v, metric),
         "tail_rel_bound": const.tail_rel_bound,
         "primes_up_to": const.prime_limit, "log_power": const.log_power,
     }

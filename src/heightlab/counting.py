@@ -6,14 +6,22 @@ C B^(n+1).  On (P^1)^n and the blown-up plane B caps the anticanonical
 height (product of squared factor heights, resp. H_P^2 H_Q), growing like
 C B (log B)^(t-1).  All counts are exact integers.  One walk over the
 runs of d sharing floor(x/d^e) evaluates every divisor sum: P^n shell
-ranges (Mobius weights on box or ball counts), their classes mod M, and
-(P^1)^n (P^1 shell counts as weights).  The Mobius weights are sums of
-mu(d) over d prime to M, read at run ends from `_CoprimeMertens`: a sieve
-table to about x^(2/3) and the Mertens recursion above it, so no count on
-P^n builds a table of size B.  The blown-up plane sums coprime lattice
-counts in the fibres over the shells of Q = [a : b].  Counts by residue
-class and cone box on P^n use the scale invariance of the cone: Mobius
-inversion over d prime to M of lattice counts summed over sup shells.
+ranges (Mobius weights on box or ball counts), their classes mod M,
+(P^1)^n (P^1 shell counts as weights), and the fibres of the blown-up
+plane.  The Mobius weights are sums of mu(d) over d prime to M, read at
+run ends from `_CoprimeMertens`: a sieve table to about x^(2/3) and the
+Mertens recursion above it, so no count on P^n builds a table of size B.
+
+The blown-up plane fibres over the shells s of Q = [a : b]: off the
+center P = (g a, g b, z) with gcd(g, z) = 1, and Mobius inversion over
+d = gcd(g, z) makes a fibre sum_d mu(d) (F_s(floor(hi/d^e)) -
+F_s(floor((lo-1)/d^e))), where F_s(x) counts all (g >= 1, z) of P-shell
+at most x: floor(x/s) (2x + 1) under sup, the sum over g <= sqrt(x/s) of
+2 isqrt(x - g^2 s) + 1 under euclid.  F_s vanishes below s, which cuts
+each walk at floor(x/s) resp. isqrt(x // s), and one Mertens table serves
+every s.  Counts by residue class and cone box on P^n use the scale
+invariance of the cone: Mobius inversion over d prime to M of lattice
+counts summed over sup shells.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -122,16 +130,14 @@ def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     through q = floor(x/d^e), so the sum runs over `_quotient_runs`,
     weighted by the Mertens function; terms with d^e > hi vanish.
 
-    Under sup the runs end at quotients floor(x/k), where `_CoprimeMertens`
-    recurses above a table of about hi^(2/3) entries: O(hi^(2/3)) work in
-    all.  Under euclid they end at isqrt(x // q), arbitrary integers up to
-    isqrt(hi), so the table covers them; the ball counts dominate there."""
+    Under sup that is O(hi^(2/3)) work in all (`_mertens_for`); under
+    euclid the ball counts dominate."""
     lo = max(lo, 1)
     if hi < lo:
         return 0
     e = 1 if metric is Metric.SUP else 2
     top = int_nth_root(hi, e)
-    mertens = _CoprimeMertens(1, top if e == 2 else int_nth_root(top * top, 3))
+    mertens = _mertens_for(top, e)
     total = 0
     for x, sign in ((hi, 1), (lo - 1, -1)):
         for q, w in _quotient_runs(x, top, mertens, e):
@@ -182,6 +188,14 @@ class _CoprimeMertens:
                 k, below = end + 1, upto
             self.memo[v] = total
         return self.memo[v]
+
+
+def _mertens_for(top: int, e: int) -> _CoprimeMertens:
+    """Mertens sums for walks over d <= top of floor(x/d^e).  Under e = 1
+    the runs end at quotients floor(x/k), where `_CoprimeMertens` recurses
+    above a table of about top^(2/3) entries; under e = 2 they end at
+    isqrt(x // q), arbitrary integers up to top, so the table covers them."""
+    return _CoprimeMertens(1, top if e == 2 else int_nth_root(top * top, 3))
 
 
 def _quotient_runs(x: int, top: int, cum, e: int) -> Iterator[tuple]:
@@ -705,7 +719,7 @@ class CountReport:
 
 def count_window(w: HeightWindow) -> CountReport:
     """Exact boxed-window count against beta nu(D_1) tau B^<w,u>."""
-    from .tamagawa import assemble_constant, nu_window
+    from .tamagawa import closed_form, cone_alpha, nu_window
 
     if w.box is None:
         raise ValueError("count_window needs a boxed window")
@@ -713,8 +727,7 @@ def count_window(w: HeightWindow) -> CountReport:
     count = _count_boxed(w)
     weights = v.anticanonical
     deg = float(sum(Fraction(wt) * u for wt, u in zip(weights, w.direction)))
-    const = assemble_constant(v, w.metric)
-    tau = const.closed_form(v) / float(const.alpha)  # beta = 1 included
+    tau = closed_form(v, w.metric) / float(cone_alpha(v))  # beta = 1
     reference = tau * nu_window(weights, [a for a, _ in w.box], [b for _, b in w.box])
     fitted = count / float(w.scale) ** deg
     rel = abs(fitted - reference) / reference if reference > 0 else math.inf
@@ -731,63 +744,45 @@ def _count_boxed(w: HeightWindow) -> int:
     return math.prod(_count_pn_range(n, lo, hi, w.metric) for lo, hi in shells)
 
 
-def _squarefree_divisors(g: int, cache: dict) -> list:
-    if g not in cache:
-        from .exactnum import factorize
-
-        divs = [(1, 1)]
-        for p, _ in factorize(g):
-            divs += [(d * p, -s) for d, s in divs]
-        cache[g] = divs
-    return cache[g]
-
-
-def _coprime_signed_count(g: int, zlo: int, zhi: int, cache: dict) -> int:
-    """#{z integer, gcd(g, z) = 1, zlo <= |z| <= zhi}; zlo = 0 admits z = 0."""
-    if zhi < zlo:
-        return 0
-    lo = max(zlo, 1)
-    total = 0
-    for d, s in _squarefree_divisors(g, cache):
-        m = 2 * (zhi // d - (lo - 1) // d)
-        if zlo <= 0:
-            m += 1  # z = 0 is a multiple of every d
-        total += s * m
-    return total
+def _fibre_count(s: int, x: int, metric: Metric) -> int:
+    """F_s(x) = #{(g, z) : g >= 1, P-shell <= x} over a Q of shell value s,
+    gcd(g, z) not required: floor(x/s) (2x + 1) under sup, where the
+    P-shell is max(g s, |z|), and sum over g <= sqrt(x/s) of
+    2 isqrt(x - g^2 s) + 1 under euclid, where it is g^2 s + z^2."""
+    if metric is Metric.SUP:
+        return x // s * (2 * x + 1)
+    top = math.isqrt(x // s)
+    return top + 2 * sum(math.isqrt(x - g * g * s) for g in range(1, top + 1))
 
 
 def _count_off_center(metric: Metric, s_lo: int, s_hi: int, p_shells) -> int:
     """Points of the blown-up plane off the center, fibred over Q = [a : b].
 
     Off the center P = (g a, g b, z) with Q primitive, g >= 1 and
-    gcd(g, z) = 1.  The P-shell is max(g s, |z|) (sup) or g^2 s + z^2
-    (euclid), s the shell value of Q, so the N_1(s) points Q of one shell
-    share their fibre: a coprime lattice count of the (g, z) whose P-shell
-    lies in p_shells(s) = (lo, hi), lo >= 1.  Sums over s in [s_lo, s_hi].
+    gcd(g, z) = 1, so the N_1(s) points Q of shell value s share their
+    fibre: the coprime (g, z) whose P-shell lies in p_shells(s) = (lo, hi),
+    lo >= 1.  Mobius inversion over d = gcd(g, z) gives
+    fibre(s) = sum_d mu(d) (F_s(floor(hi/d^e)) - F_s(floor((lo-1)/d^e)))
+    with `_fibre_count` F_s, e = 1 (sup) or 2 (euclid).  F_s(x) = 0 for
+    x < s, so each walk over `_quotient_runs` stops at floor(x/s) resp.
+    isqrt(x // s).  One Mertens table serves every s in [s_lo, s_hi]; it
+    is sized for s_lo, whose walk is the longest, as hi does not grow
+    with s.
     """
     if s_hi < s_lo:
         return 0
     n1 = _p1_shells(s_hi, metric)
-    cache: dict = {}
+    e = 1 if metric is Metric.SUP else 2
+    mertens = _mertens_for(int_nth_root(p_shells(s_lo)[1] // s_lo, e), e)
     total = 0
     for s in range(s_lo, s_hi + 1):
         if not n1[s]:
             continue
         lo, hi = p_shells(s)
         fibre = 0
-        if metric is Metric.SUP:
-            # H_P = max(g s, |z|)
-            for g in range(1, hi // s + 1):
-                fibre += _coprime_signed_count(g, 0 if g * s >= lo else lo, hi, cache)
-        else:
-            # k_P = g^2 s + z^2
-            g = 1
-            while g * g * s <= hi:
-                zmax = math.isqrt(hi - g * g * s)
-                need = lo - g * g * s
-                zmin = 0 if need <= 0 else math.isqrt(need - 1) + 1
-                fibre += _coprime_signed_count(g, zmin, zmax, cache)
-                g += 1
+        for x, sign in ((hi, 1), (lo - 1, -1)):
+            for q, w in _quotient_runs(x, int_nth_root(x // s, e), mertens, e):
+                fibre += sign * w * _fibre_count(s, q, metric)
         total += n1[s] * fibre
     return total
 

@@ -190,33 +190,12 @@ class TangentLattice:
     h: LogRat
 
 
-def tangent_lattice_pn(p: PrimPoint, weights: Sequence | None = None) -> TangentLattice:
-    """Tangent lattice D^v (x) E/D at [y], Gram = (projection Gram)/<y,y>.
-
-    `weights` replaces the standard inner product by sum d_i x_i y_i
-    (a diagonal metric change); the degree then comes from the exact
-    determinant rather than the closed form (n+1) log|y|.
-    """
-    y = p.coords
-    n = p.n
-    w = unimodular_completion(y)
-    basis = w[1:]
-    if weights is None:
-        d = [Fraction(1)] * (n + 1)
-    else:
-        d = [Fraction(x) for x in weights]
-        if len(d) != n + 1 or any(x <= 0 for x in d):
-            raise ValueError("weights must be n+1 positive rationals")
-    m = sum(di * c * c for di, c in zip(d, y))
-    dots = [sum(di * a * b for di, a, b in zip(d, bi, y)) for bi in basis]
-    gram = tuple(
-        tuple((sum(di * a * b for di, a, b in zip(d, basis[i], basis[j]))
-               - dots[i] * dots[j] / m) / m for j in range(n))
-        for i in range(n))
-    lat = EucLattice(gram)
+def tangent_lattice_pn(p: PrimPoint) -> TangentLattice:
+    """Tangent lattice D^v (x) E/D at [y], Gram = (projection Gram)/<y,y>."""
+    gq, m = _quotient_int_gram(p.coords)
+    lat = EucLattice(tuple(tuple(Fraction(x, m * m) for x in row) for row in gq))
     h = degree(lat)
-    if weights is None:
-        assert h == LogRat(m) * (n + 1)
+    assert h == LogRat(m) * (p.n + 1)
     return TangentLattice(point=p, lattice=lat, h=h)
 
 
@@ -617,19 +596,3 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
                 below[t] += w
     return SweepResult(n=n, bound=bound, total=total, bound_holds=holds,
                        coeffs_match=coeffs_match, min_l=min_l, below_counts=below)
-
-
-def metric_change_rows(n: int, bound, weights: Sequence) -> list:
-    """(h, l, l_weighted) over P^n points, the second metric a diagonal
-    rescaling; |l - l_weighted| * h stays bounded (slope shift is O(1))."""
-    from .counting import bounded_window, enum_points
-
-    out = []
-    v_id = VarietyId("pn", n)
-    for p in enum_points(bounded_window(v_id, bound, Metric.SUP)):
-        t0 = tangent_lattice_pn(p)
-        r0 = freeness(t0)
-        t1 = tangent_lattice_pn(p, weights)
-        r1 = freeness(t1)
-        out.append((r0.h.to_float(), r0.l, r1.l))
-    return out

@@ -7,9 +7,10 @@ is a product of an archimedean density with p-adic densities damped by the
 convergence factors (1 - 1/p)^t.
 
 For the built-in families every damped Euler factor is of the shape
-(1 - p^-s)^k, so the full product has a zeta closed form; the truncated
-product is still computed so that the truncation error can be certified
-against the closed form.
+(1 - p^-s)^k, so the full product has a zeta closed form, and
+`closed_form` reads the constant from it alone.  `assemble_constant`
+still computes the truncated product, so that the truncation error can
+be certified against the closed form.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def _euler_shape(variety: VarietyId) -> tuple[int, int]:
     return 2, 2
 
 
+def closed_form(variety: VarietyId, metric: Metric) -> float:
+    """The leading constant alpha beta tau with the full Euler product in
+    closed form, tau_inf / zeta(s)^k; beta = 1."""
+    s, k = _euler_shape(variety)
+    return float(cone_alpha(variety)) * density_inf(variety, metric) / zeta(s) ** k
+
+
 @dataclass(frozen=True)
 class CountConstant:
     """Assembled leading constant with a certified finite-product tail."""
@@ -139,10 +147,6 @@ class CountConstant:
     @property
     def value(self) -> float:
         return float(self.alpha) * float(self.beta) * self.tau
-
-    def closed_form(self, variety: VarietyId) -> float:
-        s, k = _euler_shape(variety)
-        return float(self.alpha) * float(self.beta) * self.tau_inf / zeta(s) ** k
 
 
 def assemble_constant(variety: VarietyId, metric: Metric, prime_limit: int = 10_000) -> CountConstant:

@@ -72,7 +72,7 @@ from heightlab.motivic import (
     verify_recurrence,
 )
 from heightlab.projpoint import Metric, card_projective_mod, enum_projective_mod, variety
-from heightlab.tamagawa import assemble_constant, uniform_class_share
+from heightlab.tamagawa import assemble_constant, closed_form, uniform_class_share
 from heightlab.zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
 
 from test_lattice import oracle_min_covol2, random_gram
@@ -106,7 +106,7 @@ def test_02_plane_count_vs_constant():
     assert rel <= 0.03
     const = assemble_constant(P2, Metric.SUP, prime_limit=10_000)
     assembled = float(const.alpha) * const.tau
-    closed = const.closed_form(P2)
+    closed = closed_form(P2, Metric.SUP)
     assert abs(assembled - closed) <= const.tail_rel_bound * abs(closed)
     assert const.tail_rel_bound < 1e-6
     assert abs(fit - assembled) / assembled <= 0.03

@@ -22,7 +22,7 @@ from heightlab.counting import (
     enum_points,
 )
 from heightlab.counting import HeightWindow
-from heightlab import geomcurve
+from heightlab import geomcurve, tamagawa
 from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
 from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import variety
@@ -223,6 +223,60 @@ class TestConstant:
         assert doc["closed_form"] == pytest.approx(4 / zeta3, rel=1e-6)
         assert doc["value"] == pytest.approx(doc["closed_form"],
                                              rel=4 * doc["tail_rel_bound"])
+
+    # recorded while `constant` took its closed form from the assembled
+    # constant, with beta 1/2
+    @pytest.mark.parametrize("v,metric,closed", [
+        ("pn", "sup", 1.6638147450540963),
+        ("pn", "euclid", 0.8711713633327203),
+        ("blowup", "sup", 0.49276714817233463),
+        ("blowup", "euclid", 0.30396355089462035),
+    ])
+    def test_closed_form_is_frozen(self, capsys, v, metric, closed):
+        doc = run_json(capsys, ["constant", "--variety", v, "--dim", "2",
+                                "--metric", metric, "--beta", "1/2"])
+        assert doc["closed_form"] == closed
+
+
+class TestReferences:
+    """`count` and `window` read their references from the zeta closed form
+    alone, never from the truncated Euler product; the frozen values were
+    recorded while they still assembled it."""
+
+    @pytest.mark.parametrize("argv,sup,euclid", [
+        (["count", "--variety", "pn", "--dim", "1"],
+         [1.2158542036432674], [0.9549296585004893]),
+        (["count", "--variety", "pn", "--dim", "2"],
+         [3.3276294901081926], [1.7423427266654405]),
+        (["count", "--variety", "p1n", "--dim", "2"],
+         [1.478301444517004], [0.9118906526838612]),
+        (["count", "--variety", "blowup"],
+         [1.2158542036432674, 0.9855342963446693],
+         [0.9549296585004893, 0.6079271017892407]),
+        (["window", "--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2",
+          "--u", "1,2", "--bound", "10"],
+         [13.304713000653036], [8.20701587415475]),
+        (["window", "--variety", "blowup", "--d1", "1,2;1,2", "--u", "2,1",
+          "--bound", "10"],
+         [8.869808667102024], [5.471343916103166]),
+    ], ids=["count-pn1", "count-pn2", "count-p1n2", "count-blowup",
+            "window-p1n2", "window-blowup"])
+    def test_no_euler_product(self, capsys, monkeypatch, argv, sup, euclid):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("assemble_constant called")
+
+        monkeypatch.setattr(tamagawa, "assemble_constant", refuse)
+        monkeypatch.setattr(cli, "assemble_constant", refuse)
+        if argv[0] == "count":
+            argv = [*argv, "--bound", "20"]
+        for metric, want in (("sup", sup), ("euclid", euclid)):
+            doc = run_json(capsys, [*argv, "--metric", metric])
+            if "exceptional" in doc:
+                got = [doc["exceptional"]["reference"],
+                       doc["off_exceptional"]["reference"]]
+            else:
+                got = [doc["reference"]]
+            assert got == want
 
 
 class TestEquidist:

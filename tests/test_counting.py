@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heightlab import counting
+from heightlab import counting, exactnum
+from heightlab.cli import main
 from heightlab.counting import (
     CountReport,
     HeightWindow,
@@ -469,6 +471,69 @@ def reference_count_blowup(bound, metric):
     return count_pn(1, b, metric), total // 2
 
 
+def _squarefree_divisors(g, cache):
+    """[(d, mu(d))] over the squarefree divisors d of g."""
+    if g not in cache:
+        divs = [(1, 1)]
+        for p, _ in exactnum.factorize(g):
+            divs += [(d * p, -s) for d, s in divs]
+        cache[g] = divs
+    return cache[g]
+
+
+def _coprime_signed_count(g, zlo, zhi, cache):
+    """#{z integer, gcd(g, z) = 1, zlo <= |z| <= zhi}; zlo = 0 admits z = 0."""
+    if zhi < zlo:
+        return 0
+    lo = max(zlo, 1)
+    total = 0
+    for d, s in _squarefree_divisors(g, cache):
+        m = 2 * (zhi // d - (lo - 1) // d)
+        if zlo <= 0:
+            m += 1  # z = 0 is a multiple of every d
+        total += s * m
+    return total
+
+
+def reference_count_off_center(metric, s_lo, s_hi, p_shells):
+    """The per-g divisor-list sum that `_count_off_center` used before the
+    Mobius walk over d = gcd(g, z), kept as an oracle with its signature:
+    for each Q shell s and each g, the z prime to g with P-shell in
+    p_shells(s), counted by inclusion-exclusion over the primes of g."""
+    if s_hi < s_lo:
+        return 0
+    n1 = counting._p1_shells(s_hi, metric)
+    cache = {}
+    total = 0
+    for s in range(s_lo, s_hi + 1):
+        if not n1[s]:
+            continue
+        lo, hi = p_shells(s)
+        fibre = 0
+        if metric is Metric.SUP:
+            # H_P = max(g s, |z|)
+            for g in range(1, hi // s + 1):
+                fibre += _coprime_signed_count(g, 0 if g * s >= lo else lo, hi, cache)
+        else:
+            # k_P = g^2 s + z^2
+            g = 1
+            while g * g * s <= hi:
+                zmax = math.isqrt(hi - g * g * s)
+                need = lo - g * g * s
+                zmin = 0 if need <= 0 else math.isqrt(need - 1) + 1
+                fibre += _coprime_signed_count(g, zmin, zmax, cache)
+                g += 1
+        total += n1[s] * fibre
+    return total
+
+
+def blowup_box(metric, box, direction, scale):
+    return HeightWindow(variety=VB, metric=metric,
+                        box=tuple((Fraction(a), Fraction(b)) for a, b in box),
+                        direction=tuple(Fraction(u) for u in direction),
+                        scale=Fraction(scale))
+
+
 class TestBlowup:
     def test_unit_ball_split(self):
         assert count_blowup(1, Metric.SUP) == (4, 12)
@@ -482,6 +547,50 @@ class TestBlowup:
                       1000, top]:
             assert count_blowup(bound, metric) == \
                 reference_count_blowup(bound, metric), bound
+
+    @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                             ids=["sup", "euclid"])
+    def test_fibres_match_divisor_lists(self, metric, monkeypatch):
+        windows = [bounded_window(VB, b, metric) for b in [
+            *range(1, 61), Fraction(241, 3), Fraction(10001, 7),
+            Fraction(59, 2)]]
+        windows += [blowup_box(metric, *case) for case in [
+            (((1, 3), (1, 2)), (2, 1), 5),
+            (((1, 4), (1, 3)), (2, 1), 2),
+            ((("1/2", "7/3"), ("2/3", "5/2")), ("3/2", 1), 4),
+            ((("3/2", "9/4"), ("1/5", "1/2")), ("3/2", 1), 4),
+            (((2, 5), (1, 4)), ("3/2", 1), 7),
+            (((1, 5), (2, 3)), (3, 1), 6),
+            # the P-component holds no integer shell: lo = hi + 1
+            ((("6/5", "7/5"), (1, 5)), (2, 1), 1),
+        ]]
+        assert any(counting._shell_spec(w)[0][0][0] > 1 for w in windows)
+
+        def counts():
+            return [counting._count_blowup_window(*counting._shell_spec(w),
+                                                  metric) for w in windows]
+
+        got = counts()
+        monkeypatch.setattr(counting, "_count_off_center",
+                            reference_count_off_center)
+        assert got == counts()
+
+    # recorded from the per-g divisor-list fibre sum
+    def test_frozen_large_counts(self):
+        assert count_blowup(10 ** 9) == (1215854204692033656, 24103403288)
+        assert count_blowup(10 ** 5, Metric.EUCLID) == (9549296960, 873376)
+
+    def test_counts_factor_nothing(self, monkeypatch, capsys):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(exactnum, "factorize", refuse)
+        for metric in (Metric.SUP, Metric.EUCLID):
+            assert count_blowup(1000, metric) == \
+                reference_count_blowup(1000, metric)
+        assert main(["window", "--variety", "blowup", "--d1", "1,2;1,2",
+                     "--u", "2,1", "--bound", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 976816
 
     def test_enum_matches_count(self):
         for bound in (1, 4, 10):

@@ -20,7 +20,6 @@ from heightlab.freeness import (
     freeness_statistics,
     freeness_surface_tau,
     freeness_sweep,
-    metric_change_rows,
     pn_freeness_data,
     point_freeness,
     product_tangent_lattice,
@@ -31,7 +30,11 @@ from heightlab.freeness import (
 from heightlab.lattice import EucLattice, degree, max_deg_rank
 from heightlab.projpoint import Metric, PrimPoint, variety
 
-from freeness_reference import reference_statistics, reference_sweep
+from freeness_reference import (
+    metric_change_rows,
+    reference_statistics,
+    reference_sweep,
+)
 
 V2 = variety("pn", 2)
 V3 = variety("pn", 3)
