@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -657,7 +658,14 @@ def _add_variety(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=["sup", "euclid"], default="sup")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared afterwards.
+
+    Parsing reads the tree and fills a fresh namespace each time, so every
+    `main` call of a process can reuse one tree; importing the module does
+    not build it.
+    """
     ap = argparse.ArgumentParser(
         prog="heightlab",
         description="Exact height experiments on simple rational varieties")

@@ -5,21 +5,31 @@ primitive sublattices of -log covol, its concave hull (the Newton polygon)
 and the slope vector.  Everything is exact: covolumes squared are rational,
 so degrees are `LogRat` values and hull ordinates are `LogLin` combinations.
 
-Searches are certified.  Shortest vectors come from a full scan of an
-integer coordinate box that provably contains every vector below the bound
-(the box radii use the adjugate of the Gram matrix, after LLL reduction to
-keep them small).  Intermediate-rank minimal covolumes enumerate all vectors
-below a Minkowski-type bound and take the best saturated span; ranks r-1 and
-r reduce to the dual and the determinant.  The rank cap is 6.
+All the lattice work is in integers.  A rational Gram enters as the integer
+Gram G = den * gram, kept on the lattice.  One integral Gram-Schmidt
+(Cohen, Algorithm 2.6.7) carries the data of a Gram: the leading minors
+d_k (so d_r is the determinant) and lam_ij = d_{j+1} mu_ij, all integers.
+It checks positivity (every d_k > 0, Sylvester), and it drives the LLL
+reduction (delta = 99/100), which keeps (d, lam) up to date through each
+size reduction and swap.  Each integer Gram is reduced once and the
+reduction is kept on the lattice: the Newton polygon, the successive minima
+and every certified search on that lattice reuse it (one reduction for G,
+one for its adjugate).
 
-Each integer Gram is LLL-reduced once, with exact Gram-Schmidt data updated
-incrementally, and the reduction is kept on the lattice: the Newton polygon,
-the successive minima and every certified search on that lattice reuse it
-(one reduction for the Gram, one for its adjugate).
+Short vectors come from a Fincke-Pohst walk of the ellipsoid x gg x^T <=
+bound in reduced coordinates.  With the budget scaled by the lcm of the
+d_k d_{k+1}, every level's range is an exact integer square root, so no
+vector below the bound is ever pruned and the list is certified.
 
-A rational Gram enters the integer routines of `exactnum` (determinant,
-rank, adjugate) as den * gram, with den the common denominator: the
-positivity check, the dual lattice and every covolume go through them.
+Minimal covolumes of rank i <= r/2 search the saturated spans of all
+i-subsets of the vectors below a Minkowski-type bound.  That search is
+certified because a lattice of rank <= 4 has a basis realising its
+successive minima, and every searched i is at most r/2 <= 3 under the rank
+cap of 6.  A rank i > r/2 goes to the dual: S -> S^perp is a bijection from
+primitive rank-i sublattices of G to primitive rank-(r-i) sublattices of
+adj(G), with covol^2_G(S) = covol^2_adj(G)(S^perp) / det(G)^(r-i-1).
+Rank r is the determinant itself.
+
 Rank 2 has its own reduction, `lagrange_gauss`, which the P^2 freeness
 kernel shares.
 """
@@ -63,11 +73,8 @@ class EucLattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
-        # leading principal minors must be positive; scaling by den^k keeps
-        # the sign of each
-        m, _ = _int_gram(self)
-        if any(int_det([row[:k] for row in m[:k]]) <= 0 for k in range(1, r + 1)):
-            raise NotPositiveDefinite("gram is not positive definite")
+        # the leading minors d_k of den * gram have the signs of those of gram
+        _gram_schmidt(_int_gram(self)[0])
 
     @property
     def rank(self) -> int:
@@ -90,13 +97,47 @@ def _matmul_int(a, b):
 
 
 def _int_gram(lat: EucLattice):
-    """(G, den) with G integral and gram = G / den."""
-    den = 1
-    for row in lat.gram:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    g = [[int(x * den) for x in row] for row in lat.gram]
-    return g, den
+    """(G, den) with G integral and gram = G / den.
+
+    Computed on first use and kept on the instance, like `_reduction`.
+    """
+    cached = lat.__dict__.get("_int_gram")
+    if cached is None:
+        den = 1
+        for row in lat.gram:
+            for x in row:
+                den = den * x.denominator // math.gcd(den, x.denominator)
+        g = tuple(tuple(int(x * den) for x in row) for row in lat.gram)
+        cached = (g, den)
+        object.__setattr__(lat, "_int_gram", cached)
+    return cached
+
+
+def _gram_schmidt(g):
+    """Integral Gram-Schmidt data (d, lam) of an integer Gram g.
+
+    d[k] is the leading k x k minor of g (d[0] = 1, d[r] = det g) and, for
+    j < i, lam[i][j] = d[j+1] mu_ij; both are integers, and every division
+    below is exact (Cohen, Algorithm 2.6.7, step 2).  Raises
+    `NotPositiveDefinite` at the first d[k] <= 0, before it is divided by.
+    """
+    r = len(g)
+    d = [1] * (r + 1)
+    lam = [[0] * r for _ in range(r)]
+    for i in range(r):
+        li = lam[i]
+        for j in range(i + 1):
+            lj = lam[j]
+            u = g[i][j]
+            for k in range(j):
+                u = (d[k + 1] * u - li[k] * lj[k]) // d[k]
+            if j < i:
+                li[j] = u
+            elif u <= 0:
+                raise NotPositiveDefinite("gram is not positive definite")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 # ---------------------------------------------------------------------------
@@ -107,69 +148,78 @@ def _gram_of_transform(u, g):
     return _matmul_int(_matmul_int(u, g), [list(r) for r in zip(*u)])
 
 
-def _lll_transform(g, delta=Fraction(99, 100)):
-    """Exact LLL on an integer Gram matrix; returns the unimodular rows U.
+def _round_div(a: int, b: int) -> int:
+    """round(Fraction(a, b)) for b > 0: nearest integer, ties to even."""
+    q, rem = divmod(2 * a + b, 2 * b)
+    if rem == 0 and q & 1:
+        q -= 1
+    return q
 
-    The Gram-Schmidt data (mu, bstar) is computed once and then updated in
-    place: a size-reduction step b_k -= q b_j changes only row k of mu, and
-    a swap of b_{k-1}, b_k changes bstar[k-1], bstar[k], two rows of mu and
-    columns k-1, k below them (Cohen, Algorithm 2.6.3).  All values are
-    exact, so every rounding and Lovasz test sees what a from-scratch
-    orthogonalisation would give.
+
+def _lll_transform(g):
+    """Exact LLL (delta = 99/100) on an integer Gram matrix; returns the
+    unimodular rows U.
+
+    Cohen's integral LLL (Algorithm 2.6.7): the data (d, lam) of
+    `_gram_schmidt` is computed once and then updated in place.  A size
+    reduction b_k -= q b_j changes only row k of lam; a swap of b_{k-1},
+    b_k changes d[k], two rows of lam and columns k-1, k below them.  The
+    quotient q = round(mu_kj) and the Lovasz test
+    100 (d[k+1] d[k-1] + lam_k,k-1^2) >= 99 d[k]^2 are exact integer
+    decisions, the same ones a rational Gram-Schmidt makes.
     """
     r = len(g)
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    bstar = [Fraction(0)] * r
-    for i in range(r):
-        bstar[i] = Fraction(g[i][i])
-        for j in range(i):
-            mu[i][j] = (Fraction(g[i][j]) - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))) / bstar[j]
-            bstar[i] -= mu[i][j] ** 2 * bstar[j]
+    d, lam = _gram_schmidt(g)
     k = 1
     guard = 0
     while k < r:
         guard += 1
         if guard > 10000:
             break  # defensive; reduction quality only affects speed
-        mk = mu[k]
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mk[j])
+            q = _round_div(lk[j], d[j + 1])
             if q:
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-                mj = mu[j]
+                lj = lam[j]
                 for l in range(j):
-                    mk[l] -= q * mj[l]
-                mk[j] -= q
-        m = mk[k - 1]
-        if bstar[k] >= (delta - m ** 2) * bstar[k - 1]:
+                    lk[l] -= q * lj[l]
+                lk[j] -= q * d[j + 1]
+        m = lk[k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + m * m) >= 99 * d[k] * d[k]:
             k += 1
             continue
         u[k], u[k - 1] = u[k - 1], u[k]
-        big = bstar[k] + m ** 2 * bstar[k - 1]
-        mk[k - 1] = m * bstar[k - 1] / big
-        bstar[k] = bstar[k - 1] * bstar[k] / big
-        bstar[k - 1] = big
+        lp = lam[k - 1]
         for j in range(k - 1):
-            mu[k - 1][j], mk[j] = mk[j], mu[k - 1][j]
+            lp[j], lk[j] = lk[j], lp[j]
+        big = (d[k - 1] * d[k + 1] + m * m) // d[k]
         for i in range(k + 1, r):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mk[k - 1] * mu[i][k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (big * t + m * li[k]) // d[k + 1]
+        d[k] = big
         k = max(k - 1, 1)
     return u
 
 
 @dataclass(frozen=True)
 class _Reduction:
-    """An integer Gram g after LLL: the rows U, the reduced Gram U g U^T,
-    its determinant and its adjugate.  Every search over g starts here."""
+    """An integer Gram g after LLL: the rows U, the reduced Gram
+    gg = U g U^T and its integral Gram-Schmidt data (d, lam).  Every search
+    over g starts here."""
 
     g: list
     u: list
     gg: list
-    det: int
-    adj: list
+    d: list
+    lam: list
+
+    @property
+    def det(self) -> int:
+        return self.d[-1]
 
 
 def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
@@ -186,54 +236,57 @@ def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
             g = int_adjugate(g)
         u = _lll_transform(g)
         gg = _gram_of_transform(u, g)
-        det = int_det(gg)
-        if det <= 0:
-            raise NotPositiveDefinite("degenerate gram in enumeration")
-        red = _Reduction(g, u, gg, det, int_adjugate(gg))
+        red = _Reduction(g, u, gg, *_gram_schmidt(gg))
         object.__setattr__(lat, attr, red)
     return red
 
 
 def _vectors_within(red: _Reduction, bound):
-    """All nonzero x in Z^r with x g x^T <= bound, up to sign.
+    """All nonzero x in Z^r with x g x^T <= bound, up to sign, as a sorted
+    list of (x g x^T, x).
 
-    Scans the integer box |x_i| <= sqrt(bound * adj_ii / det) in reduced
-    coordinates; any vector below the bound satisfies these inequalities,
-    so the scan is complete.  Sign normalisation keeps the first nonzero
-    coordinate positive.
+    A depth-first Fincke-Pohst walk in reduced coordinates y, from y_{r-1}
+    down to y_0.  With N_k = y_k d[k+1] + sum_{j>k} lam[j][k] y_j the form
+    is sum_k N_k^2 / (d[k] d[k+1]); scaled by the lcm L of the d[k] d[k+1],
+    level k needs c_k N_k^2 <= rem with c_k = L / (d[k] d[k+1]) and rem
+    the scaled budget left by the higher levels.  As N_k is an integer
+    that holds exactly when |N_k| <= isqrt(rem // c_k), so each level's
+    range of y_k is exact and the walk visits every lattice point of the
+    ellipsoid and nothing else.  One of each pair +-y is kept: y_k >= 0
+    while every higher coordinate is 0.  x = y U is then sign-normalised
+    so that its first nonzero coordinate is positive.
     """
-    u, gg, det, adj = red.u, red.gg, red.det, red.adj
-    r = len(gg)
-    radii = []
-    for i in range(r):
-        num = bound * adj[i][i]
-        radii.append(math.isqrt(num // det) + 1 if num >= 0 else 0)
+    u, d, lam = red.u, red.d, red.lam
+    r = len(u)
+    bound = math.floor(bound)
+    if bound <= 0:
+        return []
+    scale = math.lcm(*(d[k] * d[k + 1] for k in range(r)))
+    c = [scale // (d[k] * d[k + 1]) for k in range(r)]
+    y = [0] * r
     out = []
-    rng = [range(-rad, rad + 1) for rad in radii]
-    # first nonzero coordinate positive: iterate first axis over >= 0 only
-    rng[0] = range(0, radii[0] + 1)
-    for x in itertools.product(*rng):
-        if x[0] == 0:
-            lead = next((v for v in x if v != 0), 0)
-            if lead <= 0:
-                continue
-        elif all(v == 0 for v in x):
-            continue
-        q = 0
-        for i in range(r):
-            xi = x[i]
-            if xi:
-                q += gg[i][i] * xi * xi
-                for j in range(i):
-                    q += 2 * gg[i][j] * xi * x[j]
-        if 0 < q <= bound:
-            orig = tuple(sum(x[i] * u[i][j] for i in range(r)) for j in range(r))
-            for v in orig:
-                if v != 0:
-                    if v < 0:
-                        orig = tuple(-w for w in orig)
-                    break
-            out.append((q, orig))
+
+    def walk(k, rem, top):
+        s = 0
+        for j in range(k + 1, r):
+            s += lam[j][k] * y[j]
+        t = math.isqrt(rem // c[k])
+        dk, ck = d[k + 1], c[k]
+        lo = 0 if top else -((t + s) // dk)
+        for yk in range(lo, (t - s) // dk + 1):
+            n = yk * dk + s
+            left = rem - ck * n * n
+            y[k] = yk
+            if k:
+                walk(k - 1, left, top and not yk)
+            elif yk or not top:
+                x = [sum(y[i] * u[i][j] for i in range(r)) for j in range(r)]
+                if next(v for v in x if v) < 0:
+                    x = [-v for v in x]
+                out.append((bound - left // scale, tuple(x)))
+        y[k] = 0
+
+    walk(r - 1, bound * scale, True)
     out.sort()
     return out
 
@@ -270,39 +323,41 @@ def _subset_covol2(g, rows):
     return Fraction(num, den)
 
 
-def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:
-    """Minimal covol^2 over rank-i primitive sublattices, for the integer Gram."""
-    r = lat.rank
-    if i == r:
-        g, _ = _int_gram(lat)
-        return Fraction(int_det(g))
-    if i == 1:
-        q, _ = _svp_int(_reduction(lat))
-        return Fraction(q)
-    if i == r - 1:
-        # minimal covol = covol(L) * lambda_1(dual); dual gram is adj/det, so
-        # covol^2 = det * (lambda_1^2(adj)/det) = lambda_1^2(adj)
-        q, _ = _svp_int(_reduction(lat, dual=True))
-        return Fraction(q)
-    # 1 < i < r-1 (so r >= 4, i <= 4): search spans of certified short vectors
-    red = _reduction(lat)
-    g = red.g
+def _min_covol2_red(red: _Reduction, i: int) -> Fraction:
+    """Minimal covol^2 over rank-i primitive sublattices of red.g: the best
+    saturated span of i certified short vectors.  Certified for i <= 4;
+    `_min_covol2_int` asks only for i <= r/2 <= 3."""
     m1, _ = _svp_int(red)
+    if i == 1:
+        return Fraction(m1)
+    r = len(red.gg)
     rows = sorted((red.gg[a][a], red.u[a]) for a in range(r))
-    seed = _subset_covol2(g, [rows[k][1] for k in range(i)])
-    assert seed is not None
-    best = seed
+    best = _subset_covol2(red.g, [rows[k][1] for k in range(i)])
+    assert best is not None
     # Minkowski: prod lambda_j(S)^2 <= gamma_i^i covol(S)^2 and lambda_j(S) >= lambda_1,
     # with gamma_i^i <= (4/3)^(i(i-1)/2); a rank <= 4 lattice has a basis realising
     # its minima, so the optimum is spanned by vectors below this bound.
     c2 = Fraction(4, 3) ** (i * (i - 1) // 2) * best / Fraction(m1) ** (i - 1)
-    vecs = _vectors_within(red, math.floor(c2))
-    coords = [v for _, v in vecs]
-    for combo in itertools.combinations(range(len(coords)), i):
-        cv = _subset_covol2(g, [coords[k] for k in combo])
+    coords = [v for _, v in _vectors_within(red, c2)]
+    for combo in itertools.combinations(coords, i):
+        cv = _subset_covol2(red.g, combo)
         if cv is not None and cv < best:
             best = cv
     return best
+
+
+def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:
+    """Minimal covol^2 over rank-i primitive sublattices, for the integer Gram."""
+    r = lat.rank
+    red = _reduction(lat)
+    if i == r:
+        return Fraction(red.det)
+    if 2 * i <= r:
+        return _min_covol2_red(red, i)
+    # duality: covol^2_G(S) = covol^2_adj(G)(S^perp) / det(G)^(r-i-1), S^perp
+    # running over the primitive rank-(r-i) sublattices of adj(G)
+    j = r - i
+    return _min_covol2_red(_reduction(lat, dual=True), j) / red.det ** (j - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -663,6 +663,65 @@ class TestPlumbing:
             variety("pn", 1), 10)
 
 
+class TestParserReuse:
+    def argvs(self, tmp_path):
+        gram = tmp_path / "g.json"
+        gram.write_text(json.dumps({"gram": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}))
+        return [
+            ["count", "--variety", "pn", "--dim", "2", "--metric", "euclid",
+             "--bound", "20"],
+            ["count", "--variety", "pn", "--dim", "2", "--bound", "20"],
+            ["slopes", "--gram", str(gram)],
+            ["count", "--variety", "nope", "--bound", "5"],
+            ["window", "--variety", "pn", "--dim", "1", "--d1", "1,2",
+             "--bound", "30"],
+            ["zoom", "--variety", "p1n", "--dim", "2", "--center", "0:1,0:1",
+             "--alpha", "1", "--bound", "30", "--delta", "1"],
+            ["count", "--variety", "pn", "--dim", "3", "--bound", "5"],
+            ["count", "--variety", "blowup", "--bound", "10"],
+        ]
+
+    def run(self, argvs, fresh):
+        runs = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            runs.append((code, out.getvalue(), err.getvalue()))
+        return runs
+
+    def test_one_parser_prints_what_fresh_parsers_print(self, tmp_path):
+        argvs = self.argvs(tmp_path)
+        fresh = self.run(argvs, fresh=True)
+        cli.build_parser.cache_clear()
+        shared = self.run(argvs, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0, 0]
+        assert "invalid choice: 'nope'" in shared[3][2]
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path):
+        runs = self.run(self.argvs(tmp_path), fresh=False)
+        docs = [json.loads(out) if code == 0 else None for code, out, _ in runs]
+        assert docs[0]["metric"] == "euclid"
+        assert docs[1]["metric"] == "sup"
+        assert docs[6]["dim"] == 3
+        assert docs[7]["dim"] == 2
+
+    def test_import_does_not_build_the_parser(self):
+        src = str(Path(heightlab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import heightlab.cli as c; print(c.build_parser.cache_info().misses)"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-standard JSON token {token}")
 

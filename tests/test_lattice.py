@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightlab import lattice
-from heightlab.exactnum import LogLin, LogRat, int_adjugate
+from heightlab.exactnum import LogLin, LogRat, int_adjugate, int_det
 from heightlab.lattice import (
     EucLattice,
     NotPositiveDefinite,
@@ -133,6 +134,51 @@ def reference_lll_transform(g, delta=Fraction(99, 100)):
     return u
 
 
+def reference_vectors_within(red, bound):
+    """Box scan: every x with |x_i| <= sqrt(bound adj_ii / det) in reduced
+    coordinates (the bounding box of the ellipsoid), with the first nonzero
+    coordinate positive; same output as `lattice._vectors_within`."""
+    u, gg = red.u, red.gg
+    det, adj = int_det(gg), int_adjugate(gg)
+    r = len(gg)
+    radii = []
+    for i in range(r):
+        num = bound * adj[i][i]
+        radii.append(math.isqrt(num // det) + 1 if num >= 0 else 0)
+    out = []
+    rng = [range(-rad, rad + 1) for rad in radii]
+    rng[0] = range(0, radii[0] + 1)
+    for x in itertools.product(*rng):
+        if x[0] == 0:
+            lead = next((v for v in x if v != 0), 0)
+            if lead <= 0:
+                continue
+        q = sum(gg[i][j] * x[i] * x[j] for i in range(r) for j in range(r))
+        if 0 < q <= bound:
+            orig = tuple(sum(x[i] * u[i][j] for i in range(r)) for j in range(r))
+            if next(v for v in orig if v) < 0:
+                orig = tuple(-w for w in orig)
+            out.append((q, orig))
+    out.sort()
+    return out
+
+
+@st.composite
+def reduced_grams(draw):
+    """A reduction of R R^T + I (rank 1-6, entries of R in [-3, 3]) or of
+    its adjugate, optionally scaled by 2^55 and shifted on the diagonal so
+    that entries pass 2^53."""
+    r = draw(st.integers(1, 6))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(r)]
+    g = [[sum(a * b for a, b in zip(x, y)) + (x is y) for y in rows] for x in rows]
+    if draw(st.booleans()):
+        g = int_adjugate(g)
+    if draw(st.booleans()):
+        g = [[(g[i][j] << 55) + (i == j) * draw(st.integers(0, 3)) for j in range(r)]
+             for i in range(r)]
+    return lattice._reduction(EucLattice(tuple(map(tuple, g))))
+
+
 class TestReduction:
     @given(st.integers(0, 10_000), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
@@ -166,6 +212,126 @@ class TestReduction:
         newton_polygon(lat)
         assert (repr(lat), hash(lat)) == before
         assert lat == EucLattice(g)
+
+
+class TestEnumeration:
+    @given(reduced_grams(), st.sampled_from(["below", "attained", "large"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_ellipsoid_walk_matches_box_scan(self, red, kind, data):
+        r = len(red.gg)
+        top = max(red.gg[i][i] for i in range(r))
+        lam1 = reference_vectors_within(red, min(red.gg[i][i] for i in range(r)))[0][0]
+        if kind == "below":
+            bound = lam1 - 1
+        elif kind == "attained":
+            norms = sorted({q for q, _ in reference_vectors_within(red, top)})
+            bound = data.draw(st.sampled_from(norms))
+        else:
+            bound = top * (3 if r <= 4 else 1) + data.draw(st.integers(0, 5))
+        got = lattice._vectors_within(red, bound)
+        assert got == reference_vectors_within(red, bound)
+        if kind == "below":
+            assert got == []
+        elif kind == "attained":
+            assert got[-1][0] == bound
+
+    def test_beyond_two_to_the_53(self):
+        # norms 2^60 + 1 on (1, 0) and 2^60 + 2 on (2, -1), the next one
+        # 2^61 + 1: a float budget cannot tell the first two apart
+        k = 1 << 60
+        lat = EucLattice(((k + 1, 2 * k + 3), (2 * k + 3, 5 * k + 10)))
+        red = lattice._reduction(lat)
+        assert lattice._vectors_within(red, k + 1) == [(k + 1, (1, 0))]
+        got = lattice._vectors_within(red, k + 2)
+        assert got == reference_vectors_within(red, k + 2)
+        assert got == [(k + 1, (1, 0)), (k + 2, (2, -1))]
+
+    @given(reduced_grams())
+    @settings(max_examples=60, deadline=None)
+    def test_stored_gram_schmidt_data_are_minors_of_the_reduced_gram(self, red):
+        gg, d, lam = red.gg, red.d, red.lam
+        r = len(gg)
+        assert red.det == d[r] == int_det(gg)
+        for k in range(r + 1):
+            assert d[k] == int_det([row[:k] for row in gg[:k]])
+        # lam_ij = d_{j+1} mu_ij is the minor on rows 0..j-1, i and columns 0..j
+        for i in range(r):
+            for j in range(i):
+                rows = [gg[a][:j + 1] for a in list(range(j)) + [i]]
+                assert lam[i][j] == int_det(rows)
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 400))
+    def test_rounding_is_half_to_even(self, a, b):
+        assert lattice._round_div(a, b) == round(Fraction(a, b))
+        assert lattice._round_div(2 * a + 1, 2) == round(Fraction(2 * a + 1, 2))
+
+
+RANK5_GRAMS = (
+    ((6, Fraction(-1, 3), Fraction(17, 3), Fraction(1, 3), Fraction(-1, 3)),
+     (Fraction(-1, 3), Fraction(14, 3), Fraction(-8, 3), 2, Fraction(11, 3)),
+     (Fraction(17, 3), Fraction(-8, 3), 11, Fraction(-8, 3), -1),
+     (Fraction(1, 3), 2, Fraction(-8, 3), Fraction(11, 3), Fraction(8, 3)),
+     (Fraction(-1, 3), Fraction(11, 3), -1, Fraction(8, 3), 8)),
+    ((23, -9, 18, -13, 16), (-9, 13, -7, 11, -10), (18, -7, 22, -11, 11),
+     (-13, 11, -11, 25, -20), (16, -10, 11, -20, 30)),
+)
+
+A5 = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5))
+           for i in range(5))
+D5 = lattice_from_basis([[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0],
+                         [0, 0, 0, 1, -1], [0, 0, 0, 1, 1]]).gram
+
+
+class TestDuality:
+    @pytest.mark.parametrize("gram, want", [
+        (RANK5_GRAMS[0], (Fraction(3, 10), Fraction(9, 106), Fraction(3, 121),
+                          Fraction(81, 11306), Fraction(243, 199441))),
+        (RANK5_GRAMS[1], (Fraction(1, 9), Fraction(1, 113), Fraction(1, 1557),
+                          Fraction(1, 22360), Fraction(1, 276208))),
+    ])
+    def test_rank_five_degrees_are_frozen(self, gram, want):
+        # recorded with the box scan and a direct span search at every i
+        lat = EucLattice(gram)
+        assert tuple(max_deg_rank(lat, i) for i in range(1, 6)) == tuple(map(LogRat, want))
+
+    @pytest.mark.parametrize("gram, ranks", [
+        *[(random_gram(np.random.default_rng(seed), 4, 1), (3,)) for seed in range(4)],
+        *[(random_gram(np.random.default_rng(seed), 4, 2), (3,)) for seed in range(2)],
+        *[(random_gram(np.random.default_rng(seed), 5, 1), (3,)) for seed in (0, 6, 7)],
+        (A5, (3, 4)), (D5, (3, 4)),
+        (((2, 0, 0, 1, 1), (0, 2, 0, 1, 0), (0, 0, 2, 1, 0), (1, 1, 1, 2, 0),
+          (1, 0, 0, 0, 3)), (3, 4)),
+    ])
+    def test_dual_matches_direct_search(self, gram, ranks):
+        # the span search is certified up to i = 4, so it can check the
+        # dual route where the product no longer runs it
+        lat = EucLattice(gram)
+        for i in ranks:
+            direct = lattice._min_covol2_red(lattice._reduction(lat), i)
+            assert lattice._min_covol2_int(lat, i) == direct, i
+
+    @pytest.mark.parametrize("rank, seeds", [(4, range(3)), (5, range(3)), (6, (1,))])
+    def test_span_search_sees_at_most_half_the_rank(self, rank, seeds, monkeypatch):
+        widths = []
+        orig = lattice._subset_covol2
+
+        def recording(g, rows):
+            widths.append(len(rows))
+            return orig(g, rows)
+
+        monkeypatch.setattr(lattice, "_subset_covol2", recording)
+        for seed in seeds:
+            newton_polygon(EucLattice(random_gram(np.random.default_rng(seed), rank, 1)))
+        assert widths and max(widths) <= rank // 2
+
+    def test_one_integer_gram_per_lattice(self):
+        lat = EucLattice(RANK5_GRAMS[0])
+        g, den = lattice._int_gram(lat)
+        assert den == 3 and g[0][:2] == (18, -1)
+        newton_polygon(lat)
+        successive_minima(lat)
+        assert lattice._int_gram(lat)[0] is g
+        assert lattice._reduction(lat).g is g
 
 
 class TestDegreesAndPolygon:
