@@ -23,9 +23,7 @@ from .freeness import (
     FreenessReport,
     TangentLattice,
     UndefinedHeight,
-    closed_form_mu,
     freeness,
-    freeness_pn_closed,
     freeness_product,
     freeness_statistics,
     freeness_sweep,

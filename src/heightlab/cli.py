@@ -353,6 +353,8 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
 
 
 def _cmd_constant(cfg: RunConfig, args) -> tuple:
+    if args.primes_up_to < 2:
+        raise UsageError(f"--primes-up-to must be at least 2, got {args.primes_up_to}")
     v = _variety(args)
     metric = _metric(args)
     const = assemble_constant(v, metric, prime_limit=args.primes_up_to)
@@ -476,6 +478,8 @@ def _cmd_freeness(cfg: RunConfig, args) -> tuple:
     if v.kind == "blowup":
         raise UsageError("freeness statistics cover P^n and (P^1)^n, "
                          "not the blown-up plane")
+    if args.bins < 1:
+        raise UsageError(f"--bins must be at least 1, got {args.bins}")
     thresholds = tuple(float(t) for t in
                        _parse_fracs(args.thresholds, "--thresholds"))
     stats = freeness_statistics(v, args.bound, _metric(args),

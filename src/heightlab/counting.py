@@ -66,18 +66,6 @@ def int_nth_root(x: int, k: int) -> int:
         t = s
 
 
-def rational_power_floor(base: Fraction, expo: Fraction) -> int:
-    """Largest integer t >= 0 with t <= base^expo, compared exactly."""
-    base = Fraction(base)
-    if base < 0:
-        raise ValueError("base must be nonnegative")
-    p, q = Fraction(expo).numerator, Fraction(expo).denominator
-    if p < 0:
-        raise ValueError("exponent must be nonnegative")
-    num, den = base.numerator ** p, base.denominator ** p
-    return int_nth_root(num // den, q)
-
-
 # ---------------------------------------------------------------------------
 # shell values
 

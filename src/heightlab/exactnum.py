@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RatLike = Union[int, Fraction]
 
@@ -212,14 +212,6 @@ class LogLin:
 
     def to_float(self) -> float:
         return sum(float(c) * _flog(a) for a, c in self.terms)
-
-    def single_term(self) -> tuple[Fraction, Fraction] | None:
-        """(arg, coeff) if the combination has exactly one term, else None."""
-        if len(self.terms) == 1:
-            return self.terms[0]
-        if not self.terms:
-            return (Fraction(1), Fraction(0))
-        return None
 
     def __repr__(self):
         if not self.terms:

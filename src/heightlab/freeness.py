@@ -15,15 +15,16 @@ One kernel, `point_freeness`, computes (h, mu_min, l) for every caller.
 On P^2 and P^3 it takes the integer minima of the quotient form, picks
 the minimal slope term by exact integer power comparisons, and rounds
 that single term to a float; P^1 and (P^1)^n use their closed forms and
-P^n with n >= 4 the Newton polygon.  Two slower routes stay as test
-oracles: the generic slope machinery on the tangent Gram
-(`freeness(tangent_lattice_pn(p))`), and the closed form minimizing over
-intermediate subspaces D <= F < E (`closed_form_mu`, and
-`pn_freeness_data`, which assembles both as exact `LogLin`s).  All agree
-exactly on mu_min.  The returned l is a float, rounded through
-n * mu / h: a point whose exact l equals a threshold t may come out on
-either side of t.  `freeness_sweep` audits whole balls with its own
-float assembly of the same minima.
+P^n with n >= 4 the Newton polygon.  The minima are lambda_1^2 of the
+integer quotient form (and, on P^3, of its adjugate): `lagrange_gauss`
+reduces the rank-2 form, and `lattice.int_min_norm2` gives the rank-3
+ones from the lattice layer's LLL and Fincke-Pohst walk, so this module
+runs no short-vector search of its own.  `pn_freeness_data` assembles
+the same minima as exact `LogLin`s, and `freeness(tangent_lattice_pn(p))`
+is the generic slope route on the tangent Gram.  The returned l is a
+float, rounded through n * mu / h: a point whose exact l equals a
+threshold t may come out on either side of t.  `freeness_sweep` audits
+whole balls with its own float assembly of the same minima.
 
 On P^n with n <= 3 both ball statistics pay once per orbit of the signed
 permutations, not once per point.  Such a permutation is an isometry of
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import LogLin, LogRat
-from .lattice import EucLattice, degree, lagrange_gauss, max_deg_rank, newton_polygon
+from .exactnum import LogLin, LogRat, int_adjugate
+from .lattice import EucLattice, degree, int_min_norm2, lagrange_gauss, newton_polygon
 from .projpoint import Metric, PrimPoint, VarietyId
 
 
@@ -111,60 +112,8 @@ def _quotient_int_gram(y: Sequence[int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fast certified integer minima (rank 3; rank 2 is `lattice.lagrange_gauss`)
-
-
-def _adj3(g):
-    (a, b, c), (_, d, e), (_, _, f) = (g[0], g[1], g[2])
-    return [
-        [d * f - e * e, c * e - b * f, b * e - c * d],
-        [c * e - b * f, a * f - c * c, b * c - a * e],
-        [b * e - c * d, b * c - a * e, a * d - b * b],
-    ]
-
-
-def _min3(g) -> int:
-    """lambda_1^2 of an integer PD 3x3 form: greedy pair reduction, then a
-    complete box scan with radii from the exact Minkowski-style bound."""
-    g = [list(row) for row in g]
-    for _ in range(10000):
-        changed = False
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                gij, gjj = g[i][j], g[j][j]
-                q = (2 * gij + gjj) // (2 * gjj) if gij >= 0 else -((2 * -gij + gjj) // (2 * gjj))
-                if q:
-                    # row_i <- row_i - q row_j, symmetrically
-                    new_ii = g[i][i] - 2 * q * gij + q * q * gjj
-                    if new_ii < g[i][i]:
-                        changed = True
-                    for k in range(3):
-                        g[i][k] -= q * g[j][k]
-                    for k in range(3):
-                        g[k][i] -= q * g[k][j]
-        if not changed:
-            break
-    else:
-        raise RuntimeError("reduction did not stabilize")
-    adj = _adj3(g)
-    det = sum(g[0][k] * adj[k][0] for k in range(3))
-    bound = min(g[0][0], g[1][1], g[2][2])
-    radii = [math.isqrt(bound * adj[k][k] // det) for k in range(3)]
-    best = bound
-    for x0 in range(radii[0] + 1):
-        for x1 in range(-radii[1], radii[1] + 1):
-            if x0 == 0 and x1 < 0:
-                continue
-            for x2 in range(-radii[2], radii[2] + 1):
-                if x0 == 0 and x1 == 0 and x2 <= 0:
-                    continue
-                q = (g[0][0] * x0 * x0 + g[1][1] * x1 * x1 + g[2][2] * x2 * x2
-                     + 2 * (g[0][1] * x0 * x1 + g[0][2] * x0 * x2 + g[1][2] * x1 * x2))
-                if q < best:
-                    best = q
-    return best
+# certified integer minima (rank 2 by `lagrange_gauss`, rank 3 by the
+# lattice layer's LLL and Fincke-Pohst walk)
 
 
 def _pn_minima(y: Sequence[int]) -> tuple:
@@ -174,7 +123,7 @@ def _pn_minima(y: Sequence[int]) -> tuple:
     gq, m = _quotient_int_gram(y)
     if len(gq) == 2:
         return m, lagrange_gauss(gq)[0], None
-    return m, _min3(gq), _min3(_adj3(gq))
+    return m, int_min_norm2(gq), int_min_norm2(int_adjugate(gq))
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +168,6 @@ def freeness(t: TangentLattice) -> FreenessReport:
     mu = poly.slopes[-1]
     return FreenessReport(slopes=poly.slopes, h=t.h, mu_min=mu,
                           l=_l_value(t.lattice.rank, mu, t.h))
-
-
-def quotient_lattice_pn(p: PrimPoint) -> EucLattice:
-    """E/D with the projection metric (the untwisted quotient)."""
-    gq, m = _quotient_int_gram(p.coords)
-    return EucLattice(tuple(tuple(Fraction(x, m) for x in row) for row in gq))
-
-
-def closed_form_mu(p: PrimPoint) -> LogLin:
-    """mu_min via the subspace formula: over D <= F < E of rank k+1,
-
-        mu_min = log|y| + min_k (log|y| - maxdeg_k(E/D)) / (n - k),
-
-    the inner maximum running over saturated rank-k sublattices of the
-    quotient, certified by the bounded covolume search."""
-    n = p.n
-    m = sum(c * c for c in p.coords)
-    logy = LogLin.from_log(m, Fraction(1, 2))
-    q = quotient_lattice_pn(p) if n > 1 else None
-    best = None
-    for k in range(0, n):
-        d = LogLin.zero() if k == 0 else max_deg_rank(q, k).as_lin()
-        term = (logy - d).scale(Fraction(1, n - k))
-        if best is None or term < best:
-            best = term
-    return logy + best
-
-
-def freeness_pn_closed(p: PrimPoint) -> float:
-    """Closed form l = n/(n+1) + min_F (-n deg F)/(codim F * h)."""
-    m = sum(c * c for c in p.coords)
-    if m == 1:
-        raise UndefinedHeight("closed form needs h > 0")
-    h = LogRat(m) * (p.n + 1)
-    return _l_value(p.n, closed_form_mu(p), h)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +234,7 @@ def pn_freeness_data(p: PrimPoint) -> PnFreeness:
 
 
 # ---------------------------------------------------------------------------
-# products of lines and the surface shortcut
+# products of lines
 
 
 def freeness_product(points: Sequence[PrimPoint]) -> float:
@@ -336,40 +250,6 @@ def _p1n_freeness(points: Sequence[PrimPoint]) -> tuple:
     logs = [math.log(a) / 2 for a in args]
     l = 0.0 if min(args) == 1 else len(args) * min(logs) / sum(logs)
     return 2 * sum(logs), 2 * min(logs), l
-
-
-def product_tangent_lattice(points: Sequence[PrimPoint]) -> TangentLattice:
-    """Direct sum of the factor tangent lattices (block diagonal Gram)."""
-    pts = tuple(points)
-    blocks = [tangent_lattice_pn(p) for p in pts]
-    n = len(pts)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    h = LogRat.zero()
-    for i, b in enumerate(blocks):
-        gram[i][i] = b.lattice.gram[0][0]
-        h = h + b.h
-    return TangentLattice(point=pts, lattice=EucLattice(tuple(tuple(r) for r in gram)), h=h)
-
-
-def freeness_surface_tau(t: TangentLattice) -> float:
-    """Surface shortcut: l = 1 if Im tau <= 1, else max(0, 1 - log(Im tau)/h).
-
-    Equivalent to the generic value: log Im tau = 2 mu_1 - h, so
-    1 - log(Im tau)/h = 2 mu_2 / h.  The branch condition is taken on
-    log(Im tau) < h; the literal reading Im tau < h would allow negative
-    values, so the log form is used.
-    """
-    from .lattice import tau_invariant
-
-    if t.lattice.rank != 2:
-        raise ValueError("surface formula needs a rank-2 tangent lattice")
-    if t.h.arg <= 1:
-        return 0.0
-    tau = tau_invariant(t.lattice)
-    if tau.y2 <= 1:
-        return 1.0
-    val = 1 - math.log(float(tau.y2)) / 2 / t.h.to_float()
-    return max(0.0, val)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .exactnum import int_rank
 from .freeness import point_freeness
-from .projpoint import PrimPoint, VarietyId
+from .projpoint import VarietyId, normalize
 
 
 class NotAMorphism(ValueError):
@@ -266,14 +266,7 @@ class LimitRow:
 
 
 def _point_l(coords: Sequence[int]):
-    g = math.gcd(*[abs(c) for c in coords])
-    if g == 0:
-        raise ValueError("map evaluated to zero")
-    vec = [c // g for c in coords]
-    lead = next(c for c in vec if c != 0)
-    if lead < 0:
-        vec = [-c for c in vec]
-    p = PrimPoint(tuple(vec))
+    p = normalize(coords)
     h, _, l = point_freeness(VarietyId("pn", p.n), p)
     return p, h, l
 
@@ -317,47 +310,6 @@ def approx_exponent(rows: Sequence[LimitRow]) -> float:
     sxx = sum((x - mx) ** 2 for x, _ in pts)
     sxy = sum((x - mx) * (y - my) for x, y in pts)
     return sxy / sxx
-
-
-def change_coordinates(c: CurveMap, mat) -> CurveMap:
-    """Compose with the linear map `mat` on the ambient coordinates."""
-    if len(mat) != c.n + 1 or any(len(row) != c.n + 1 for row in mat):
-        raise ValueError("matrix must be square of size n+1")
-    forms = tuple(
-        tuple(sum(mat[i][j] * c.forms[j][pos] for j in range(c.n + 1))
-              for pos in range(c.d + 1))
-        for i in range(c.n + 1)
-    )
-    return CurveMap(n=c.n, d=c.d, forms=forms)
-
-
-def _form_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def change_parameter(c: CurveMap, mat) -> CurveMap:
-    """Precompose with (s, t) -> (a s + b t, c s + d t), mat = ((a,b),(c,d))."""
-    (pa, pb), (pc, pd) = mat
-    spow = [[1]]
-    tpow = [[1]]
-    for _ in range(c.d):
-        spow.append(_form_mul(spow[-1], [pa, pb]))
-        tpow.append(_form_mul(tpow[-1], [pc, pd]))
-    forms = []
-    for f in c.forms:
-        acc = [0] * (c.d + 1)
-        for j, coeff in enumerate(f):
-            if coeff:
-                term = _form_mul(spow[c.d - j], tpow[j])
-                for pos, val in enumerate(term):
-                    acc[pos] += coeff * val
-        forms.append(tuple(acc))
-    return CurveMap(n=c.n, d=c.d, forms=tuple(forms))
 
 
 def curve_to_json(c: CurveMap) -> str:

@@ -30,8 +30,11 @@ primitive rank-i sublattices of G to primitive rank-(r-i) sublattices of
 adj(G), with covol^2_G(S) = covol^2_adj(G)(S^perp) / det(G)^(r-i-1).
 Rank r is the determinant itself.
 
+The same reduction and walk answer the first minimum of a bare integer
+Gram, `int_min_norm2`, without building a lattice: the P^3 freeness
+kernel takes lambda_1^2 of its quotient form and of the adjugate there.
 Rank 2 has its own reduction, `lagrange_gauss`, which the P^2 freeness
-kernel shares.
+kernel and `tau_invariant` share.
 """
 
 from __future__ import annotations
@@ -222,6 +225,13 @@ class _Reduction:
         return self.d[-1]
 
 
+def _reduce(g) -> _Reduction:
+    """LLL reduction of an integer Gram g, with the data of the reduced Gram."""
+    u = _lll_transform(g)
+    gg = _gram_of_transform(u, g)
+    return _Reduction(g, u, gg, *_gram_schmidt(gg))
+
+
 def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
     """Reduction of the lattice's integer Gram G, or of adj(G) when `dual`.
 
@@ -232,11 +242,7 @@ def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
     red = lat.__dict__.get(attr)
     if red is None:
         g, _ = _int_gram(lat)
-        if dual:
-            g = int_adjugate(g)
-        u = _lll_transform(g)
-        gg = _gram_of_transform(u, g)
-        red = _Reduction(g, u, gg, *_gram_schmidt(gg))
+        red = _reduce(int_adjugate(g) if dual else g)
         object.__setattr__(lat, attr, red)
     return red
 
@@ -296,6 +302,15 @@ def _svp_int(red: _Reduction):
     bound = min(red.gg[i][i] for i in range(len(red.gg)))
     # bound is attained by a basis vector, so the list is nonempty
     return _vectors_within(red, bound)[0]
+
+
+def int_min_norm2(g) -> int:
+    """lambda_1^2 of a positive-definite integer Gram g: the least x g x^T
+    over nonzero integer x, certified by LLL and the Fincke-Pohst walk.
+
+    The P^3 freeness kernel reads its quotient-form minima here.
+    """
+    return _svp_int(_reduce(g))[0]
 
 
 def _content_of_minors(x_rows):
@@ -523,36 +538,3 @@ def tau_invariant(lat: EucLattice) -> TauInvariant:
     a, b, c = lagrange_gauss(lat.gram)
     det = a * c - b * b
     return TauInvariant(x=abs(b) / a, y2=det / (a * a))
-
-
-# ---------------------------------------------------------------------------
-# minima vs slopes comparison
-
-
-def minima_slope_bound(r: int) -> LogLin:
-    """Rank bound C_r with |log lambda_i + mu_i| <= C_r.
-
-    From Minkowski's second theorem and lambda_j(S) >= lambda_j(L) for
-    sublattices: every d(i) sits between -sum_{j<=i} log lambda_j and that
-    value plus (i/2) log gamma_i.  The first function is already concave in
-    i, so the hull stays within the same band and each slope differs from
-    -log lambda_i by at most C_r = (r/2) log gamma_r <= r(r-1)/4 * log(4/3).
-    """
-    return LogLin.from_log(Fraction(4, 3), Fraction(r * (r - 1), 4))
-
-
-def check_minima_slope_gaps(lat: EucLattice):
-    """Per-index gaps log lambda_i + mu_i with exact bound verdicts.
-
-    Returns a list of (i, gap, within_two_sided, nonnegative); the two-sided
-    bound |gap| <= C_r is the provable one, nonnegativity is only flagged.
-    """
-    mins = successive_minima(lat)
-    mus = slopes(lat)
-    c_r = minima_slope_bound(lat.rank)
-    out = []
-    for i, (lam, mu) in enumerate(zip(mins, mus), start=1):
-        gap = lam.as_lin() + mu
-        within = gap.compare(c_r) <= 0 and gap.compare(-c_r) >= 0
-        out.append((i, gap, within, gap.sign() >= 0))
-    return out

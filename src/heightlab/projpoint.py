@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -331,12 +331,3 @@ def enum_projective_mod(n: int, m: int) -> list:
             reps.append(tuple(int(x) for x in vec[:, col]))
     reps.sort()
     return [ModPoint(m, r) for r in reps]
-
-
-def mod_compat_check(p: PrimPoint, m_small: int, m_big: int) -> bool:
-    """reduce_mod(p, M') is the image of reduce_mod(p, M) when M' | M."""
-    if m_big % m_small != 0:
-        raise IncompatibleModulus("M' must divide M")
-    big = reduce_mod(p, m_big)
-    projected = _canonical_mod([c % m_small for c in big.coords], m_small)
-    return projected == reduce_mod(p, m_small).coords

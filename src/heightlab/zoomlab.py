@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .counting import _shell_cap, _shell_value, int_nth_root
 from .freeness import point_freeness
-from .projpoint import Metric, PrimPoint, VarietyId
+from .projpoint import Metric, PrimPoint, VarietyId, normalize
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
                 continue
             ys = tuple(Fraction(v, q) - c for v, c in zip(combo, cf))
             height = float(s) if cfg.metric is Metric.SUP else math.sqrt(s)
-            rows.append((PrimPoint(_normalize_vector(x)), ys, height))
+            rows.append((normalize(x), ys, height))
     points, chart, heights = zip(*rows) if rows else ((), (), ())
     return ZoomCloud(config=cfg, points=tuple(points), chart=tuple(chart),
                      heights=tuple(heights))

@@ -1,21 +1,34 @@
-"""Per-point reference routes for the orbit-weighted freeness statistics,
-and the diagonal metric change of the tangent lattice.
+"""Reference routes for the freeness kernel, kept out of the package.
 
 `freeness_sweep` and `freeness_statistics` on P^n (n <= 3) visit one
 sorted representative per signed-permutation orbit and weight it by the
 orbit size.  The loops here visit every point of the ball instead: slow,
 but with nothing to argue.  The tests compare both results with ==.
+
+`_min3` is an independent certified lambda_1^2 of a 3x3 integer form (a
+greedy pair reduction, then a box scan), with `_adj3` the 3x3 adjugate
+written out; the P^3 kernel reads its minima from the lattice layer, and
+the tests hold it to these.  `closed_form_mu` and `freeness_pn_closed`
+give mu_min and l through the subspace formula on the quotient lattice;
+`product_tangent_lattice` and `freeness_surface_tau` are the direct-sum
+and the tau routes for (P^1)^2.  Last comes the diagonal metric change
+of the tangent lattice.
 """
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from heightlab.counting import _iter_coords, bounded_window, enum_points
+from heightlab.exactnum import LogLin, LogRat
 from heightlab.freeness import (
     FreenessStats,
     SweepResult,
     TangentLattice,
+    UndefinedHeight,
+    _l_value,
     _pn_minima,
+    _quotient_int_gram,
     _term_coeffs_closed,
     _term_coeffs_generic,
     freeness,
@@ -23,8 +36,129 @@ from heightlab.freeness import (
     tangent_lattice_pn,
     unimodular_completion,
 )
-from heightlab.lattice import EucLattice, degree
-from heightlab.projpoint import Metric, VarietyId
+from heightlab.lattice import EucLattice, degree, max_deg_rank, tau_invariant
+from heightlab.projpoint import Metric, PrimPoint, VarietyId
+
+
+def _adj3(g):
+    (a, b, c), (_, d, e), (_, _, f) = (g[0], g[1], g[2])
+    return [
+        [d * f - e * e, c * e - b * f, b * e - c * d],
+        [c * e - b * f, a * f - c * c, b * c - a * e],
+        [b * e - c * d, b * c - a * e, a * d - b * b],
+    ]
+
+
+def _min3(g) -> int:
+    """lambda_1^2 of an integer PD 3x3 form: greedy pair reduction, then a
+    complete box scan with radii from the exact Minkowski-style bound."""
+    g = [list(row) for row in g]
+    for _ in range(10000):
+        changed = False
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                gij, gjj = g[i][j], g[j][j]
+                q = (2 * gij + gjj) // (2 * gjj) if gij >= 0 else -((2 * -gij + gjj) // (2 * gjj))
+                if q:
+                    # row_i <- row_i - q row_j, symmetrically
+                    new_ii = g[i][i] - 2 * q * gij + q * q * gjj
+                    if new_ii < g[i][i]:
+                        changed = True
+                    for k in range(3):
+                        g[i][k] -= q * g[j][k]
+                    for k in range(3):
+                        g[k][i] -= q * g[k][j]
+        if not changed:
+            break
+    else:
+        raise RuntimeError("reduction did not stabilize")
+    adj = _adj3(g)
+    det = sum(g[0][k] * adj[k][0] for k in range(3))
+    bound = min(g[0][0], g[1][1], g[2][2])
+    radii = [math.isqrt(bound * adj[k][k] // det) for k in range(3)]
+    best = bound
+    for x0 in range(radii[0] + 1):
+        for x1 in range(-radii[1], radii[1] + 1):
+            if x0 == 0 and x1 < 0:
+                continue
+            for x2 in range(-radii[2], radii[2] + 1):
+                if x0 == 0 and x1 == 0 and x2 <= 0:
+                    continue
+                q = (g[0][0] * x0 * x0 + g[1][1] * x1 * x1 + g[2][2] * x2 * x2
+                     + 2 * (g[0][1] * x0 * x1 + g[0][2] * x0 * x2 + g[1][2] * x1 * x2))
+                if q < best:
+                    best = q
+    return best
+
+
+def quotient_lattice_pn(p: PrimPoint) -> EucLattice:
+    """E/D with the projection metric (the untwisted quotient)."""
+    gq, m = _quotient_int_gram(p.coords)
+    return EucLattice(tuple(tuple(Fraction(x, m) for x in row) for row in gq))
+
+
+def closed_form_mu(p: PrimPoint) -> LogLin:
+    """mu_min via the subspace formula: over D <= F < E of rank k+1,
+
+        mu_min = log|y| + min_k (log|y| - maxdeg_k(E/D)) / (n - k),
+
+    the inner maximum running over saturated rank-k sublattices of the
+    quotient, certified by the bounded covolume search."""
+    n = p.n
+    m = sum(c * c for c in p.coords)
+    logy = LogLin.from_log(m, Fraction(1, 2))
+    q = quotient_lattice_pn(p) if n > 1 else None
+    best = None
+    for k in range(0, n):
+        d = LogLin.zero() if k == 0 else max_deg_rank(q, k).as_lin()
+        term = (logy - d).scale(Fraction(1, n - k))
+        if best is None or term < best:
+            best = term
+    return logy + best
+
+
+def freeness_pn_closed(p: PrimPoint) -> float:
+    """Closed form l = n/(n+1) + min_F (-n deg F)/(codim F * h)."""
+    m = sum(c * c for c in p.coords)
+    if m == 1:
+        raise UndefinedHeight("closed form needs h > 0")
+    h = LogRat(m) * (p.n + 1)
+    return _l_value(p.n, closed_form_mu(p), h)
+
+
+
+def product_tangent_lattice(points: Sequence[PrimPoint]) -> TangentLattice:
+    """Direct sum of the factor tangent lattices (block diagonal Gram)."""
+    pts = tuple(points)
+    blocks = [tangent_lattice_pn(p) for p in pts]
+    n = len(pts)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    h = LogRat.zero()
+    for i, b in enumerate(blocks):
+        gram[i][i] = b.lattice.gram[0][0]
+        h = h + b.h
+    return TangentLattice(point=pts, lattice=EucLattice(tuple(tuple(r) for r in gram)), h=h)
+
+
+def freeness_surface_tau(t: TangentLattice) -> float:
+    """Surface shortcut: l = 1 if Im tau <= 1, else max(0, 1 - log(Im tau)/h).
+
+    Equivalent to the generic value: log Im tau = 2 mu_1 - h, so
+    1 - log(Im tau)/h = 2 mu_2 / h.  The branch condition is taken on
+    log(Im tau) < h; the literal reading Im tau < h would allow negative
+    values, so the log form is used.
+    """
+    if t.lattice.rank != 2:
+        raise ValueError("surface formula needs a rank-2 tangent lattice")
+    if t.h.arg <= 1:
+        return 0.0
+    tau = tau_invariant(t.lattice)
+    if tau.y2 <= 1:
+        return 1.0
+    val = 1 - math.log(float(tau.y2)) / 2 / t.h.to_float()
+    return max(0.0, val)
 
 
 def reference_sweep(n: int, bound: int, thresholds=()) -> SweepResult:

@@ -33,7 +33,6 @@ from heightlab.freeness import (
     freeness_product,
     freeness_sweep,
     pn_freeness_data,
-    product_tangent_lattice,
 )
 from heightlab.geomcurve import (
     CurveMap,
@@ -75,6 +74,7 @@ from heightlab.projpoint import Metric, card_projective_mod, enum_projective_mod
 from heightlab.tamagawa import assemble_constant, closed_form, uniform_class_share
 from heightlab.zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
 
+from freeness_reference import product_tangent_lattice
 from test_lattice import oracle_min_covol2, random_gram
 
 SEED = 20240811

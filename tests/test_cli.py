@@ -237,6 +237,20 @@ class TestConstant:
                                 "--metric", metric, "--beta", "1/2"])
         assert doc["closed_form"] == closed
 
+    @pytest.mark.parametrize("limit", ["1", "0", "-5"])
+    def test_prime_limit_below_two_is_usage_error(self, capsys, limit):
+        assert main(["constant", "--variety", "pn", "--dim", "2",
+                     "--primes-up-to", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"heightlab: --primes-up-to must be at "
+                                f"least 2, got {limit}\n")
+
+    def test_prime_limit_two_is_the_empty_product(self, capsys):
+        doc = run_json(capsys, ["constant", "--variety", "pn", "--dim", "2",
+                                "--primes-up-to", "2"])
+        assert doc["tau_finite"] == 1.0
+
 
 class TestReferences:
     """`count` and `window` read their references from the zeta closed form
@@ -441,6 +455,17 @@ class TestFreeness:
         assert captured.err.startswith("heightlab: ")
         assert message in captured.err
         assert "computation failed" not in captured.err
+
+    @pytest.mark.parametrize("variety, bins", [
+        ("pn", "0"), ("pn", "-2"), ("p1n", "0"),
+    ])
+    def test_bins_below_one_is_usage_error(self, capsys, variety, bins):
+        assert main(["freeness", "--variety", variety, "--dim", "2",
+                     "--bound", "5", "--bins", bins]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"heightlab: --bins must be at least 1, "
+                                f"got {bins}\n")
 
 
 class TestCurve:

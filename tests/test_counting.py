@@ -26,7 +26,6 @@ from heightlab.counting import (
     int_nth_root,
     joint_class_box_counts,
     partition_leading_ranges,
-    rational_power_floor,
     sup_box_measure,
 )
 from heightlab.exactnum import LogRat, build_sieve
@@ -44,6 +43,18 @@ V1 = variety("pn", 1)
 V2 = variety("pn", 2)
 VP2 = variety("p1n", 2)
 VB = variety("blowup", 2)
+
+
+def rational_power_floor(base: Fraction, expo: Fraction) -> int:
+    """Largest integer t >= 0 with t <= base^expo, compared exactly."""
+    base = Fraction(base)
+    if base < 0:
+        raise ValueError("base must be nonnegative")
+    p, q = Fraction(expo).numerator, Fraction(expo).denominator
+    if p < 0:
+        raise ValueError("exponent must be nonnegative")
+    num, den = base.numerator ** p, base.denominator ** p
+    return int_nth_root(num // den, q)
 
 
 class TestRoots:

@@ -5,33 +5,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab.counting import bounded_window, count_pn, count_pn_sieved, enum_points
+from heightlab.counting import (
+    _pn_orbits,
+    bounded_window,
+    count_pn,
+    count_pn_sieved,
+    enum_points,
+)
 from heightlab.exactnum import LogRat
 from heightlab.freeness import (
     FreenessReport,
     SweepResult,
     TangentLattice,
     UndefinedHeight,
-    closed_form_mu,
+    _pn_minima,
+    _quotient_int_gram,
     freeness,
-    freeness_pn_closed,
     freeness_product,
     freeness_rows,
     freeness_statistics,
-    freeness_surface_tau,
     freeness_sweep,
     pn_freeness_data,
     point_freeness,
-    product_tangent_lattice,
-    quotient_lattice_pn,
     tangent_lattice_pn,
     unimodular_completion,
 )
+from heightlab.geomcurve import twisted_cubic
 from heightlab.lattice import EucLattice, degree, max_deg_rank
-from heightlab.projpoint import Metric, PrimPoint, variety
+from heightlab.projpoint import Metric, PrimPoint, normalize, variety
 
 from freeness_reference import (
+    _adj3,
+    _min3,
+    closed_form_mu,
+    freeness_pn_closed,
+    freeness_surface_tau,
     metric_change_rows,
+    product_tangent_lattice,
+    quotient_lattice_pn,
     reference_statistics,
     reference_sweep,
 )
@@ -385,6 +396,38 @@ class TestKernel:
         rows = list(freeness_rows(V3, 2))
         assert len(rows) == count_pn_sieved(3, 2)
         assert rows[-1][1:] == point_freeness(V3, rows[-1][0])
+
+
+class TestRankThreeMinima:
+    """`_pn_minima` on P^3, read from the lattice layer, against the
+    independent greedy reduction and box scan `_min3`, compared with ==."""
+
+    @staticmethod
+    def check(y):
+        gq, m = _quotient_int_gram(y)
+        assert _pn_minima(y) == (m, _min3(gq), _min3(_adj3(gq))), y
+
+    def test_every_orbit_to_sup_height_8(self):
+        orbits = [y for y, _ in _pn_orbits(3, 8, Metric.SUP)]
+        for y in orbits:
+            self.check(y)
+        assert len(orbits) == 407
+
+    def test_twisted_cubic_limit_points(self):
+        # the points [k : k+1], k = H - 1, that `limit_experiment` maps to
+        # the twisted cubic at sup heights H from 10 to 100,000
+        cubic = twisted_cubic()
+        heights = {*range(10, 100_001, 500), 100_000,
+                   *(a * 10 ** e for a in (1, 2, 3, 5) for e in range(1, 5))}
+        for h in sorted(heights):
+            self.check(normalize(cubic.evaluate(h - 1, h)).coords)
+
+    def test_point_where_reduction_alone_misses_the_minimum(self):
+        # the LLL-reduced adjugate has least diagonal entry 27431596500, so
+        # only the short-vector walk finds lambda_1^2 here
+        y = (4983, -2498, -3921, -3596)
+        self.check(y)
+        assert _pn_minima(y)[2] == 25828451250
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -11,8 +11,6 @@ from heightlab.geomcurve import (
     CurveMap,
     NotAMorphism,
     approx_exponent,
-    change_coordinates,
-    change_parameter,
     conic_p2,
     coordinate_line_p2,
     curve_from_json,
@@ -29,6 +27,47 @@ from heightlab.geomcurve import (
     splitting_type,
     twisted_cubic,
 )
+
+
+def change_coordinates(c: CurveMap, mat) -> CurveMap:
+    """Compose with the linear map `mat` on the ambient coordinates."""
+    if len(mat) != c.n + 1 or any(len(row) != c.n + 1 for row in mat):
+        raise ValueError("matrix must be square of size n+1")
+    forms = tuple(
+        tuple(sum(mat[i][j] * c.forms[j][pos] for j in range(c.n + 1))
+              for pos in range(c.d + 1))
+        for i in range(c.n + 1)
+    )
+    return CurveMap(n=c.n, d=c.d, forms=forms)
+
+
+def _form_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def change_parameter(c: CurveMap, mat) -> CurveMap:
+    """Precompose with (s, t) -> (a s + b t, c s + d t), mat = ((a,b),(c,d))."""
+    (pa, pb), (pc, pd) = mat
+    spow = [[1]]
+    tpow = [[1]]
+    for _ in range(c.d):
+        spow.append(_form_mul(spow[-1], [pa, pb]))
+        tpow.append(_form_mul(tpow[-1], [pc, pd]))
+    forms = []
+    for f in c.forms:
+        acc = [0] * (c.d + 1)
+        for j, coeff in enumerate(f):
+            if coeff:
+                term = _form_mul(spow[c.d - j], tpow[j])
+                for pos, val in enumerate(term):
+                    acc[pos] += coeff * val
+        forms.append(tuple(acc))
+    return CurveMap(n=c.n, d=c.d, forms=tuple(forms))
 
 
 class TestSplittingType:

@@ -13,7 +13,6 @@ from heightlab.lattice import (
     EucLattice,
     NotPositiveDefinite,
     UnsupportedRank,
-    check_minima_slope_gaps,
     degree,
     dual_lattice,
     is_semistable,
@@ -21,7 +20,6 @@ from heightlab.lattice import (
     lattice_from_basis,
     max_deg_rank,
     min_slope,
-    minima_slope_bound,
     newton_polygon,
     slopes,
     successive_minima,
@@ -77,6 +75,35 @@ def oracle_min_covol2(gram, i, box=6):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def minima_slope_bound(r: int) -> LogLin:
+    """Rank bound C_r with |log lambda_i + mu_i| <= C_r.
+
+    From Minkowski's second theorem and lambda_j(S) >= lambda_j(L) for
+    sublattices: every d(i) sits between -sum_{j<=i} log lambda_j and that
+    value plus (i/2) log gamma_i.  The first function is already concave in
+    i, so the hull stays within the same band and each slope differs from
+    -log lambda_i by at most C_r = (r/2) log gamma_r <= r(r-1)/4 * log(4/3).
+    """
+    return LogLin.from_log(Fraction(4, 3), Fraction(r * (r - 1), 4))
+
+
+def check_minima_slope_gaps(lat: EucLattice):
+    """Per-index gaps log lambda_i + mu_i with exact bound verdicts.
+
+    Returns a list of (i, gap, within_two_sided, nonnegative); the two-sided
+    bound |gap| <= C_r is the provable one, nonnegativity is only flagged.
+    """
+    mins = successive_minima(lat)
+    mus = slopes(lat)
+    c_r = minima_slope_bound(lat.rank)
+    out = []
+    for i, (lam, mu) in enumerate(zip(mins, mus), start=1):
+        gap = lam.as_lin() + mu
+        within = gap.compare(c_r) <= 0 and gap.compare(-c_r) >= 0
+        out.append((i, gap, within, gap.sign() >= 0))
+    return out
 
 
 @st.composite

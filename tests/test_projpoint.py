@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from heightlab.exactnum import LogRat
 from heightlab.projpoint import (
+    IncompatibleModulus,
     InvalidPoint,
     Metric,
     PrimPoint,
@@ -15,16 +16,25 @@ from heightlab.projpoint import (
     enum_projective_mod,
     height_o1,
     anticanonical_height,
-    mod_compat_check,
     multiheight,
     normalize,
     reduce_mod,
+    _canonical_mod,
     variety,
 )
 
 coords_strategy = st.lists(st.integers(-40, 40), min_size=2, max_size=5).filter(
     lambda c: any(x != 0 for x in c)
 )
+
+
+def mod_compat_check(p: PrimPoint, m_small: int, m_big: int) -> bool:
+    """reduce_mod(p, M') is the image of reduce_mod(p, M) when M' | M."""
+    if m_big % m_small != 0:
+        raise IncompatibleModulus("M' must divide M")
+    big = reduce_mod(p, m_big)
+    projected = _canonical_mod([c % m_small for c in big.coords], m_small)
+    return projected == reduce_mod(p, m_small).coords
 
 
 class TestNormalize:
