@@ -22,7 +22,6 @@ from .exactnum import LogLin, LogRat
 from .freeness import (
     FreenessReport,
     TangentLattice,
-    UndefinedHeight,
     freeness,
     freeness_product,
     freeness_statistics,
@@ -75,7 +74,6 @@ from .motivic import (
     verify_recurrence,
 )
 from .projpoint import (
-    IncompatibleModulus,
     InvalidPoint,
     Metric,
     ModPoint,

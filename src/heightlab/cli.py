@@ -36,11 +36,9 @@ from .counting import (
     partition_leading_ranges,
     sup_box_measure,
 )
-from .freeness import UndefinedHeight, freeness_statistics
+from .freeness import freeness_statistics
 from .geomcurve import (
     BranchData,
-    ConstantMap,
-    NotAMorphism,
     approx_exponent,
     curve_from_json,
     limit_experiment,
@@ -49,8 +47,6 @@ from .geomcurve import (
 )
 from .lattice import (
     EucLattice,
-    NotPositiveDefinite,
-    UnsupportedRank,
     newton_polygon,
     successive_minima,
 )
@@ -69,8 +65,6 @@ from .motivic import (
 )
 from .motivic import LSeries
 from .projpoint import (
-    IncompatibleModulus,
-    InvalidPoint,
     Metric,
     ModPoint,
     VarietyId,
@@ -80,11 +74,9 @@ from .projpoint import (
 from .tamagawa import assemble_constant, closed_form, uniform_class_share
 from .zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
 
-COMPUTE_ERRORS = (
-    InvalidPoint, IncompatibleModulus, UnsupportedRank, NotPositiveDefinite,
-    NotAMorphism, ConstantMap, UndefinedHeight, ValueError,
-    ZeroDivisionError, OverflowError, OSError, json.JSONDecodeError,
-)
+# every exception class of the package, and json.JSONDecodeError, is a
+# ValueError, so a failed computation exits 3 whichever layer raised it
+COMPUTE_ERRORS = (ValueError, ZeroDivisionError, OverflowError, OSError)
 
 
 class UsageError(ValueError):

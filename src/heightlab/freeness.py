@@ -48,10 +48,6 @@ from .lattice import EucLattice, degree, int_min_norm2, lagrange_gauss, newton_p
 from .projpoint import Metric, PrimPoint, VarietyId
 
 
-class UndefinedHeight(ValueError):
-    """Raised where a formula needs h > 0 but the point has height zero."""
-
-
 # ---------------------------------------------------------------------------
 # integral linear algebra for the tangent construction
 
@@ -409,7 +405,12 @@ def _term_coeffs_generic(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Exhaustive exact freeness audit of a sup-height ball in P^n."""
+    """Exhaustive freeness audit of a sup-height ball in P^n.
+
+    Only `bound_holds` is decided exactly; `min_l` and `below_counts` read
+    the float l = n mu / h, so a point with l exactly at a threshold can
+    land on either side of it.
+    """
 
     n: int
     bound: int
@@ -425,10 +426,13 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
 
     Per point: certified lambda_1^2 of the integer quotient form (and of
     its adjugate for n = 3); the bound l >= n/(n+1) amounts to lam2 >= 1
-    and lam2_adj >= m, checked in exact integer arithmetic.  The closed
-    and generic assemblies share these minima; their coefficient lists
-    are compared exactly once (they are point-independent), and the
-    machinery-level equality is covered by tests on subsamples.
+    and lam2_adj >= m, checked in exact integer arithmetic; that verdict
+    (`bound_holds`) is the only exact one.  `min_l` and the threshold
+    counts use the float l = n mu / h, so at a tie l = t the count can be
+    wrong.  The closed and generic assemblies share these minima; their
+    coefficient lists are compared exactly once (they are
+    point-independent), and the machinery-level equality is covered by
+    tests on subsamples.
 
     A signed permutation of coordinates is an isometry of Z^(n+1) that
     maps the sup ball to itself, so it carries the quotient form of y to

@@ -5,6 +5,10 @@ first nonzero coordinate is positive.  Heights are exact `LogRat` values:
 the sup height is log max|y_i| and the euclidean height is (1/2) log sum
 y_i^2, i.e. arguments max^2 and sum of squares.
 
+A point of P^n(Z/M) is the orbit of a primitive vector under the units of
+Z/M, stored as the representative `_canonical_mod` picks;
+`enum_projective_mod` generates those representatives from the same rule.
+
 Three ambient varieties are supported: P^n, a product (P^1)^n, and the
 plane blown up at [0:0:1] realised as the incidence X*V = Y*U inside
 P^2 x P^1.  Multiheights are per-factor O(1) heights against a fixed basis
@@ -18,9 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
-
-import numpy as np
 
 from .exactnum import LogRat, factorize
 
@@ -31,10 +34,6 @@ class Metric(Enum):
 
 
 class InvalidPoint(ValueError):
-    pass
-
-
-class IncompatibleModulus(ValueError):
     pass
 
 
@@ -267,67 +266,32 @@ def card_projective_mod(n: int, m: int) -> int:
 def enum_projective_mod(n: int, m: int) -> list:
     """All points of P^n(Z/M) as canonical representatives, lex-sorted.
 
-    Enumerates the primitive vectors of (Z/M)^(n+1) with numpy, canonicalises
-    them in bulk, and keeps the fixed points of the canonical map.
+    Generates the fixed points of `_canonical_mod` directly.  A vector with
+    a unit coordinate is canonical when its first unit coordinate is 1 and
+    only non-units come before it; those are products, listed without a
+    test.  A primitive vector without a unit coordinate is canonical when
+    no other unit multiple is lexicographically smaller.  Its first nonzero
+    coordinate x has g = gcd(x, M) a proper divisor of M, and u*x runs over
+    every residue whose gcd with M is g as u runs over the units; the least
+    of those residues is g itself.  So only vectors that lead, after their
+    zeros, with a proper divisor g are tested, and only against the units
+    that fix g: every other unit sends g to a larger residue.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2, n >= 1")
     k = n + 1
-    total = m ** k
-    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
-    inv_table = np.zeros(m, dtype=np.int64)
-    for u in units:
-        inv_table[u] = pow(u, -1, m)
-
-    reps: list[tuple] = []
-    # chunk over the leading digit to bound memory
-    chunk = max(1, total // m)
-    for lead in range(m):
-        idx = np.arange(lead * chunk, (lead + 1) * chunk, dtype=np.int64)
-        digits = np.empty((k, idx.size), dtype=np.int64)
-        rem = idx.copy()
-        for j in range(k - 1, -1, -1):
-            digits[j] = rem % m
-            rem //= m
-        g = np.full(idx.size, m, dtype=np.int64)
-        for j in range(k):
-            g = np.gcd(g, digits[j])
-        prim = g == 1
-        vec = digits[:, prim]
-        if vec.shape[1] == 0:
+    nonunits = [x for x in range(m) if math.gcd(x, m) != 1]
+    reps = []
+    for i in range(k):
+        reps.extend(product(*[nonunits] * i, (1,), *[range(m)] * (k - 1 - i)))
+    for g in range(2, m):
+        if m % g:
             continue
-        # unit mask per coordinate, then the first unit position
-        is_unit = np.zeros(vec.shape, dtype=bool)
-        unit_lookup = np.zeros(m, dtype=bool)
-        unit_lookup[units] = True
-        for j in range(k):
-            is_unit[j] = unit_lookup[vec[j]]
-        has_unit = is_unit.any(axis=0)
-        first = np.argmax(is_unit, axis=0)
-        canon = vec.copy()
-        if has_unit.any():
-            cols = np.nonzero(has_unit)[0]
-            pivot = vec[first[cols], cols]
-            scale = inv_table[pivot]
-            canon[:, cols] = (vec[:, cols] * scale) % m
-        if (~has_unit).any():
-            cols = np.nonzero(~has_unit)[0]
-            sub = vec[:, cols]
-            weights = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            best_key = None
-            best = None
-            for lam in units:
-                cand = (lam * sub) % m
-                key = (cand * weights[:, None]).sum(axis=0)
-                if best is None:
-                    best, best_key = cand, key
-                else:
-                    better = key < best_key
-                    best[:, better] = cand[:, better]
-                    best_key = np.minimum(best_key, key)
-            canon[:, cols] = best
-        fixed = (canon == vec).all(axis=0)
-        for col in np.nonzero(fixed)[0]:
-            reps.append(tuple(int(x) for x in vec[:, col]))
+        fix = [u for u in range(2, m) if u * g % m == g and math.gcd(u, m) == 1]
+        for z in range(k):
+            for v in product(*[(0,)] * z, (g,), *[nonunits] * (k - 1 - z)):
+                if math.gcd(m, *v) == 1 and all(
+                        v <= tuple(u * x % m for x in v) for u in fix):
+                    reps.append(v)
     reps.sort()
     return [ModPoint(m, r) for r in reps]

@@ -25,7 +25,6 @@ from heightlab.freeness import (
     FreenessStats,
     SweepResult,
     TangentLattice,
-    UndefinedHeight,
     _l_value,
     _pn_minima,
     _quotient_int_gram,
@@ -38,6 +37,10 @@ from heightlab.freeness import (
 )
 from heightlab.lattice import EucLattice, degree, max_deg_rank, tau_invariant
 from heightlab.projpoint import Metric, PrimPoint, VarietyId
+
+
+class UndefinedHeight(ValueError):
+    """Raised where a formula needs h > 0 but the point has height zero."""
 
 
 def _adj3(g):

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 import time
@@ -28,6 +30,19 @@ from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import variety
 
 from test_lattice import random_gram
+
+
+def _package_exceptions():
+    found = []
+    for info in pkgutil.iter_modules(heightlab.__path__):
+        mod = importlib.import_module(f"heightlab.{info.name}")
+        found += [obj for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == mod.__name__]
+    return found
+
+
+PACKAGE_EXCEPTIONS = _package_exceptions()
 
 
 def run_json(capsys, argv):
@@ -639,6 +654,34 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "heightlab: computation failed: out of memory\n"
+
+    def test_package_exceptions_are_found(self):
+        names = {exc.__name__ for exc in PACKAGE_EXCEPTIONS}
+        assert {"InvalidPoint", "UnsupportedRank", "NotPositiveDefinite",
+                "NotAMorphism", "ConstantMap", "UsageError"} <= names
+
+    @pytest.mark.parametrize("exc", PACKAGE_EXCEPTIONS + [json.JSONDecodeError],
+                             ids=lambda exc: exc.__name__)
+    def test_package_exception_exits_3_and_usage_error_2(self, capsys,
+                                                         monkeypatch, exc):
+        # COMPUTE_ERRORS names ValueError, not each class; UsageError is a
+        # ValueError too and must still be caught first
+        assert issubclass(exc, ValueError)
+        err = exc("boom", "", 0) if exc is json.JSONDecodeError else exc("boom")
+
+        def failing(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(cli, "count_blowup", failing)
+        code = main(["count", "--variety", "blowup", "--dim", "2",
+                     "--bound", "10"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if exc is cli.UsageError:
+            assert (code, captured.err) == (2, "heightlab: boom\n")
+        else:
+            assert code == 3
+            assert captured.err.startswith("heightlab: computation failed: boom")
 
     def test_rational_flag_rejected_politely(self, capsys):
         assert main(["count", "--variety", "pn", "--dim", "1",

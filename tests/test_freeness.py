@@ -17,7 +17,6 @@ from heightlab.freeness import (
     FreenessReport,
     SweepResult,
     TangentLattice,
-    UndefinedHeight,
     _pn_minima,
     _quotient_int_gram,
     freeness,
@@ -35,6 +34,7 @@ from heightlab.lattice import EucLattice, degree, max_deg_rank
 from heightlab.projpoint import Metric, PrimPoint, normalize, variety
 
 from freeness_reference import (
+    UndefinedHeight,
     _adj3,
     _min3,
     closed_form_mu,
@@ -442,3 +442,14 @@ def test_threshold_at_lower_bound_counts_only_height_zero():
     assert freeness_sweep(2, 7, [2 / 3]).below_counts[2 / 3] == 3
     assert freeness_sweep(3, 3, [3 / 4]).below_counts[3 / 4] == 4
     assert (c2[2 / 3], c3[3 / 4]) == (3, 4)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "freeness_sweep counts l < t on the float l = n mu / h; on P^3 at "
+    "B = 4 the rounding puts 144 points of positive height below t = 3/4 "
+    "(148 counted, 292 at B = 6), although bound_holds certifies l >= 3/4 "
+    "for each of them; exact l < t decisions would fix it"))
+def test_sweep_tie_at_lower_bound_counts_only_height_zero():
+    sweep = freeness_sweep(3, 4, [3 / 4])
+    assert sweep.bound_holds
+    assert sweep.below_counts[3 / 4] == 4

