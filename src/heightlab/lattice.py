@@ -21,13 +21,18 @@ bound in reduced coordinates.  With the budget scaled by the lcm of the
 d_k d_{k+1}, every level's range is an exact integer square root, so no
 vector below the bound is ever pruned and the list is certified.
 
-Minimal covolumes of rank i <= r/2 search the saturated spans of all
-i-subsets of the vectors below a Minkowski-type bound.  That search is
-certified because a lattice of rank <= 4 has a basis realising its
-successive minima, and every searched i is at most r/2 <= 3 under the rank
-cap of 6.  A rank i > r/2 goes to the dual: S -> S^perp is a bijection from
-primitive rank-i sublattices of G to primitive rank-(r-i) sublattices of
-adj(G), with covol^2_G(S) = covol^2_adj(G)(S^perp) / det(G)^(r-i-1).
+A minimal covolume of rank i <= r/2 is the least nonzero i x i minor of
+the Gram table of the vectors below a Minkowski bound, walked over index
+subsets of the norm-sorted list.  No saturation is needed: the optimum S
+has a basis realising its minima (true in rank <= 4, and every searched i
+is at most r/2 <= 3 under the rank cap of 6), so its plain determinant is
+in the table, and any other determinant is at least the covolume squared
+of its saturation.  Minkowski's second theorem prunes the walk with a
+certificate: a subset whose norms multiply past (4/3)^(i(i-1)/2) times the
+best so far cannot span the optimum.  A rank i > r/2 goes to the dual:
+S -> S^perp is a bijection from primitive rank-i sublattices of G to
+primitive rank-(r-i) sublattices of adj(G), with
+covol^2_G(S) = covol^2_adj(G)(S^perp) / det(G)^(r-i-1).
 Rank r is the determinant itself.
 
 The same reduction and walk answer the first minimum of a bare integer
@@ -39,7 +44,6 @@ kernel and `tau_invariant` share.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,52 +317,52 @@ def int_min_norm2(g) -> int:
     return _svp_int(_reduce(g))[0]
 
 
-def _content_of_minors(x_rows):
-    """gcd of all maximal minors of an i x r integer matrix."""
-    i = len(x_rows)
-    r = len(x_rows[0])
-    gcd = 0
-    for cols in itertools.combinations(range(r), i):
-        minor = int_det([[row[c] for c in cols] for row in x_rows])
-        gcd = math.gcd(gcd, abs(minor))
-        if gcd == 1:
-            return 1
-    return gcd
-
-
-def _subset_covol2(g, rows):
-    """covol^2 of the saturation of the span of the given coefficient rows."""
-    gram = [[sum(rows[a][i] * g[i][j] * rows[b][j] for i in range(len(g)) for j in range(len(g)))
-             for b in range(len(rows))] for a in range(len(rows))]
-    d = int_det(gram)
-    if d == 0:
-        return None
-    c = _content_of_minors(rows)
-    num, den = d, c * c
-    return Fraction(num, den)
-
-
 def _min_covol2_red(red: _Reduction, i: int) -> Fraction:
-    """Minimal covol^2 over rank-i primitive sublattices of red.g: the best
-    saturated span of i certified short vectors.  Certified for i <= 4;
-    `_min_covol2_int` asks only for i <= r/2 <= 3."""
+    """Minimal covol^2 over rank-i primitive sublattices of red.g, certified
+    for i <= 4; `_min_covol2_int` asks only for i <= r/2 <= 3.
+
+    The least nonzero Gram determinant of i vectors of one certified list;
+    the plain determinant needs no saturation.  The optimum S has a basis
+    realising its minima (rank <= 4), its vectors are in the list and their
+    determinant is covol^2(S); any other independent i vectors span a
+    sublattice of their saturation, so their determinant is at least
+    covol^2 of that, which is at least the optimum.  Minkowski's second
+    theorem, prod lambda_j(S)^2 <= gamma_i^i covol^2(S) with
+    gamma_i^i <= K = (4/3)^(i(i-1)/2), bounds the list (lambda_j(S) >=
+    lambda_1, so lambda_i(S)^2 <= K best / lambda_1^(2(i-1))) and prunes
+    the walk: the list is sorted by norm, so once the norms chosen so far
+    times q_c^left exceed K best, no later candidate helps.
+    """
     m1, _ = _svp_int(red)
     if i == 1:
         return Fraction(m1)
-    r = len(red.gg)
-    rows = sorted((red.gg[a][a], red.u[a]) for a in range(r))
-    best = _subset_covol2(red.g, [rows[k][1] for k in range(i)])
-    assert best is not None
-    # Minkowski: prod lambda_j(S)^2 <= gamma_i^i covol(S)^2 and lambda_j(S) >= lambda_1,
-    # with gamma_i^i <= (4/3)^(i(i-1)/2); a rank <= 4 lattice has a basis realising
-    # its minima, so the optimum is spanned by vectors below this bound.
-    c2 = Fraction(4, 3) ** (i * (i - 1) // 2) * best / Fraction(m1) ** (i - 1)
-    coords = [v for _, v in _vectors_within(red, c2)]
-    for combo in itertools.combinations(coords, i):
-        cv = _subset_covol2(red.g, combo)
-        if cv is not None and cv < best:
-            best = cv
-    return best
+    gg = red.gg
+    first = sorted(range(len(gg)), key=lambda a: gg[a][a])[:i]
+    best = int_det([[gg[a][b] for b in first] for a in first])
+    kn, kd = 4 ** (i * (i - 1) // 2), 3 ** (i * (i - 1) // 2)
+    vecs = [x for _, x in _vectors_within(red, Fraction(kn * best, kd * m1 ** (i - 1)))]
+    t = _gram_of_transform(vecs, red.g)
+    n = len(vecs)
+    picked = []
+
+    def walk(start, prod):
+        nonlocal best
+        left = i - len(picked)
+        for c in range(start, n - left + 1):
+            q = t[c][c]
+            if kd * prod * q ** left > kn * best:
+                break
+            picked.append(c)
+            if left > 1:
+                walk(c + 1, prod * q)
+            else:
+                det = int_det([[t[a][b] for b in picked] for a in picked])
+                if 0 < det < best:
+                    best = det
+            picked.pop()
+
+    walk(0, 1)
+    return Fraction(best)
 
 
 def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:

@@ -51,13 +51,13 @@ class ZoomConfig:
         if self.B <= 1:
             raise ValueError("height bound must exceed 1")
         if self.variety.kind == "pn":
-            center = _normalize_vector(self.center)
+            center = normalize(self.center).coords
             if len(center) != self.variety.n + 1:
                 raise ValueError("center has the wrong number of coordinates")
         elif self.variety.kind == "p1n":
             if len(self.center) != self.variety.n:
                 raise ValueError("center needs one point per factor")
-            center = tuple(_normalize_vector(c) for c in self.center)
+            center = tuple(normalize(c).coords for c in self.center)
             if any(len(c) != 2 for c in center):
                 raise ValueError("factors of a product center are P^1 points")
         else:
@@ -67,17 +67,6 @@ class ZoomConfig:
     @property
     def window(self) -> float:
         return float(self.R) * float(self.B) ** (-float(self.alpha))
-
-
-def _normalize_vector(coords) -> tuple:
-    vec = [int(c) for c in coords]
-    g = math.gcd(*[abs(c) for c in vec])
-    if g == 0:
-        raise ValueError("center must be a nonzero point")
-    vec = [c // g for c in vec]
-    if next(c for c in vec if c != 0) < 0:
-        vec = [-c for c in vec]
-    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -167,10 +156,11 @@ def _p1_factor_candidates(cfg: ZoomConfig, center: tuple):
         for a in window:
             if math.gcd(a, q) != 1:
                 continue
-            pair = (a, q) if j == 1 else (q, a)
+            # gcd(a, q) = 1 and q > 0, so only the sign of (a, q) can need fixing
+            pair = (q, a) if j == 0 else (a, q) if a >= 0 else (-a, -q)
             key = _shell_value(pair, cfg.metric)
             y = Fraction(a * cd - cn * q, q * cd)  # a/q - cf
-            out.append((_normalize_vector(pair), y, key))
+            out.append((pair, y, key))
     out.sort(key=lambda row: row[2])
     return out
 

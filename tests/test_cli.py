@@ -29,7 +29,7 @@ from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cu
 from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import variety
 
-from test_lattice import random_gram
+from test_lattice import RANK6_GRAMS, random_gram
 
 
 def _package_exceptions():
@@ -433,6 +433,15 @@ class TestSlopes:
             f = self.write_gram(tmp_path, g)
             doc = run_json(capsys, ["slopes", "--gram", str(f)])
             assert doc["semistable"] is is_semistable(EucLattice(g)), g
+
+    def test_rank_six_is_strict_json(self, tmp_path, capsys):
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        f = self.write_gram(tmp_path, RANK6_GRAMS[0])
+        assert main(["slopes", "--gram", str(f)]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["rank"] == 6 and len(doc["slopes"]) == 6
 
     def test_not_positive_definite_is_exit_3(self, tmp_path, capsys):
         f = self.write_gram(tmp_path, [[1, 2], [2, 1]])

@@ -11,6 +11,8 @@ from heightlab import lattice
 from heightlab.exactnum import LogLin, LogRat, int_adjugate, int_det
 from heightlab.lattice import (
     EucLattice,
+    _svp_int,
+    _vectors_within,
     NotPositiveDefinite,
     UnsupportedRank,
     degree,
@@ -190,6 +192,65 @@ def reference_vectors_within(red, bound):
     return out
 
 
+def _content_of_minors(x_rows):
+    """gcd of all maximal minors of an i x r integer matrix."""
+    i = len(x_rows)
+    r = len(x_rows[0])
+    gcd = 0
+    for cols in itertools.combinations(range(r), i):
+        minor = int_det([[row[c] for c in cols] for row in x_rows])
+        gcd = math.gcd(gcd, abs(minor))
+        if gcd == 1:
+            return 1
+    return gcd
+
+
+def _subset_covol2(g, rows):
+    """covol^2 of the saturation of the span of the given coefficient rows."""
+    gram = [[sum(rows[a][i] * g[i][j] * rows[b][j] for i in range(len(g)) for j in range(len(g)))
+             for b in range(len(rows))] for a in range(len(rows))]
+    d = int_det(gram)
+    if d == 0:
+        return None
+    c = _content_of_minors(rows)
+    num, den = d, c * c
+    return Fraction(num, den)
+
+
+def reference_min_covol2_red(red, i):
+    """Minimal covol^2 over rank-i primitive sublattices of red.g: the best
+    saturated span of i certified short vectors, every i-subset tried.
+    Certified for i <= 4; the plain-determinant search replaced it."""
+    m1, _ = _svp_int(red)
+    if i == 1:
+        return Fraction(m1)
+    r = len(red.gg)
+    rows = sorted((red.gg[a][a], red.u[a]) for a in range(r))
+    best = _subset_covol2(red.g, [rows[k][1] for k in range(i)])
+    assert best is not None
+    # Minkowski: prod lambda_j(S)^2 <= gamma_i^i covol(S)^2 and lambda_j(S) >= lambda_1,
+    # with gamma_i^i <= (4/3)^(i(i-1)/2); a rank <= 4 lattice has a basis realising
+    # its minima, so the optimum is spanned by vectors below this bound.
+    c2 = Fraction(4, 3) ** (i * (i - 1) // 2) * best / Fraction(m1) ** (i - 1)
+    coords = [v for _, v in _vectors_within(red, c2)]
+    for combo in itertools.combinations(coords, i):
+        cv = _subset_covol2(red.g, combo)
+        if cv is not None and cv < best:
+            best = cv
+    return best
+
+
+# gram_pool(6, 10)[2] and [3] of the benchmark: every triple below the
+# Minkowski bound of Gram 2 is 3.0e6 saturated spans, about 300 s for the
+# reference search
+RANK6_GRAMS = (
+    ((19, -2, -10, -4, 8, -1), (-2, 25, -10, 23, -6, 16), (-10, -10, 17, -10, -8, -8),
+     (-4, 23, -10, 26, 0, 14), (8, -6, -8, 0, 32, -4), (-1, 16, -8, 14, -4, 17)),
+    ((29, 3, -17, -30, 1, -3), (3, 22, 3, -13, -2, 4), (-17, 3, 15, 14, -5, 2),
+     (-30, -13, 14, 42, 0, 3), (1, -2, -5, 0, 13, -3), (-3, 4, 2, 3, -3, 6)),
+)
+
+
 @st.composite
 def reduced_grams(draw):
     """A reduction of R R^T + I (rank 1-6, entries of R in [-3, 3]) or of
@@ -340,13 +401,13 @@ class TestDuality:
     @pytest.mark.parametrize("rank, seeds", [(4, range(3)), (5, range(3)), (6, (1,))])
     def test_span_search_sees_at_most_half_the_rank(self, rank, seeds, monkeypatch):
         widths = []
-        orig = lattice._subset_covol2
+        orig = lattice._min_covol2_red
 
-        def recording(g, rows):
-            widths.append(len(rows))
-            return orig(g, rows)
+        def recording(red, i):
+            widths.append(i)
+            return orig(red, i)
 
-        monkeypatch.setattr(lattice, "_subset_covol2", recording)
+        monkeypatch.setattr(lattice, "_min_covol2_red", recording)
         for seed in seeds:
             newton_polygon(EucLattice(random_gram(np.random.default_rng(seed), rank, 1)))
         assert widths and max(widths) <= rank // 2
@@ -359,6 +420,41 @@ class TestDuality:
         successive_minima(lat)
         assert lattice._int_gram(lat)[0] is g
         assert lattice._reduction(lat).g is g
+
+
+class TestSpanSearch:
+    # rank 6 takes seeds whose saturating reference runs in under a second;
+    # RANK6_GRAMS stand for the slow ones
+    @pytest.mark.parametrize("rank, spread, seed", [
+        *[(rank, spread, seed) for rank in range(2, 6) for spread in (1, 2)
+          for seed in range(6)],
+        (6, 1, 17), (6, 2, 0), (6, 2, 15),
+    ])
+    def test_matches_saturating_reference(self, rank, spread, seed):
+        lat = EucLattice(random_gram(np.random.default_rng(seed), rank, spread))
+        for dual in (False, True):
+            red = lattice._reduction(lat, dual=dual)
+            for i in range(1, rank // 2 + 1):
+                assert lattice._min_covol2_red(red, i) == reference_min_covol2_red(red, i), (dual, i)
+
+    @pytest.mark.parametrize("gram, want", [(RANK6_GRAMS[0], 510), (RANK6_GRAMS[1], 553)])
+    def test_rank_six_minima_are_frozen(self, gram, want):
+        # recorded with the saturating reference (300 s and 100 s)
+        assert lattice._min_covol2_red(lattice._reduction(EucLattice(gram)), 3) == want
+
+    def test_minkowski_prune_keeps_rank_six_walk_short(self, monkeypatch):
+        # 61 determinants; the Minkowski bound alone leaves 3.0e6 triples
+        calls = []
+        orig = lattice.int_det
+
+        def counting(m):
+            calls.append(len(m))
+            return orig(m)
+
+        monkeypatch.setattr(lattice, "int_det", counting)
+        red = lattice._reduction(EucLattice(RANK6_GRAMS[0]))
+        assert lattice._min_covol2_red(red, 3) == 510
+        assert len(calls) <= 1000
 
 
 class TestDegreesAndPolygon:
