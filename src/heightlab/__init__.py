@@ -18,7 +18,7 @@ from .counting import (
     partition_leading_ranges,
     sup_box_measure,
 )
-from .exactnum import LogLin, LogRat
+from .exactnum import LogLin
 from .freeness import (
     FreenessReport,
     TangentLattice,

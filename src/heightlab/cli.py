@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -458,7 +459,8 @@ def _cmd_slopes(cfg: RunConfig, args) -> tuple:
         "slopes": [s.to_float() for s in poly.slopes],
         "degrees": [d.to_float() for d in poly.d],
         "semistable": poly.is_semistable,
-        "minima": [m.to_float() for m in minima],
+        # a unit minimum is LogLin's zero, whose to_float is the int 0
+        "minima": [float(m.to_float()) for m in minima],
     }
     table = (["index", "slope"],
              [[i + 1, s.to_float()] for i, s in enumerate(poly.slopes)])
@@ -635,6 +637,21 @@ def _cmd_motivic(cfg: RunConfig, args) -> tuple:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any token of '-', an optional '.' and
+    a digit as a flag value, so that `--center -2:-4:6` and `--u -1,3`
+    parse like their `--flag=value` spellings.
+
+    Plain argparse does so only for a token that is a whole negative
+    number.  No flag here starts with '-' and a digit, so the wider rule
+    shadows none.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=Path, default=None)
@@ -662,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     `main` call of a process can reuse one tree; importing the module does
     not build it.
     """
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="heightlab",
         description="Exact height experiments on simple rational varieties")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -1,12 +1,13 @@
 """Exact scalar types, exact integer linear algebra and small
 number-theoretic utilities.
 
-Heights of rational points are half-logarithms of positive rationals, so we
-never store them as floats.  `LogRat` keeps the rational argument and all
-arithmetic stays on the argument side; `LogLin` extends this to rational
-linear combinations of logarithms, which is what Newton-polygon chords
-produce.  Comparisons go through a floating filter and fall back to exact
-rational power comparisons only when the filter cannot decide.
+Heights of rational points and degrees of lattices are half-logarithms
+of positive rationals, so we never store them as floats.  `LogLin` holds a
+rational linear combination of logarithms of positive rationals: a height
+is the one-term `LogLin.from_log(q, 1/2)`, and Newton-polygon chords are
+longer combinations.  Comparisons go through a floating filter and fall
+back to exact rational power comparisons only when the filter cannot
+decide.
 
 `int_det`, `int_rank` and `int_adjugate` are the package's one exact linear
 algebra: fraction-free (Bareiss) elimination on integer matrices, so every
@@ -38,73 +39,6 @@ def _to_frac(x: RatLike) -> Fraction:
 def _flog(q: Fraction) -> float:
     # math.log accepts arbitrarily large ints, so split the fraction.
     return math.log(q.numerator) - math.log(q.denominator)
-
-
-@dataclass(frozen=True, slots=True)
-class LogRat:
-    """The value (1/2)*log(arg) for a positive rational argument."""
-
-    arg: Fraction
-
-    def __post_init__(self):
-        arg = _to_frac(self.arg)
-        if arg <= 0:
-            raise ValueError("LogRat argument must be positive")
-        object.__setattr__(self, "arg", arg)
-
-    @staticmethod
-    def zero() -> "LogRat":
-        return LogRat(Fraction(1))
-
-    def __add__(self, other: "LogRat") -> "LogRat":
-        return LogRat(self.arg * other.arg)
-
-    def __sub__(self, other: "LogRat") -> "LogRat":
-        return LogRat(self.arg / other.arg)
-
-    def __neg__(self) -> "LogRat":
-        return LogRat(1 / self.arg)
-
-    def __mul__(self, k: int) -> "LogRat":
-        if not isinstance(k, int):
-            raise TypeError("LogRat supports exact scaling by int only; use as_lin() for rationals")
-        return LogRat(self.arg ** k)
-
-    __rmul__ = __mul__
-
-    def compare(self, other: "LogRat") -> int:
-        """-1, 0, 1; exact (log is monotone, so compare arguments)."""
-        if self.arg == other.arg:
-            return 0
-        return -1 if self.arg < other.arg else 1
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    def is_zero(self) -> bool:
-        return self.arg == 1
-
-    def to_float(self) -> float:
-        return 0.5 * _flog(self.arg)
-
-    def exp_height(self) -> float:
-        """exp(value) = sqrt(arg) as a float."""
-        return math.exp(self.to_float())
-
-    def as_lin(self) -> "LogLin":
-        return LogLin.from_log(self.arg, Fraction(1, 2))
-
-    def __repr__(self):
-        return f"LogRat({self.arg})"
 
 
 class LogLin:

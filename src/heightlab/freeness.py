@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import LogLin, LogRat, int_adjugate
+from .exactnum import LogLin, int_adjugate
 from .lattice import EucLattice, degree, int_min_norm2, lagrange_gauss, newton_polygon
 from .projpoint import Metric, PrimPoint, VarietyId
 
@@ -132,7 +132,7 @@ class TangentLattice:
 
     point: PrimPoint
     lattice: EucLattice
-    h: LogRat
+    h: LogLin
 
 
 def tangent_lattice_pn(p: PrimPoint) -> TangentLattice:
@@ -140,20 +140,20 @@ def tangent_lattice_pn(p: PrimPoint) -> TangentLattice:
     gq, m = _quotient_int_gram(p.coords)
     lat = EucLattice(tuple(tuple(Fraction(x, m * m) for x in row) for row in gq))
     h = degree(lat)
-    assert h == LogRat(m) * (p.n + 1)
+    assert h == LogLin.from_log(m ** (p.n + 1), Fraction(1, 2))
     return TangentLattice(point=p, lattice=lat, h=h)
 
 
 @dataclass(frozen=True)
 class FreenessReport:
     slopes: tuple      # LogLin, non-increasing
-    h: LogRat
+    h: LogLin
     mu_min: LogLin
     l: float
 
 
-def _l_value(n: int, mu_min: LogLin, h: LogRat) -> float:
-    if h.arg <= 1 or mu_min.sign() <= 0:
+def _l_value(n: int, mu_min: LogLin, h: LogLin) -> float:
+    if h.sign() <= 0 or mu_min.sign() <= 0:
         return 0.0
     return min(1.0, n * mu_min.to_float() / h.to_float())
 
@@ -186,7 +186,7 @@ class PnFreeness:
     m: int
     lam2: int
     lam2_adj: int | None
-    h: LogRat
+    h: LogLin
     mu_closed: LogLin
     mu_generic: LogLin
     l: float
@@ -223,7 +223,7 @@ def pn_freeness_data(p: PrimPoint) -> PnFreeness:
         term = (deg_tan - maxdeg_tan[k]).scale(Fraction(1, n - k))
         if mu_generic is None or term < mu_generic:
             mu_generic = term
-    h = LogRat(m) * (n + 1)
+    h = LogLin.from_log(m ** (n + 1), Fraction(1, 2))
     return PnFreeness(point=p, n=n, m=m, lam2=lam2, lam2_adj=lam2_adj, h=h,
                       mu_closed=mu_closed, mu_generic=mu_generic,
                       l=_l_value(n, mu_generic, h))
@@ -297,7 +297,8 @@ def point_freeness(v: VarietyId, point) -> tuple:
     if n >= 4:
         t = tangent_lattice_pn(point)
         r = freeness(t)
-        return t.h.to_float(), r.mu_min.to_float(), r.l
+        # float(): at a unit point both are LogLin's zero, whose to_float is 0
+        return float(t.h.to_float()), float(r.mu_min.to_float()), r.l
     m = sum(c * c for c in point.coords)
     h = 0.5 * math.log(m ** (n + 1))
     if m == 1:

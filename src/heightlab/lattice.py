@@ -3,7 +3,8 @@
 The central computation is the degree profile d(i) = max over rank-i
 primitive sublattices of -log covol, its concave hull (the Newton polygon)
 and the slope vector.  Everything is exact: covolumes squared are rational,
-so degrees are `LogRat` values and hull ordinates are `LogLin` combinations.
+so degrees are one-term `LogLin` half-logs and hull ordinates are `LogLin`
+combinations.
 
 All the lattice work is in integers.  A rational Gram enters as the integer
 Gram G = den * gram, kept on the lattice.  One integral Gram-Schmidt
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import LogLin, LogRat, int_adjugate, int_det, int_rank
+from .exactnum import LogLin, int_adjugate, int_det, int_rank
 
 RANK_CAP = 6
 
@@ -383,20 +384,20 @@ def _min_covol2_int(lat: EucLattice, i: int) -> Fraction:
 # public lattice invariants
 
 
-def degree(lat: EucLattice) -> LogRat:
+def degree(lat: EucLattice) -> LogLin:
     """Arakelov-style degree -(1/2) log det(gram)."""
     g, den = _int_gram(lat)
     d = Fraction(int_det(g), den ** lat.rank)
-    return LogRat(1 / d)
+    return LogLin.from_log(1 / d, Fraction(1, 2))
 
 
-def max_deg_rank(lat: EucLattice, i: int) -> LogRat:
+def max_deg_rank(lat: EucLattice, i: int) -> LogLin:
     """Largest degree of a rank-i primitive sublattice (min covolume)."""
     if not 1 <= i <= lat.rank:
         raise ValueError("need 1 <= i <= rank")
     _, den = _int_gram(lat)
     covol2 = _min_covol2_int(lat, i) / den ** i
-    return LogRat(1 / covol2)
+    return LogLin.from_log(1 / covol2, Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -419,7 +420,7 @@ class NewtonPolygon:
 
 def newton_polygon(lat: EucLattice) -> NewtonPolygon:
     r = lat.rank
-    d = [max_deg_rank(lat, i).as_lin() for i in range(1, r + 1)]
+    d = [max_deg_rank(lat, i) for i in range(1, r + 1)]
     pts = [(0, LogLin.zero())] + [(i + 1, d[i]) for i in range(r)]
     hull = [pts[0]]
     for p in pts[1:]:
@@ -465,7 +466,8 @@ def is_semistable(lat: EucLattice) -> bool:
 
 
 def successive_minima(lat: EucLattice) -> tuple:
-    """log lambda_i as LogRat values, via certified enumeration."""
+    """log lambda_i = (1/2) log lambda_i^2 as `LogLin` half-logs, via
+    certified enumeration."""
     _, den = _int_gram(lat)
     r = lat.rank
     red = _reduction(lat)
@@ -480,7 +482,7 @@ def successive_minima(lat: EucLattice) -> tuple:
             if len(chosen) == r:
                 break
     assert len(norms) == r
-    return tuple(LogRat(Fraction(q, den)) for q in norms)
+    return tuple(LogLin.from_log(Fraction(q, den), Fraction(1, 2)) for q in norms)
 
 
 def dual_lattice(lat: EucLattice) -> EucLattice:

@@ -1,7 +1,7 @@
 """Primitive-integer projective points, their heights, and reductions mod M.
 
 A point of P^n(Q) is stored as the unique primitive integer vector whose
-first nonzero coordinate is positive.  Heights are exact `LogRat` values:
+first nonzero coordinate is positive.  Heights are exact `LogLin` half-logs:
 the sup height is log max|y_i| and the euclidean height is (1/2) log sum
 y_i^2, i.e. arguments max^2 and sum of squares.
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .exactnum import LogRat, factorize
+from .exactnum import LogLin, factorize
 
 
 class Metric(Enum):
@@ -172,13 +172,13 @@ def blowup_from_plane(p: PrimPoint) -> tuple:
 # Heights
 
 
-def height_o1(p: PrimPoint, metric: Metric = Metric.SUP) -> LogRat:
+def height_o1(p: PrimPoint, metric: Metric = Metric.SUP) -> LogLin:
     """Height against O(1): log max|y_i| (sup) or (1/2) log sum y_i^2."""
     if metric == Metric.SUP:
         m = max(abs(c) for c in p.coords)
-        return LogRat(Fraction(m * m))
+        return LogLin.from_log(m * m, Fraction(1, 2))
     s = sum(c * c for c in p.coords)
-    return LogRat(Fraction(s))
+    return LogLin.from_log(s, Fraction(1, 2))
 
 
 def multiheight(v: VarietyId, point, metric: Metric = Metric.SUP) -> tuple:
@@ -196,10 +196,10 @@ def multiheight(v: VarietyId, point, metric: Metric = Metric.SUP) -> tuple:
     return (height_o1(p, metric), height_o1(q, metric))
 
 
-def anticanonical_height(v: VarietyId, point, metric: Metric = Metric.SUP) -> LogRat:
+def anticanonical_height(v: VarietyId, point, metric: Metric = Metric.SUP) -> LogLin:
     """Pairing of the multiheight with the anticanonical degree vector."""
     mh = multiheight(v, point, metric)
-    acc = LogRat.zero()
+    acc = LogLin.zero()
     for h, w in zip(mh, v.anticanonical):
         acc = acc + h * w
     return acc

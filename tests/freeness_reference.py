@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from heightlab.counting import _iter_coords, bounded_window, enum_points
-from heightlab.exactnum import LogLin, LogRat
+from heightlab.exactnum import LogLin
 from heightlab.freeness import (
     FreenessStats,
     SweepResult,
@@ -115,7 +115,7 @@ def closed_form_mu(p: PrimPoint) -> LogLin:
     q = quotient_lattice_pn(p) if n > 1 else None
     best = None
     for k in range(0, n):
-        d = LogLin.zero() if k == 0 else max_deg_rank(q, k).as_lin()
+        d = LogLin.zero() if k == 0 else max_deg_rank(q, k)
         term = (logy - d).scale(Fraction(1, n - k))
         if best is None or term < best:
             best = term
@@ -127,7 +127,7 @@ def freeness_pn_closed(p: PrimPoint) -> float:
     m = sum(c * c for c in p.coords)
     if m == 1:
         raise UndefinedHeight("closed form needs h > 0")
-    h = LogRat(m) * (p.n + 1)
+    h = LogLin.from_log(m ** (p.n + 1), Fraction(1, 2))
     return _l_value(p.n, closed_form_mu(p), h)
 
 
@@ -138,7 +138,7 @@ def product_tangent_lattice(points: Sequence[PrimPoint]) -> TangentLattice:
     blocks = [tangent_lattice_pn(p) for p in pts]
     n = len(pts)
     gram = [[Fraction(0)] * n for _ in range(n)]
-    h = LogRat.zero()
+    h = LogLin.zero()
     for i, b in enumerate(blocks):
         gram[i][i] = b.lattice.gram[0][0]
         h = h + b.h
@@ -155,7 +155,7 @@ def freeness_surface_tau(t: TangentLattice) -> float:
     """
     if t.lattice.rank != 2:
         raise ValueError("surface formula needs a rank-2 tangent lattice")
-    if t.h.arg <= 1:
+    if t.h.sign() <= 0:
         return 0.0
     tau = tau_invariant(t.lattice)
     if tau.y2 <= 1:

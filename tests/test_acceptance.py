@@ -27,7 +27,7 @@ from heightlab.counting import (
     joint_class_box_counts,
     sup_box_measure,
 )
-from heightlab.exactnum import LogLin, LogRat
+from heightlab.exactnum import LogLin
 from heightlab.freeness import (
     freeness,
     freeness_product,
@@ -228,7 +228,7 @@ def test_06_freeness_lower_bound():
             d = pn_freeness_data(p)
             assert (d.mu_closed - d.mu_generic).sign() == 0
             # l >= n/(n+1)  <=>  (n+1) mu >= h, exactly
-            assert (d.mu_generic.scale(v.n + 1) - d.h.as_lin()).sign() >= 0
+            assert (d.mu_generic.scale(v.n + 1) - d.h).sign() >= 0
             checked += 1
     print(f"criterion 6: PASS  l >= n/(n+1) exactly on all {r2.total} P^2 "
           f"vectors (sup <= 50) and {r3.total} P^3 vectors (sup <= 15); "
@@ -250,7 +250,7 @@ def test_07_product_freeness():
         rep = freeness(product_tangent_lattice([pa, pb]))
         m1, m2 = (sum(c * c for c in p.coords) for p in (pa, pb))
         assert (rep.mu_min - LogLin.from_log(Fraction(min(m1, m2)), Fraction(1))).sign() == 0
-        assert (rep.h.as_lin() - LogLin.from_log(Fraction(m1 * m2), Fraction(1))).sign() == 0
+        assert (rep.h - LogLin.from_log(Fraction(m1 * m2), Fraction(1))).sign() == 0
         assert abs(rep.l - freeness_product([pa, pb])) < 1e-12
 
     def share_below(bound):
@@ -282,7 +282,7 @@ def test_08_lattice_suite():
         total = LogLin.zero()
         for s in mu:
             total = total + s
-        assert (total - degree(lat).as_lin()).sign() == 0
+        assert (total - degree(lat)).sign() == 0
         mu_dual = slopes(dual_lattice(lat))
         assert all(mu_dual[i] == -mu[rank - 1 - i] for i in range(rank))
 
@@ -307,7 +307,8 @@ def test_08_lattice_suite():
         g = random_gram(rng, 3)
         lat = EucLattice(g)
         for i in (1, 2):
-            assert max_deg_rank(lat, i) == LogRat(1 / Fraction(oracle_min_covol2(g, i)))
+            want = 1 / Fraction(oracle_min_covol2(g, i))
+            assert max_deg_rank(lat, i) == LogLin.from_log(want, Fraction(1, 2))
     print("criterion 8: PASS  sum(mu_i) == deg and dual symmetry exact on "
           "1000 rational Grams of rank <= 4; semistable <=> Im(tau) <= 1 on "
           "a 20-point grid; certified search == brute oracle on 100 rank-3 "

@@ -458,6 +458,15 @@ class TestSlopes:
         assert main(["slopes", "--gram", str(tmp_path / "nope.json")]) == 3
         capsys.readouterr()
 
+    def test_zero_tokens_of_a_unit_minimum(self, tmp_path, capsys):
+        # d(1), mu_1 and log lambda_1 are all zero here: the degree and slope
+        # print as the int 0, the minimum as the float 0.0
+        f = self.write_gram(tmp_path, [[1, 0], [0, 2]])
+        assert main(["slopes", "--gram", str(f)]) == 0
+        out = capsys.readouterr().out
+        for key, token in (("slopes", "0"), ("degrees", "0"), ("minima", "0.0")):
+            assert f'"{key}": [\n    {token},\n' in out, key
+
 
 class TestFreeness:
     def test_statistics(self, capsys):
@@ -691,6 +700,29 @@ class TestPlumbing:
         else:
             assert code == 3
             assert captured.err.startswith("heightlab: computation failed: boom")
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["zoom", "--variety", "pn", "--dim", "2", "--alpha", "1",
+          "--bound", "10"], "--center", "-2:-4:6"),
+        (["window", "--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2",
+          "--bound", "10"], "--u", "-1,3"),
+        (["window", "--variety", "pn", "--dim", "1", "--bound", "10"],
+         "--d1", "-1,2"),
+        (["equidist", "--dim", "1", "--modulus", "3", "--bound", "10"],
+         "--class", "-1:1"),
+        (["equidist", "--dim", "1", "--modulus", "3", "--bound", "10"],
+         "--box", "-1,1;0,1"),
+    ])
+    def test_value_may_start_with_a_dash(self, capsys, argv, flag, value):
+        # the provenance prints `flag value`, so that spelling must run too
+        runs = []
+        for spelling in ([flag, value], [f"{flag}={value}"]):
+            code = main(argv + spelling)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert "expected one argument" not in runs[0][2]
+        if runs[0][0] == 0:
+            assert f"{flag} {value}" in runs[0][1]
 
     def test_rational_flag_rejected_politely(self, capsys):
         assert main(["count", "--variety", "pn", "--dim", "1",

@@ -28,7 +28,7 @@ from heightlab.counting import (
     partition_leading_ranges,
     sup_box_measure,
 )
-from heightlab.exactnum import LogRat, build_sieve
+from heightlab.exactnum import LogLin, build_sieve
 from heightlab.projpoint import (
     Metric,
     ModPoint,
@@ -137,7 +137,7 @@ class TestProjectiveCounts:
         pts = list(enum_points(w))
         assert len(set(pts)) == len(pts)
         for p in pts:
-            assert anticanonical_height(V2, p) <= LogRat(Fraction(7**2)) * 3
+            assert anticanonical_height(V2, p) <= LogLin.from_log(7**2, Fraction(1, 2)) * 3
 
     def test_rational_bound_truncates(self):
         assert count_pn(1, Fraction(7, 2)) == count_pn_sieved(1, 3)
@@ -348,7 +348,7 @@ class TestProducts:
     def test_anticanonical_membership(self):
         bound = 9
         for pts in enum_points(bounded_window(VP2, bound)):
-            assert anticanonical_height(VP2, pts) <= LogRat(Fraction(bound**2))
+            assert anticanonical_height(VP2, pts) <= LogLin.from_log(bound**2, Fraction(1, 2))
 
 
 def reference_count_p1n(n, bound, metric):

@@ -12,7 +12,7 @@ from heightlab.counting import (
     count_pn_sieved,
     enum_points,
 )
-from heightlab.exactnum import LogRat
+from heightlab.exactnum import LogLin
 from heightlab.freeness import (
     FreenessReport,
     SweepResult,
@@ -46,6 +46,7 @@ from freeness_reference import (
     reference_statistics,
     reference_sweep,
 )
+from test_exactnum import half_log
 
 V2 = variety("pn", 2)
 V3 = variety("pn", 3)
@@ -107,26 +108,26 @@ class TestCompletion:
 class TestTangentLattice:
     def test_unit_vector_gives_standard_lattice(self):
         t = tangent_lattice_pn(PrimPoint((1, 0, 0)))
-        assert t.h == LogRat(1)
+        assert t.h == LogLin.zero()
         assert t.lattice.gram == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         assert freeness(t).l == 0.0
 
     def test_symmetric_plane_point(self):
         p = PrimPoint((1, 1, 1))
         t = tangent_lattice_pn(p)
-        assert t.h == LogRat(3) * 3  # (3/2) log 3
+        assert t.h == half_log(3) * 3  # (3/2) log 3
         r = freeness(t)
         assert r.slopes[0] == r.slopes[1]
         assert r.l == 1.0
         # quotient E/D: covolume 3^{-1/2}, shortest vector sqrt(2/3)
         q = quotient_lattice_pn(p)
-        assert degree(q) == LogRat(3)
-        assert max_deg_rank(q, 1) == LogRat(Fraction(3, 2))
+        assert degree(q) == half_log(3)
+        assert max_deg_rank(q, 1) == half_log(Fraction(3, 2))
 
     def test_curve_point(self):
         t = tangent_lattice_pn(PrimPoint((3, 4)))
         assert t.lattice.rank == 1
-        assert t.h == LogRat(25) * 2  # log 25
+        assert t.h == half_log(25) * 2  # log 25
         assert freeness(t).l == 1.0
 
     def test_degree_equals_height_invariant(self):
@@ -138,7 +139,7 @@ class TestTangentLattice:
 class TestFreenessBranches:
     def test_zero_height_is_zero(self):
         t = TangentLattice(point=PrimPoint((1, 0, 0)),
-                           lattice=EucLattice(((1, 0), (0, 1))), h=LogRat(1))
+                           lattice=EucLattice(((1, 0), (0, 1))), h=LogLin.zero())
         assert freeness(t).l == 0.0
 
     def test_semistable_positive_mu_is_one(self):
@@ -219,8 +220,8 @@ class TestProductFormula:
     def test_fibration_projection_inequality(self):
         # slopes of the product dominate the projected factor: min h <= h_1
         for a, b in [((1, 2), (1, 5)), ((2, 3), (1, 1)), ((1, 7), (1, 2))]:
-            ha = LogRat(sum(c * c for c in PrimPoint(a).coords))
-            hb = LogRat(sum(c * c for c in PrimPoint(b).coords))
+            ha = half_log(sum(c * c for c in PrimPoint(a).coords))
+            hb = half_log(sum(c * c for c in PrimPoint(b).coords))
             assert min(ha, hb) <= ha
 
 
@@ -246,7 +247,7 @@ class TestSurfaceTau:
 
     def test_rank_guard(self):
         lat = EucLattice(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        t = TangentLattice(point=PrimPoint((1, 0, 0, 0)), lattice=lat, h=LogRat(1))
+        t = TangentLattice(point=PrimPoint((1, 0, 0, 0)), lattice=lat, h=LogLin.zero())
         with pytest.raises(ValueError):
             freeness_surface_tau(t)
 
@@ -373,6 +374,7 @@ class TestKernel:
             t = tangent_lattice_pn(p)
             r = freeness(t)
             assert point_freeness(v, p) == (t.h.to_float(), r.mu_min.to_float(), r.l)
+            assert all(type(x) is float for x in point_freeness(v, p)), p
 
     def test_product_matches_formula(self):
         pts = (PrimPoint((1, 2)), PrimPoint((1, 3)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightlab import lattice
-from heightlab.exactnum import LogLin, LogRat, int_adjugate, int_det
+from heightlab.exactnum import LogLin, int_adjugate, int_det
 from heightlab.lattice import (
     EucLattice,
     _svp_int,
@@ -28,6 +29,7 @@ from heightlab.lattice import (
     tau_invariant,
 )
 from linalg_reference import reference_det, reference_inverse
+from test_exactnum import half_log
 
 
 def random_gram(rng, rank, spread=2):
@@ -39,44 +41,48 @@ def random_gram(rng, rank, spread=2):
             return tuple(tuple(int(x) for x in row) for row in g)
 
 
-def oracle_min_covol2(gram, i, box=6):
-    """Exhaustive saturated-covolume minimum over a coefficient box (rank <= 3)."""
-    g = np.array(gram, dtype=np.int64)
-    r = g.shape[0]
+@functools.cache
+def _box_vectors(r, box):
+    """Nonzero coefficient vectors of the box [-box, box]^r, one per +/- pair."""
     axes = np.meshgrid(*([np.arange(-box, box + 1)] * r), indexing="ij")
     pts = np.stack([a.ravel() for a in axes], axis=1).astype(np.int64)
     nz = np.any(pts != 0, axis=1)
     pts = pts[nz]
-    # one representative per +/- pair
     lead = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
-    pts = pts[lead > 0]
-    norms = np.einsum("ij,jk,ik->i", pts, g, pts)
+    return pts[lead > 0]
+
+
+@functools.cache
+def _pair_contents(box):
+    """Every non-parallel pair a < b of rank-3 box vectors, as flat indices
+    a * N + b into an N x N table, with the squared content of the pair:
+    the gcd of its 2x2 minors, i.e. of its cross product components."""
+    pts = _box_vectors(3, box)
+    a, b = np.triu_indices(len(pts), 1)
+    pa, pb = pts[a], pts[b]
+    cont = np.gcd.reduce(np.abs(np.cross(pa, pb)), axis=1)
+    keep = cont > 0
+    return a[keep] * len(pts) + b[keep], cont[keep] ** 2
+
+
+def oracle_min_covol2(gram, i, box=6):
+    """Exhaustive saturated-covolume minimum over a coefficient box (rank <= 3)."""
+    g = np.array(gram, dtype=np.int64)
+    r = g.shape[0]
+    pts = _box_vectors(r, box)
     if i == 1:
         content = np.gcd.reduce(np.abs(pts), axis=1)
         prim = pts[content == 1]
         return Fraction(int(np.einsum("ij,jk,ik->i", prim, g, prim).min()))
     assert i == 2 and r == 3
-    best = None
-    dots_all = pts @ g @ pts.T
-    for b in range(1, len(pts)):
-        v = pts[b]
-        pa = pts[:b]
-        covol2 = norms[:b] * norms[b] - dots_all[:b, b] ** 2
-        # 2x2 minors of each coefficient pair = cross product components
-        m0 = pa[:, 0] * v[1] - pa[:, 1] * v[0]
-        m1 = pa[:, 0] * v[2] - pa[:, 2] * v[0]
-        m2 = pa[:, 1] * v[2] - pa[:, 2] * v[1]
-        cont = np.gcd.reduce([np.abs(m0), np.abs(m1), np.abs(m2)])
-        mask = cont > 0
-        if not mask.any():
-            continue
-        cnt = cont[mask]
-        vals = covol2[mask] // (cnt * cnt)
-        assert np.all(vals * cnt * cnt == covol2[mask])  # saturation is exact
-        cand = Fraction(int(vals.min()))
-        if best is None or cand < best:
-            best = cand
-    return best
+    # Gram determinants of every pair at once, from one N x N table
+    dots = pts @ g @ pts.T
+    norms = np.diagonal(dots)
+    flat, cont2 = _pair_contents(box)
+    covol2 = (np.outer(norms, norms) - dots ** 2).ravel()[flat]
+    vals = covol2 // cont2
+    assert np.all(vals * cont2 == covol2)  # saturation is exact
+    return Fraction(int(vals.min()))
 
 
 def minima_slope_bound(r: int) -> LogLin:
@@ -102,7 +108,7 @@ def check_minima_slope_gaps(lat: EucLattice):
     c_r = minima_slope_bound(lat.rank)
     out = []
     for i, (lam, mu) in enumerate(zip(mins, mus), start=1):
-        gap = lam.as_lin() + mu
+        gap = lam + mu
         within = gap.compare(c_r) <= 0 and gap.compare(-c_r) >= 0
         out.append((i, gap, within, gap.sign() >= 0))
     return out
@@ -380,7 +386,7 @@ class TestDuality:
     def test_rank_five_degrees_are_frozen(self, gram, want):
         # recorded with the box scan and a direct span search at every i
         lat = EucLattice(gram)
-        assert tuple(max_deg_rank(lat, i) for i in range(1, 6)) == tuple(map(LogRat, want))
+        assert tuple(max_deg_rank(lat, i) for i in range(1, 6)) == tuple(map(half_log, want))
 
     @pytest.mark.parametrize("gram, ranks", [
         *[(random_gram(np.random.default_rng(seed), 4, 1), (3,)) for seed in range(4)],
@@ -460,8 +466,8 @@ class TestSpanSearch:
 class TestDegreesAndPolygon:
     def test_rank_one(self):
         lat = EucLattice(((4,),))
-        assert degree(lat) == LogRat(Fraction(1, 4))
-        assert successive_minima(lat) == (LogRat(4),)
+        assert degree(lat) == half_log(Fraction(1, 4))
+        assert successive_minima(lat) == (half_log(4),)
         assert slopes(lat)[0] == LogLin.from_log(4, Fraction(-1, 2))
 
     def test_diag_1_4(self):
@@ -473,7 +479,7 @@ class TestDegreesAndPolygon:
         assert np_.slopes[1] == LogLin.from_log(2, -1)
         assert not is_semistable(lat)
         mins = successive_minima(lat)
-        assert mins == (LogRat(1), LogRat(4))
+        assert mins == (half_log(1), half_log(4))
 
     def test_hexagonal_semistable(self):
         lat = EucLattice(((2, 1), (1, 2)))
@@ -488,11 +494,11 @@ class TestDegreesAndPolygon:
         lat = EucLattice(((1, 0, 0), (0, 1, 0), (0, 0, 4)))
         np_ = newton_polygon(lat)
         assert [s.to_float() for s in np_.slopes] == pytest.approx([0.0, 0.0, -math.log(2)])
-        assert max_deg_rank(lat, 2) == LogRat(1)
+        assert max_deg_rank(lat, 2) == half_log(1)
 
     def test_unimodular_basis(self):
         lat = lattice_from_basis([[1, 1], [0, 1]])
-        assert degree(lat) == LogRat.zero()
+        assert degree(lat) == LogLin.zero()
 
     def test_middle_rank_search(self):
         # D4-style gram: rank 4, i = 2 goes through the certified search
@@ -500,11 +506,11 @@ class TestDegreesAndPolygon:
         lat = EucLattice(g)
         d2 = max_deg_rank(lat, 2)
         # two roots at sixty degrees: covol^2 = 3
-        assert d2 == LogRat(Fraction(1, 3))
+        assert d2 == half_log(Fraction(1, 3))
 
     def test_scaled_gram_entries(self):
         lat = EucLattice(((Fraction(1, 2), 0), (0, Fraction(9, 2))))
-        assert degree(lat) == LogRat(Fraction(4, 9))
+        assert degree(lat) == half_log(Fraction(4, 9))
 
     @given(symmetric_grams())
     @settings(max_examples=120, deadline=None)
@@ -548,7 +554,7 @@ class TestInvariants:
         total = LogLin.zero()
         for s in np_.slopes:
             total = total + s
-        assert total == degree(lat).as_lin()
+        assert total == degree(lat)
 
     @given(st.integers(0, 10_000), st.integers(2, 4))
     @settings(max_examples=20, deadline=None)
@@ -593,14 +599,14 @@ class TestAgainstOracle:
         for i in (1, 2):
             got = max_deg_rank(lat, i)
             want = oracle_min_covol2(g, i)
-            assert got == LogRat(1 / Fraction(want)), (g, i)
+            assert got == half_log(1 / Fraction(want)), (g, i)
 
     def test_minima_match_oracle_norms(self):
         rng = np.random.default_rng(7)
         g = random_gram(rng, 3)
         lat = EucLattice(g)
         lam1 = successive_minima(lat)[0]
-        assert lam1 == LogRat(Fraction(oracle_min_covol2(g, 1)))
+        assert lam1 == half_log(Fraction(oracle_min_covol2(g, 1)))
 
 
 class TestRankTwoShape:
@@ -616,7 +622,7 @@ class TestRankTwoShape:
         assert lagrange_gauss(EucLattice(g).gram) == (a, b, c)
         assert 2 * abs(b) <= a <= c
         assert a * c - b * b == g[0][0] * g[1][1] - g[0][1] ** 2
-        assert LogRat(a) == successive_minima(EucLattice(g))[0]
+        assert half_log(a) == successive_minima(EucLattice(g))[0]
 
     def test_tau_diag(self):
         t = tau_invariant(EucLattice(((1, 0), (0, 4))))

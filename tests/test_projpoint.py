@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heightlab.exactnum import LogRat
 from heightlab.projpoint import (
     InvalidPoint,
     Metric,
@@ -22,6 +21,8 @@ from heightlab.projpoint import (
     _canonical_mod,
     variety,
 )
+
+from test_exactnum import half_log
 
 class IncompatibleModulus(ValueError):
     pass
@@ -73,8 +74,8 @@ class TestNormalize:
 class TestHeights:
     def test_sup_and_euclid(self):
         p = normalize((3, 4))
-        assert height_o1(p, Metric.SUP).arg == 16   # log 4
-        assert height_o1(p, Metric.EUCLID).arg == 25  # (1/2) log 25 = log 5
+        assert height_o1(p, Metric.SUP) == half_log(16)   # log 4
+        assert height_o1(p, Metric.EUCLID) == half_log(25)  # (1/2) log 25 = log 5
 
     def test_unit_point_height_zero(self):
         p = normalize((1, 0, 0))
@@ -87,28 +88,28 @@ class TestHeights:
         # 0 <= h_euclid - h_sup <= (1/2) log(n+1), all exact
         p = normalize(c)
         gap = height_o1(p, Metric.EUCLID) - height_o1(p, Metric.SUP)
-        assert gap.arg >= 1
-        assert gap.arg <= len(p.coords)
+        assert gap.sign() >= 0
+        assert gap <= half_log(len(p.coords))
 
     def test_multiheight_pn(self):
         v = variety("pn", 1)
         (h,) = multiheight(v, normalize((3, 4)), Metric.SUP)
-        assert h.arg == 16
+        assert h == half_log(16)
 
     def test_multiheight_product(self):
         v = variety("p1n", 2)
         pt = (normalize((1, 2)), normalize((1, 3)))
         h1, h2 = multiheight(v, pt, Metric.EUCLID)
-        assert (h1.arg, h2.arg) == (5, 10)
+        assert (h1, h2) == (half_log(5), half_log(10))
         # anticanonical pairing with (2, 2): value log 50
         total = anticanonical_height(v, pt, Metric.EUCLID)
-        assert total.arg == 2500
+        assert total == half_log(2500)
         assert math.isclose(total.to_float(), math.log(50))
 
     def test_anticanonical_pn(self):
         v = variety("pn", 2)
         h = anticanonical_height(v, normalize((1, 1, 1)), Metric.EUCLID)
-        assert h.arg == 27  # (3/2) log 3
+        assert h == half_log(27)  # (3/2) log 3
         assert math.isclose(h.to_float(), 1.5 * math.log(3))
 
 
@@ -130,7 +131,7 @@ class TestBlowup:
         h = anticanonical_height(v, pt, Metric.SUP)
         # H = H(P)^2 H(Q) = 1 * 3, so the height is log 3
         assert math.isclose(h.to_float(), math.log(3))
-        assert h.arg == 9
+        assert h == half_log(9)
 
     def test_lift_from_plane(self):
         p, q = blowup_from_plane(normalize((4, 6, 1)))
