@@ -144,8 +144,10 @@ def _ratio(num, den):
 
 def _num(x):
     """Exact JSON-friendly number: int when integral, else a p/q string."""
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if type(x) is int:
+        return x
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +227,10 @@ def _write(cfg: RunConfig, text: str) -> None:
 
 def _point_token(pt) -> str:
     if hasattr(pt, "coords"):  # single projective point
-        return ":".join(str(c) for c in pt.coords)
+        return ":".join(map(str, pt.coords))
     if pt and hasattr(pt[0], "coords"):  # product of factors
-        return ",".join(":".join(str(c) for c in f.coords) for f in pt)
-    return ",".join(":".join(str(c) for c in f) for f in pt)
+        return ",".join(":".join(map(str, f.coords)) for f in pt)
+    return ",".join(":".join(map(str, f)) for f in pt)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +549,12 @@ def _cmd_curve(cfg: RunConfig, args) -> tuple:
 
 def _cmd_zoom(cfg: RunConfig, args) -> tuple:
     v = _variety(args)
+    if args.delta is not None:
+        if v.kind != "p1n":
+            raise UsageError("--delta asks for a fiber share, which needs "
+                             "a product variety")
+        if args.delta <= 0:
+            raise UsageError(f"--delta must be positive, got {_num(args.delta)}")
     try:
         zc = ZoomConfig(variety=v, center=_parse_center(args.center),
                         alpha=args.alpha, R=args.radius, B=args.bound,
@@ -574,11 +582,10 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
         for row, r in zip(rows, overlay):
             row.append(r.l)
     if args.delta is not None:
-        if v.kind != "p1n":
-            raise UsageError("--delta asks for a fiber share, which needs "
-                             "a product variety")
         data["delta"] = str(_num(args.delta))
-        data["fiber_share"] = fiber_share(cloud, args.delta)
+        # an empty cloud has no share, as `_ratio` reports 0/0
+        data["fiber_share"] = (fiber_share(cloud, args.delta) if cloud.size
+                               else None)
     return data, (cols, rows)
 
 

@@ -34,11 +34,20 @@ orbit invariants; `point_freeness` and the sweep's assembly are functions
 of these three integers alone.  Each orbit is visited at its sorted
 representative 0 <= y_0 <= ... <= y_n and counts with weight
 (n+1)!/prod(mult!) * 2^#nonzero / 2, its number of projective points.
+
+On (P^1)^n l = n min log m_i / sum log m_i reads only the factor norms
+m_i = a_i^2 + b_i^2, and the height window reads only the factor shell
+values.  `freeness_statistics` therefore groups each factor's P^1 points
+into classes, one per (shell value, norm) pair, and pays once per tuple
+of classes, weighted by the product of the class sizes; the overlay of
+`zoomlab` reads one norm per distinct factor.  Both call the same kernel
+`_p1n_freeness` as `point_freeness`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -238,13 +247,19 @@ def freeness_product(points: Sequence[PrimPoint]) -> float:
     pts = list(points)
     if not pts or any(p.n != 1 for p in pts):
         raise ValueError("expected a tuple of P^1 points")
-    return _p1n_freeness(pts)[2]
+    return _p1n_freeness(_factor_norms(pts))[2]
 
 
-def _p1n_freeness(points: Sequence[PrimPoint]) -> tuple:
-    args = [sum(c * c for c in p.coords) for p in points]
-    logs = [math.log(a) / 2 for a in args]
-    l = 0.0 if min(args) == 1 else len(args) * min(logs) / sum(logs)
+def _factor_norms(points: Sequence[PrimPoint]) -> list:
+    return [sum(c * c for c in p.coords) for p in points]
+
+
+def _p1n_freeness(norms: Sequence[int]) -> tuple:
+    """(h, mu_min, l) of a point of (P^1)^n from its factor norms
+    m_i = a_i^2 + b_i^2 alone: h_i = (1/2) log m_i and l = n min h_i /
+    sum h_i, or 0 when some factor is a unit point."""
+    logs = [math.log(m) / 2 for m in norms]
+    l = 0.0 if min(norms) == 1 else len(norms) * min(logs) / sum(logs)
     return 2 * sum(logs), 2 * min(logs), l
 
 
@@ -290,7 +305,7 @@ def point_freeness(v: VarietyId, point) -> tuple:
     those of `pn_freeness_data` bit for bit.
     """
     if v.kind == "p1n":
-        return _p1n_freeness(point)
+        return _p1n_freeness(_factor_norms(point))
     if v.kind != "pn":
         raise ValueError("freeness covers P^n and (P^1)^n")
     n = v.n
@@ -344,16 +359,53 @@ def freeness_rows(v: VarietyId, bound, metric: Metric = Metric.SUP) -> Iterator[
         yield (p, *point_freeness(v, p))
 
 
+def _p1n_classes(v: VarietyId, bound, metric: Metric) -> Iterator[tuple]:
+    """(norms, weight) over the tuples of factor classes of the (P^1)^n
+    window: a class is a (shell value, euclid norm) pair, norms holds one
+    norm per factor, and weight is the number of window points whose
+    factors lie in those classes, the product of the class sizes."""
+    from .counting import _pn_points, _shell_spec, _shell_value, bounded_window
+
+    shells, joint = _shell_spec(bounded_window(v, bound, metric))
+    # a bounded window gives every factor the same shell interval
+    sizes = Counter((_shell_value(p.coords, metric), sum(c * c for c in p.coords))
+                    for p in _pn_points(1, *shells[0], metric))
+    classes = sorted(sizes.items())  # by shell value first
+    last = v.n - 1
+
+    def rec(i: int, norms: tuple, cap_left: int, weight: int) -> Iterator[tuple]:
+        # shells multiply to at most joint iff each one is at most the
+        # floor of joint over the product of those before it
+        for (s, m), size in classes:
+            if s > cap_left:
+                break
+            if i == last:
+                yield norms + (m,), weight * size
+            else:
+                yield from rec(i + 1, norms + (m,), cap_left // s, weight * size)
+
+    yield from rec(0, (), joint, 1)
+
+
 def freeness_statistics(v: VarietyId, bound, metric: Metric = Metric.SUP,
                         thresholds: Sequence[float] = (), bins: int = 20) -> FreenessStats:
-    """Threshold counts and histogram of l over the height-bound window;
-    on P^n with n <= 3 once per signed-permutation orbit, weighted by its
-    size (see the module docstring), elsewhere once per point."""
+    """Threshold counts and histogram of l over the height-bound window.
+
+    On P^n with n <= 3 l is read once per signed-permutation orbit,
+    weighted by its size (see the module docstring).  On (P^1)^n it is
+    read once per tuple of factor classes, weighted by the number of
+    points in it: l depends only on the factor norms and the window only
+    on the factor shells, so every point of a tuple has the same l and
+    the same membership.  On P^n with n >= 4 it is read once per point.
+    """
     if v.kind == "pn" and v.n <= 3:
         from .counting import _pn_orbits
 
         weighted = ((point_freeness(v, PrimPoint(y))[2], w)
                     for y, w in _pn_orbits(v.n, bound, metric))
+    elif v.kind == "p1n":
+        weighted = ((_p1n_freeness(norms)[2], w)
+                    for norms, w in _p1n_classes(v, bound, metric))
     else:
         weighted = ((l, 1) for _, _, _, l in freeness_rows(v, bound, metric))
     thr = list(thresholds)

@@ -44,10 +44,10 @@ class PrimPoint:
     coords: tuple
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coords)
-        if len(c) < 2 or all(x == 0 for x in c):
+        c = tuple(map(int, self.coords))
+        g = math.gcd(*c)  # 0 iff every coordinate is 0
+        if len(c) < 2 or g == 0:
             raise InvalidPoint("need >= 2 coordinates, not all zero")
-        g = math.gcd(*c)
         if g != 1:
             raise InvalidPoint("coordinates not primitive; use normalize()")
         for x in c:

@@ -27,8 +27,8 @@ from itertools import product as iproduct
 from typing import Sequence
 
 from .counting import _shell_cap, _shell_value, int_nth_root
-from .freeness import point_freeness
-from .projpoint import Metric, PrimPoint, VarietyId, normalize
+from .freeness import _p1n_freeness, point_freeness
+from .projpoint import Metric, VarietyId, normalize
 
 
 @dataclass(frozen=True)
@@ -270,15 +270,15 @@ class OverlayRow:
 def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     """Cloud rows joined with the arithmetic freeness of each source point."""
     v = cloud.config.variety
-    factors = {}  # one PrimPoint per distinct factor of a product cloud
+    norms = {}  # euclid norm of each distinct factor of a product cloud
     out = []
     for point, rescaled, height in zip(cloud.points, cloud.rescaled,
                                        cloud.heights):
         if v.kind == "p1n":
             for p in point:
-                if p not in factors:
-                    factors[p] = PrimPoint(p)
-            _, _, l = point_freeness(v, [factors[p] for p in point])
+                if p not in norms:
+                    norms[p] = _shell_value(p, Metric.EUCLID)
+            _, _, l = _p1n_freeness([norms[p] for p in point])
         else:
             _, _, l = point_freeness(v, point)
             point = point.coords

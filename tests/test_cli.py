@@ -595,6 +595,23 @@ class TestZoom:
                      "--delta", "1"]) == 2
         capsys.readouterr()
 
+    def test_empty_cloud_has_null_fiber_share(self, capsys):
+        # the window around 7/9 at alpha 3 holds no point of height <= 3
+        argv = ["zoom", "--variety", "p1n", "--dim", "2",
+                "--center", "7:9,7:9", "--alpha", "3", "--bound", "3"]
+        assert run_json(capsys, argv)["size"] == 0
+        doc = run_json(capsys, argv + ["--delta", "1/10"])
+        assert doc["size"] == 0
+        assert doc["delta"] == "1/10"
+        assert doc["fiber_share"] is None
+
+    @pytest.mark.parametrize("delta", ["0", "-1/2"])
+    def test_nonpositive_delta_is_usage_error(self, capsys, delta):
+        assert main(["zoom", "--variety", "p1n", "--dim", "2",
+                     "--center", "1:2,1:2", "--alpha", "1", "--bound", "30",
+                     f"--delta={delta}"]) == 2
+        assert "--delta must be positive" in capsys.readouterr().err
+
     def test_bad_center_is_usage_error(self, capsys):
         assert main(["zoom", "--variety", "pn", "--dim", "1",
                      "--center", "0:0", "--alpha", "1",

@@ -311,13 +311,18 @@ class TestOrbitWeighting:
 
     @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
                              ids=["sup", "euclid"])
-    @pytest.mark.parametrize("n,bounds", [
-        (1, [7, Fraction(707, 100)]),
-        (2, [1, 6, Fraction(707, 100), Fraction(9, 2)]),
-        (3, [2, Fraction(603, 200), Fraction(9, 2)])],
-        ids=["p1", "p2", "p3"])
-    def test_statistics_equal_per_point_sum(self, n, bounds, metric):
-        v = variety("pn", n)
+    @pytest.mark.parametrize("kind,n,bounds", [
+        ("pn", 1, [7, Fraction(707, 100)]),
+        ("pn", 2, [1, 6, Fraction(707, 100), Fraction(9, 2)]),
+        ("pn", 3, [2, Fraction(603, 200), Fraction(9, 2)]),
+        # (P^1)^n: B = 1 holds only unit factors.  At sup B = 200 the cap
+        # is 14 and the norm-65 points [4:7] and [1:8] have shells 7 and
+        # 8, so a shell-2 factor fits beside the first but not the second
+        ("p1n", 2, [1, 2, 60, 200, Fraction(707, 100), Fraction(9, 2)]),
+        ("p1n", 3, [1, 12, 40, Fraction(707, 100), Fraction(9, 2)])],
+        ids=["p1", "p2", "p3", "p1n2", "p1n3"])
+    def test_statistics_equal_per_point_sum(self, kind, n, bounds, metric):
+        v = variety(kind, n)
         for bound in bounds:
             got = freeness_statistics(v, bound, metric, BENCH_THRESHOLDS,
                                       bins=20)

@@ -70,6 +70,24 @@ class TestNormalize:
         with pytest.raises(InvalidPoint):
             PrimPoint((-1, 2))
 
+    @pytest.mark.parametrize("coords,message", [
+        ((1,), "need >= 2 coordinates, not all zero"),
+        ((), "need >= 2 coordinates, not all zero"),
+        ((0, 0, 0), "need >= 2 coordinates, not all zero"),
+        ((0, 2, -4), "coordinates not primitive; use normalize()"),
+        ((0, -1, 2), "first nonzero coordinate must be positive"),
+    ], ids=["one-coordinate", "no-coordinate", "all-zero", "not-primitive",
+            "negative-lead"])
+    def test_primpoint_messages(self, coords, message):
+        with pytest.raises(InvalidPoint) as exc:
+            PrimPoint(coords)
+        assert str(exc.value) == message
+
+    def test_primpoint_keeps_int_coordinates(self):
+        p = PrimPoint([0, 3, True, -7])
+        assert p.coords == (0, 3, 1, -7)
+        assert all(type(c) is int for c in p.coords)
+
 
 class TestHeights:
     def test_sup_and_euclid(self):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightlab.counting import bounded_window, enum_points
-from heightlab.freeness import freeness_rows
-from heightlab.projpoint import Metric, variety
+from heightlab.freeness import freeness_rows, point_freeness
+from heightlab.projpoint import Metric, PrimPoint, variety
 from heightlab.zoomlab import (
     OverlayRow,
     ScanResult,
@@ -22,6 +22,7 @@ from heightlab.zoomlab import (
 V1 = variety("pn", 1)
 V2 = variety("pn", 2)
 VP2 = variety("p1n", 2)
+VP3 = variety("p1n", 3)
 
 LOG5 = math.log(5)
 
@@ -281,6 +282,22 @@ class TestOverlay:
         for r in rows:
             assert r.l == expect[r.point]
         assert [r.point for r in rows if r.l == 0.0] == [(0, 1)]
+
+    @pytest.mark.parametrize("v,center,bound,metric", [
+        (VP2, ((1, 2), (1, 2)), 200, Metric.SUP),
+        (VP2, ((1, 2), (1, 2)), 150, Metric.EUCLID),
+        (VP3, ((0, 1), (1, 1), (2, 3)), 60, Metric.SUP)],
+        ids=["p1n2-sup", "p1n2-euclid", "p1n3-sup"])
+    def test_product_rows_equal_point_freeness(self, v, center, bound, metric):
+        cloud = zoom_cloud(ZoomConfig(variety=v, center=center, alpha=1,
+                                      R=40, B=bound, metric=metric))
+        rows = zoom_freeness_overlay(cloud)
+        assert len(rows) == cloud.size > 100
+        assert len({r.l for r in rows}) > 10
+        for row, point in zip(rows, cloud.points):
+            expect = point_freeness(v, [PrimPoint(p) for p in point])[2]
+            assert row.point == point
+            assert row.l == expect, point
 
     def test_fiber_points_follow_exact_height_law(self):
         # euclid heights make l a function of height alone on each fiber:
