@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from pathlib import Path
 from . import __version__ as VERSION
 from .counting import (
     HeightWindow,
+    _shell_spec,
     bounded_window,
     count_blowup,
     count_classes_pn,
@@ -238,7 +240,7 @@ def _point_token(pt) -> str:
 
 def _check_shell_cap(w: HeightWindow, bound) -> None:
     # the counts tabulate every shell value up to the largest component cap
-    cap = max(w.component_cap(i) for i in range(w.variety.picard_rank))
+    cap = max(hi for _, hi in _shell_spec(w)[0])
     if cap >= sys.maxsize:
         raise UsageError(f"--bound {_num(bound)} is too large: the window "
                          f"reaches shell value {cap}, past the largest table "
@@ -327,6 +329,9 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
         workers = min(cfg.workers, _usable_cpus())
         ranges = partition_leading_ranges(w, workers) if workers > 1 else []
         if len(ranges) > 1:
+            # collect before forking: the children then share a compact
+            # heap, and no full collection falls due while they run
+            gc.collect()
             with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
                 chunks = list(pool.map(_enum_chunk, [w] * len(ranges),
                                        ranges))

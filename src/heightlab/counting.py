@@ -28,7 +28,10 @@ Windows follow the shifted-box convention: per-component height intervals
 the effective cone.  Every window, bounded or boxed, decides membership by
 integer shell intervals, one per component, and a cap on their joint
 product; counts and enumeration read the same intervals, so window counts
-are exact and reproducible bit for bit.
+are exact and reproducible bit for bit.  The tuples of factor rows whose
+integer keys multiply to at most a cap come from one walk,
+`_capped_tuples`: it lists the (P^1)^n points here, the freeness classes
+and the product zoom clouds.
 """
 
 from __future__ import annotations
@@ -536,10 +539,6 @@ class HeightWindow:
         object.__setattr__(self, "direction", u)
         object.__setattr__(self, "scale", scale)
 
-    def component_cap(self, i: int) -> int:
-        """Largest integer shell value possibly inside component i."""
-        return _shell_spec(self)[0][i][1]
-
 
 def _inside_dual_cone(v: VarietyId, u: tuple) -> bool:
     return all(sum(Fraction(g) * x for g, x in zip(gen, u)) > 0 for gen in v.effective_cone)
@@ -627,38 +626,54 @@ def _pn_points(n: int, lo: int, hi: int, metric: Metric, first_range=None) -> It
 
 def _p1n_points(shells: list, joint: int, metric: Metric, first_range=None) -> Iterator[tuple]:
     """Tuples of P^1 points, factor i of shell value in shells[i], whose
-    shells multiply to at most joint, in lexicographic order."""
-    tables: dict = {}
+    shells multiply to at most joint, in lexicographic order: the capped
+    products of one (point, shell) table per distinct interval."""
+    tables = {s: [(p, _shell_value(p.coords, metric)) for p in _pn_points(1, *s, metric)]
+              for s in set(shells)}
+    factors = [tables[s] for s in shells]
+    if first_range is not None:
+        factors[0] = [f for f in factors[0] if f[0].coords[0] in first_range]
+    return _capped_tuples(factors, joint)
 
-    def within(i: int, c: int) -> list:
-        # (point, shell) of factor i with shell value <= c, lexicographic:
-        # one table per distinct interval, cut once per distinct c from a
-        # prefix of its shell-sorted order
-        lo, hi = shells[i]
-        if (lo, hi) not in tables:
-            pts = [(p, _shell_value(p.coords, metric)) for p in _pn_points(1, lo, hi, metric)]
-            order = sorted(range(len(pts)), key=lambda k: pts[k][1])
-            tables[lo, hi] = (pts, order, [pts[k][1] for k in order], {})
-        pts, order, keys, cut = tables[lo, hi]
-        if c >= hi:
-            return pts
+
+def _capped_tuples(factors: Sequence[list], cap: int) -> Iterator[tuple]:
+    """Tuples (x_1, ..., x_n), x_i from the rows (x, key) of factors[i],
+    whose positive integer keys multiply to at most cap, in the
+    lexicographic order of the factor lists (n >= 1).
+
+    Keys multiply to at most cap iff each key is at most the floor of cap
+    over the product of those before it, so every cap stays an integer.
+    Each list is cut once per distinct cap, from its key-sorted order and
+    kept in list order; a list object passed for several factors shares
+    its cuts.
+    """
+    cuts: dict = {}
+
+    def within(rows: list, c: int) -> list:
+        if id(rows) not in cuts:
+            order = sorted(range(len(rows)), key=lambda k: rows[k][1])
+            cuts[id(rows)] = (order, [rows[k][1] for k in order], {})
+        order, keys, cut = cuts[id(rows)]
+        if not keys or c >= keys[-1]:
+            return rows
         if c not in cut:
-            cut[c] = [pts[k] for k in sorted(order[:bisect_right(keys, c)])]
+            cut[c] = [rows[k] for k in sorted(order[:bisect_right(keys, c)])]
         return cut[c]
 
-    def rec(i: int, prefix: tuple, cap_left: int, items: list) -> Iterator:
-        if i == len(shells) - 1:
-            for p, _ in items:
-                yield prefix + (p,)
-            return
-        for p, s in items:
-            c = cap_left // s
-            yield from rec(i + 1, prefix + (p,), c, within(i + 1, c))
+    return _capped_walk(factors, within, 0, (), cap)
 
-    top = within(0, joint)
-    if first_range is not None:
-        top = [f for f in top if f[0].coords[0] in first_range]
-    yield from rec(0, (), joint, top)
+
+def _capped_walk(factors: Sequence[list], within, i: int, prefix: tuple, c: int) -> Iterator[tuple]:
+    # The walk of `_capped_tuples` from factor i on.  It is not nested in
+    # `_capped_tuples`: a nested recursive generator refers to itself, and
+    # that cycle would keep the factor lists and their cuts alive until
+    # the next garbage collection.
+    if i == len(factors) - 1:
+        for x, _ in within(factors[i], c):
+            yield prefix + (x,)
+        return
+    for x, key in within(factors[i], c):
+        yield from _capped_walk(factors, within, i + 1, prefix + (x,), c // key)
 
 
 def _blowup_points(shells: list, joint: int, metric: Metric, first_range=None) -> Iterator[tuple]:

@@ -26,20 +26,24 @@ float, rounded through n * mu / h: a point whose exact l equals a
 threshold t may come out on either side of t.  `freeness_sweep` audits
 whole balls with its own float assembly of the same minima.
 
-On P^n with n <= 3 both ball statistics pay once per orbit of the signed
-permutations, not once per point.  Such a permutation is an isometry of
-Z^(n+1) that preserves the sup and euclid balls and carries the quotient
-form of y to that of its image, so m = |y|^2, lam2 and lam2_adj are
-orbit invariants; `point_freeness` and the sweep's assembly are functions
-of these three integers alone.  Each orbit is visited at its sorted
-representative 0 <= y_0 <= ... <= y_n and counts with weight
-(n+1)!/prod(mult!) * 2^#nonzero / 2, its number of projective points.
+On every P^n `freeness_statistics`, and on P^2 and P^3 `freeness_sweep`,
+pay once per orbit of the signed permutations, not once per point.  Such
+a permutation is an isometry of Z^(n+1) that preserves the sup and
+euclid balls and carries the tangent lattice and the quotient form of y
+to those of its image.  So m = |y|^2, lam2 and lam2_adj are orbit
+invariants, and so are the exact minimal covolumes that the Newton
+polygon reads for n >= 4; `point_freeness` and the sweep's assembly are
+functions of these alone, so every float is the same on the whole
+orbit.  Each orbit is visited at its sorted representative
+0 <= y_0 <= ... <= y_n and counts with weight (n+1)!/prod(mult!) *
+2^#nonzero / 2, its number of projective points.
 
 On (P^1)^n l = n min log m_i / sum log m_i reads only the factor norms
 m_i = a_i^2 + b_i^2, and the height window reads only the factor shell
 values.  `freeness_statistics` therefore groups each factor's P^1 points
 into classes, one per (shell value, norm) pair, and pays once per tuple
-of classes, weighted by the product of the class sizes; the overlay of
+of classes (`counting._capped_tuples`, the walk that also lists the
+points), weighted by the product of the class sizes; the overlay of
 `zoomlab` reads one norm per distinct factor.  Both call the same kernel
 `_p1n_freeness` as `point_freeness`.
 """
@@ -346,68 +350,44 @@ class FreenessStats:
     bins: int
 
 
-def freeness_rows(v: VarietyId, bound, metric: Metric = Metric.SUP) -> Iterator[tuple]:
-    """(point, h, mu_min, l) over the height-bound window, euclid slopes.
-
-    The window metric only selects points; the slope theory stays euclid.
-    """
-    from .counting import bounded_window, enum_points
-
-    if v.kind not in ("pn", "p1n"):
-        raise ValueError("freeness statistics cover P^n and (P^1)^n")
-    for p in enum_points(bounded_window(v, bound, metric)):
-        yield (p, *point_freeness(v, p))
-
-
 def _p1n_classes(v: VarietyId, bound, metric: Metric) -> Iterator[tuple]:
     """(norms, weight) over the tuples of factor classes of the (P^1)^n
     window: a class is a (shell value, euclid norm) pair, norms holds one
     norm per factor, and weight is the number of window points whose
     factors lie in those classes, the product of the class sizes."""
-    from .counting import _pn_points, _shell_spec, _shell_value, bounded_window
+    from .counting import _capped_tuples, _pn_points, _shell_spec, _shell_value, bounded_window
 
     shells, joint = _shell_spec(bounded_window(v, bound, metric))
     # a bounded window gives every factor the same shell interval
     sizes = Counter((_shell_value(p.coords, metric), sum(c * c for c in p.coords))
                     for p in _pn_points(1, *shells[0], metric))
-    classes = sorted(sizes.items())  # by shell value first
-    last = v.n - 1
-
-    def rec(i: int, norms: tuple, cap_left: int, weight: int) -> Iterator[tuple]:
-        # shells multiply to at most joint iff each one is at most the
-        # floor of joint over the product of those before it
-        for (s, m), size in classes:
-            if s > cap_left:
-                break
-            if i == last:
-                yield norms + (m,), weight * size
-            else:
-                yield from rec(i + 1, norms + (m,), cap_left // s, weight * size)
-
-    yield from rec(0, (), joint, 1)
+    classes = [((m, size), s) for (s, m), size in sorted(sizes.items())]
+    for t in _capped_tuples([classes] * v.n, joint):
+        norms, counts = zip(*t)
+        yield norms, math.prod(counts)
 
 
 def freeness_statistics(v: VarietyId, bound, metric: Metric = Metric.SUP,
                         thresholds: Sequence[float] = (), bins: int = 20) -> FreenessStats:
     """Threshold counts and histogram of l over the height-bound window.
 
-    On P^n with n <= 3 l is read once per signed-permutation orbit,
-    weighted by its size (see the module docstring).  On (P^1)^n it is
-    read once per tuple of factor classes, weighted by the number of
-    points in it: l depends only on the factor norms and the window only
-    on the factor shells, so every point of a tuple has the same l and
-    the same membership.  On P^n with n >= 4 it is read once per point.
+    Every statistic is a weighted sum.  On P^n l is read once per
+    signed-permutation orbit, weighted by its size (see the module
+    docstring).  On (P^1)^n it is read once per tuple of factor classes,
+    weighted by the number of points in it: l depends only on the factor
+    norms and the window only on the factor shells, so every point of a
+    tuple has the same l and the same membership.
     """
-    if v.kind == "pn" and v.n <= 3:
+    if v.kind not in ("pn", "p1n"):
+        raise ValueError("freeness statistics cover P^n and (P^1)^n")
+    if v.kind == "pn":
         from .counting import _pn_orbits
 
         weighted = ((point_freeness(v, PrimPoint(y))[2], w)
                     for y, w in _pn_orbits(v.n, bound, metric))
-    elif v.kind == "p1n":
+    else:
         weighted = ((_p1n_freeness(norms)[2], w)
                     for norms, w in _p1n_classes(v, bound, metric))
-    else:
-        weighted = ((l, 1) for _, _, _, l in freeness_rows(v, bound, metric))
     thr = list(thresholds)
     counts = {t: 0 for t in thr}
     hist = [0] * bins

@@ -139,11 +139,6 @@ def variety(kind: str, n: int) -> VarietyId:
     return VarietyId(kind, n)
 
 
-# Points on the product and the blowup are tuples of PrimPoints.
-ProductPoint = tuple
-BlowupPoint = tuple
-
-
 def blowup_point(p: PrimPoint, q: PrimPoint) -> tuple:
     """Validate the incidence X*V = Y*U and return the pair (p, q)."""
     if p.n != 2 or q.n != 1:

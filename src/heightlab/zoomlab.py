@@ -19,14 +19,13 @@ floats for display only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 from typing import Sequence
 
-from .counting import _shell_cap, _shell_value, int_nth_root
+from .counting import _capped_tuples, _shell_cap, _shell_value, int_nth_root
 from .freeness import _p1n_freeness, point_freeness
 from .projpoint import Metric, VarietyId, normalize
 
@@ -143,7 +142,8 @@ def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
 
 
 def _p1_factor_candidates(cfg: ZoomConfig, center: tuple):
-    """P^1 points near one center coordinate: (pair, chart value, height key).
+    """P^1 points near one center coordinate: rows ((pair, chart value,
+    height key), height key), sorted by height key.
 
     The height key is the exponential factor height for the sup metric and
     its square for the euclidean one, so product caps stay integral.
@@ -160,34 +160,19 @@ def _p1_factor_candidates(cfg: ZoomConfig, center: tuple):
             pair = (q, a) if j == 0 else (a, q) if a >= 0 else (-a, -q)
             key = _shell_value(pair, cfg.metric)
             y = Fraction(a * cd - cn * q, q * cd)  # a/q - cf
-            out.append((pair, y, key))
-    out.sort(key=lambda row: row[2])
+            out.append(((pair, y, key), key))
+    out.sort(key=lambda row: row[1])
     return out
 
 
-def _product_rows(factors: list, cap: int, prefix: tuple = ()):
-    """Tuples of candidate rows, one per factor, whose integer height keys
-    multiply to at most cap, in lexicographic candidate order.  A product
-    of integer keys is at most a bound iff it is at most its floor, so
-    the caps stay integers."""
-    cands, keys = factors[0]
-    for row in cands[:bisect_right(keys, cap)]:
-        if len(factors) == 1:
-            yield prefix + (row,)
-        else:
-            yield from _product_rows(factors[1:], cap // row[2], prefix + (row,))
-
-
 def _p1n_cloud(cfg: ZoomConfig) -> ZoomCloud:
-    candidates = {}
-    for c in cfg.center:
-        if c not in candidates:
-            f = _p1_factor_candidates(cfg, c)
-            candidates[c] = (f, [row[2] for row in f])
+    """The capped products of the factor candidates: the cloud lists them
+    by first-factor height key, then by second, and so on."""
+    candidates = {c: _p1_factor_candidates(cfg, c) for c in set(cfg.center)}
     rows = []
     # keys are factor heights (sup) or squared heights (euclid)
-    for combo in _product_rows([candidates[c] for c in cfg.center],
-                               _shell_cap(cfg.B ** 2, cfg.metric)):
+    for combo in _capped_tuples([candidates[c] for c in cfg.center],
+                                _shell_cap(cfg.B ** 2, cfg.metric)):
         h = float(math.prod(row[2] for row in combo))
         rows.append((tuple(row[0] for row in combo),
                      tuple(row[1] for row in combo),

@@ -1,9 +1,11 @@
 """Reference routes for the freeness kernel, kept out of the package.
 
-`freeness_sweep` and `freeness_statistics` on P^n (n <= 3) visit one
+`freeness_sweep` (P^2, P^3) and `freeness_statistics` on P^n visit one
 sorted representative per signed-permutation orbit and weight it by the
-orbit size.  The loops here visit every point of the ball instead: slow,
-but with nothing to argue.  The tests compare both results with ==.
+orbit size, and on (P^1)^n the statistics visit one tuple of factor
+classes.  The loops here (`freeness_rows`) visit every point of the
+ball instead: slow, but with nothing to argue.  The tests compare both
+results with ==.
 
 `_min3` is an independent certified lambda_1^2 of a 3x3 integer form (a
 greedy pair reduction, then a box scan), with `_adj3` the 3x3 adjugate
@@ -17,7 +19,7 @@ of the tangent lattice.
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from heightlab.counting import _iter_coords, bounded_window, enum_points
 from heightlab.exactnum import LogLin
@@ -31,7 +33,7 @@ from heightlab.freeness import (
     _term_coeffs_closed,
     _term_coeffs_generic,
     freeness,
-    freeness_rows,
+    point_freeness,
     tangent_lattice_pn,
     unimodular_completion,
 )
@@ -198,6 +200,17 @@ def reference_sweep(n: int, bound: int, thresholds=()) -> SweepResult:
                 below[t] += 1
     return SweepResult(n=n, bound=bound, total=total, bound_holds=holds,
                        coeffs_match=cc == cg, min_l=min_l, below_counts=below)
+
+
+def freeness_rows(v: VarietyId, bound, metric: Metric = Metric.SUP) -> Iterator[tuple]:
+    """(point, h, mu_min, l) over the height-bound window, euclid slopes.
+
+    The window metric only selects points; the slope theory stays euclid.
+    """
+    if v.kind not in ("pn", "p1n"):
+        raise ValueError("freeness statistics cover P^n and (P^1)^n")
+    for p in enum_points(bounded_window(v, bound, metric)):
+        yield (p, *point_freeness(v, p))
 
 
 def reference_statistics(v, bound, metric, thresholds=(), bins=20) -> FreenessStats:

@@ -14,6 +14,7 @@ from heightlab.cli import main
 from heightlab.counting import (
     CountReport,
     HeightWindow,
+    _capped_tuples,
     bounded_window,
     count_blowup,
     count_classes_pn,
@@ -420,6 +421,30 @@ class TestProductEnumeration:
             for r in partition_leading_ranges(w, workers):
                 assert list(enum_points(w, r)) == \
                     reference_enum_p1n(n, bound, metric, r)
+
+
+# the keys of one factor list, unsorted and with repeats
+FACTOR_KEYS = st.lists(st.integers(1, 6), max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(FACTOR_KEYS, min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       st.integers(0, 80))
+@example([[1, 3, 1, 2]], [0, 0, 0], 0)
+@example([[1, 3, 1, 2]], [0, 0, 0], 1)
+@example([[2, 1, 1, 3], []], [0, 1, 0], 12)
+@example([[5, 1, 2, 1, 4], [3, 1]], [0, 1, 0], 9)
+def test_capped_tuples_match_filtered_product(key_lists, picks, cap):
+    # factor i is the list object pool[picks[i] % len(pool)], so one object
+    # can serve several factors and share its cuts
+    pool = [[((t, j), k) for j, k in enumerate(keys)]
+            for t, keys in enumerate(key_lists)]
+    factors = [pool[i % len(pool)] for i in picks]
+    expect = [tuple(x for x, _ in combo)
+              for combo in itertools.product(*factors)
+              if math.prod(k for _, k in combo) <= cap]
+    assert list(_capped_tuples(factors, cap)) == expect
 
 
 def axis_coords(n_coords, radius, chunk):

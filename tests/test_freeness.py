@@ -21,7 +21,6 @@ from heightlab.freeness import (
     _quotient_int_gram,
     freeness,
     freeness_product,
-    freeness_rows,
     freeness_statistics,
     freeness_sweep,
     pn_freeness_data,
@@ -39,6 +38,7 @@ from freeness_reference import (
     _min3,
     closed_form_mu,
     freeness_pn_closed,
+    freeness_rows,
     freeness_surface_tau,
     metric_change_rows,
     product_tangent_lattice,
@@ -315,12 +315,13 @@ class TestOrbitWeighting:
         ("pn", 1, [7, Fraction(707, 100)]),
         ("pn", 2, [1, 6, Fraction(707, 100), Fraction(9, 2)]),
         ("pn", 3, [2, Fraction(603, 200), Fraction(9, 2)]),
+        ("pn", 4, [1, 2]),
         # (P^1)^n: B = 1 holds only unit factors.  At sup B = 200 the cap
         # is 14 and the norm-65 points [4:7] and [1:8] have shells 7 and
         # 8, so a shell-2 factor fits beside the first but not the second
         ("p1n", 2, [1, 2, 60, 200, Fraction(707, 100), Fraction(9, 2)]),
         ("p1n", 3, [1, 12, 40, Fraction(707, 100), Fraction(9, 2)])],
-        ids=["p1", "p2", "p3", "p1n2", "p1n3"])
+        ids=["p1", "p2", "p3", "p4", "p1n2", "p1n3"])
     def test_statistics_equal_per_point_sum(self, kind, n, bounds, metric):
         v = variety(kind, n)
         for bound in bounds:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab.counting import bounded_window, enum_points
-from heightlab.freeness import freeness_rows, point_freeness
+from heightlab.counting import _shell_value, bounded_window, enum_points
+from heightlab.freeness import point_freeness
 from heightlab.projpoint import Metric, PrimPoint, variety
 from heightlab.zoomlab import (
     OverlayRow,
@@ -18,6 +18,8 @@ from heightlab.zoomlab import (
     zoom_cloud,
     zoom_freeness_overlay,
 )
+
+from freeness_reference import freeness_rows
 
 V1 = variety("pn", 1)
 V2 = variety("pn", 2)
@@ -202,6 +204,20 @@ class TestCloudMembership:
                 expect *= max(abs(c) for c in pair)
             assert h == float(expect)
             assert expect <= 30
+
+    @pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                             ids=["sup", "euclid"])
+    def test_p1n_cloud_order(self, metric):
+        # by first-factor height key, then, within a run of the same first
+        # factor, by second-factor key
+        cloud = zoom_cloud(ZoomConfig(variety=VP2, center=((1, 2), (1, 2)),
+                                      alpha=1, R=40, B=200, metric=metric))
+        keys = [tuple(_shell_value(f, metric) for f in pt) for pt in cloud.points]
+        assert cloud.size > 100
+        for i in range(1, cloud.size):
+            assert keys[i - 1][0] <= keys[i][0], cloud.points[i]
+            if cloud.points[i - 1][0] == cloud.points[i][0]:
+                assert keys[i - 1][1] <= keys[i][1], cloud.points[i]
 
     def test_rescaled_scales_chart(self):
         cfg = ZoomConfig(variety=V1, center=(0, 1), alpha=Fraction(1, 2),
