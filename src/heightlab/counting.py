@@ -46,7 +46,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exactnum import build_sieve
-from .projpoint import Metric, PrimPoint, VarietyId
+from .projpoint import (Metric, PrimPoint, VarietyId, blowup_from_plane, blowup_point,
+                        enum_projective_mod)
+from .tamagawa import closed_form, cone_alpha, nu_window
 
 CENTER = (0, 0, 1)  # blow-up center in P^2
 
@@ -261,8 +263,6 @@ def count_classes_pn(n: int, modulus: int, bound: int) -> dict:
     are equally often in |z| <= q, classes that differ by permuting or
     negating coordinates share their count.
     """
-    from .projpoint import enum_projective_mod
-
     prime_to_m = _CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
     runs = [(_residue_counts(modulus, -q, q), w)
             for q, w in _quotient_runs(bound, bound, prime_to_m, 1)]
@@ -678,8 +678,6 @@ def _capped_walk(factors: Sequence[list], within, i: int, prefix: tuple, c: int)
 
 def _blowup_points(shells: list, joint: int, metric: Metric, first_range=None) -> Iterator[tuple]:
     """Pairs (P, Q) of the window: the exceptional fibre, then off it."""
-    from .projpoint import blowup_from_plane, blowup_point
-
     (lo0, hi0), (lo1, hi1) = shells
     if (first_range is None or 0 in first_range) and lo0 <= 1 <= hi0:
         # P is the center, of shell value 1, so s_Q <= joint
@@ -722,8 +720,6 @@ class CountReport:
 
 def count_window(w: HeightWindow) -> CountReport:
     """Exact boxed-window count against beta nu(D_1) tau B^<w,u>."""
-    from .tamagawa import closed_form, cone_alpha, nu_window
-
     if w.box is None:
         raise ValueError("count_window needs a boxed window")
     v = w.variety

@@ -56,6 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .counting import (_capped_tuples, _pn_orbits, _pn_points, _shell_spec, _shell_value,
+                       bounded_window)
 from .exactnum import LogLin, int_adjugate
 from .lattice import EucLattice, degree, int_min_norm2, lagrange_gauss, newton_polygon
 from .projpoint import Metric, PrimPoint, VarietyId
@@ -355,8 +357,6 @@ def _p1n_classes(v: VarietyId, bound, metric: Metric) -> Iterator[tuple]:
     window: a class is a (shell value, euclid norm) pair, norms holds one
     norm per factor, and weight is the number of window points whose
     factors lie in those classes, the product of the class sizes."""
-    from .counting import _capped_tuples, _pn_points, _shell_spec, _shell_value, bounded_window
-
     shells, joint = _shell_spec(bounded_window(v, bound, metric))
     # a bounded window gives every factor the same shell interval
     sizes = Counter((_shell_value(p.coords, metric), sum(c * c for c in p.coords))
@@ -381,8 +381,6 @@ def freeness_statistics(v: VarietyId, bound, metric: Metric = Metric.SUP,
     if v.kind not in ("pn", "p1n"):
         raise ValueError("freeness statistics cover P^n and (P^1)^n")
     if v.kind == "pn":
-        from .counting import _pn_orbits
-
         weighted = ((point_freeness(v, PrimPoint(y))[2], w)
                     for y, w in _pn_orbits(v.n, bound, metric))
     else:
@@ -476,8 +474,6 @@ def freeness_sweep(n: int, bound: int, thresholds: Sequence[float] = ()) -> Swee
     2^#nonzero / 2 (`counting._pn_orbits`).  `tests/freeness_reference.py`
     keeps the per-point loop as the oracle.
     """
-    from .counting import _pn_orbits
-
     if n not in (2, 3):
         raise ValueError("sweep covers P^2 and P^3")
     cc, cg = _term_coeffs_closed(n), _term_coeffs_generic(n)

@@ -12,10 +12,11 @@ Gram G = den * gram, kept on the lattice.  One integral Gram-Schmidt
 d_k (so d_r is the determinant) and lam_ij = d_{j+1} mu_ij, all integers.
 It checks positivity (every d_k > 0, Sylvester), and it drives the LLL
 reduction (delta = 99/100), which keeps (d, lam) up to date through each
-size reduction and swap.  Each integer Gram is reduced once and the
-reduction is kept on the lattice: the Newton polygon, the successive minima
-and every certified search on that lattice reuse it (one reduction for G,
-one for its adjugate).
+size reduction and swap.  Each integer Gram is reduced once, and the
+reduction keeps LLL's own (d, lam) of the reduced Gram and, once asked
+for, its first minimum.  The reduction is kept on the lattice: the Newton
+polygon, the successive minima and every certified search on that lattice
+reuse it (one reduction for G, one for its adjugate).
 
 Short vectors come from a Fincke-Pohst walk of the ellipsoid x gg x^T <=
 bound in reduced coordinates.  With the budget scaled by the lcm of the
@@ -45,6 +46,7 @@ kernel and `tau_invariant` share.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,7 +168,7 @@ def _round_div(a: int, b: int) -> int:
 
 def _lll_transform(g):
     """Exact LLL (delta = 99/100) on an integer Gram matrix; returns the
-    unimodular rows U.
+    unimodular rows U with the data (d, lam) of the reduced Gram U g U^T.
 
     Cohen's integral LLL (Algorithm 2.6.7): the data (d, lam) of
     `_gram_schmidt` is computed once and then updated in place.  A size
@@ -210,14 +212,14 @@ def _lll_transform(g):
             li[k - 1] = (big * t + m * li[k]) // d[k + 1]
         d[k] = big
         k = max(k - 1, 1)
-    return u
+    return u, d, lam
 
 
 @dataclass(frozen=True)
 class _Reduction:
     """An integer Gram g after LLL: the rows U, the reduced Gram
-    gg = U g U^T and its integral Gram-Schmidt data (d, lam).  Every search
-    over g starts here."""
+    gg = U g U^T and its integral Gram-Schmidt data (d, lam), as LLL left
+    them.  Every search over g starts here."""
 
     g: list
     u: list
@@ -229,12 +231,18 @@ class _Reduction:
     def det(self) -> int:
         return self.d[-1]
 
+    @functools.cached_property
+    def svp(self):
+        """(lambda_1^2, witness), certified; computed on first use and kept."""
+        bound = min(self.gg[i][i] for i in range(len(self.gg)))
+        # bound is attained by a basis vector, so the list is nonempty
+        return _vectors_within(self, bound)[0]
+
 
 def _reduce(g) -> _Reduction:
     """LLL reduction of an integer Gram g, with the data of the reduced Gram."""
-    u = _lll_transform(g)
-    gg = _gram_of_transform(u, g)
-    return _Reduction(g, u, gg, *_gram_schmidt(gg))
+    u, d, lam = _lll_transform(g)
+    return _Reduction(g, u, _gram_of_transform(u, g), d, lam)
 
 
 def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
@@ -302,20 +310,13 @@ def _vectors_within(red: _Reduction, bound):
     return out
 
 
-def _svp_int(red: _Reduction):
-    """(min norm^2, witness) of a reduced integer Gram, certified."""
-    bound = min(red.gg[i][i] for i in range(len(red.gg)))
-    # bound is attained by a basis vector, so the list is nonempty
-    return _vectors_within(red, bound)[0]
-
-
 def int_min_norm2(g) -> int:
     """lambda_1^2 of a positive-definite integer Gram g: the least x g x^T
     over nonzero integer x, certified by LLL and the Fincke-Pohst walk.
 
     The P^3 freeness kernel reads its quotient-form minima here.
     """
-    return _svp_int(_reduce(g))[0]
+    return _reduce(g).svp[0]
 
 
 def _min_covol2_red(red: _Reduction, i: int) -> Fraction:
@@ -334,7 +335,7 @@ def _min_covol2_red(red: _Reduction, i: int) -> Fraction:
     the walk: the list is sorted by norm, so once the norms chosen so far
     times q_c^left exceed K best, no later candidate helps.
     """
-    m1, _ = _svp_int(red)
+    m1 = red.svp[0]
     if i == 1:
         return Fraction(m1)
     gg = red.gg
@@ -419,6 +420,12 @@ class NewtonPolygon:
 
 
 def newton_polygon(lat: EucLattice) -> NewtonPolygon:
+    """Degree profile d, its concave hull through (0, 0) and the slopes.
+
+    Each hull segment (xa, ya)-(xb, yb) gives one slope
+    (yb - ya) / (xb - xa), repeated xb - xa times; the ordinates m are
+    the partial sums of the slopes from m[0] = 0.
+    """
     r = lat.rank
     d = [max_deg_rank(lat, i) for i in range(1, r + 1)]
     pts = [(0, LogLin.zero())] + [(i + 1, d[i]) for i in range(r)]
@@ -435,21 +442,13 @@ def newton_polygon(lat: EucLattice) -> NewtonPolygon:
             else:
                 break
         hull.append(p)
-    m = [LogLin.zero()] * (r + 1)
-    seg = 0
-    for i in range(r + 1):
-        while hull[seg + 1][0] < i:
-            seg += 1
-        (xa, ya), (xb, yb) = hull[seg], hull[seg + 1]
-        if i == xa:
-            m[i] = ya
-        elif i == xb:
-            m[i] = yb
-        else:
-            t = Fraction(i - xa, xb - xa)
-            m[i] = ya.scale(1 - t) + yb.scale(t)
-    slopes = tuple(m[i] - m[i - 1] for i in range(1, r + 1))
-    return NewtonPolygon(tuple(d), tuple(m), slopes)
+    slopes = []
+    for (xa, ya), (xb, yb) in zip(hull, hull[1:]):
+        slopes += [(yb - ya).scale(Fraction(1, xb - xa))] * (xb - xa)
+    m = [LogLin.zero()]
+    for s in slopes:
+        m.append(m[-1] + s)
+    return NewtonPolygon(tuple(d), tuple(m), tuple(slopes))
 
 
 def slopes(lat: EucLattice) -> tuple:

@@ -164,15 +164,11 @@ class LSeries:
         return -self.terms[-1][0]
 
     def __add__(self, other: "LSeries") -> "LSeries":
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
         return LSeries(cutoff=min(self.cutoff, other.cutoff),
-                       terms=_clean(out))
+                       terms=(LPoly(self.terms) + LPoly(other.terms)).terms)
 
     def __neg__(self) -> "LSeries":
-        return LSeries(cutoff=self.cutoff,
-                       terms=tuple((e, -c) for e, c in self.terms))
+        return LSeries(cutoff=self.cutoff, terms=(-LPoly(self.terms)).terms)
 
     def __sub__(self, other: "LSeries") -> "LSeries":
         return self + (-other)
@@ -182,12 +178,8 @@ class LSeries:
         # is protected by the other factor's level
         cutoff = min(self.cutoff + other.level(),
                      other.cutoff + self.level())
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LSeries(cutoff=cutoff, terms=_clean(out))
+        return LSeries(cutoff=cutoff,
+                       terms=(LPoly(self.terms) * LPoly(other.terms)).terms)
 
     def __repr__(self):
         if not self.terms:

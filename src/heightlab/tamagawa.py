@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import build_sieve, int_adjugate, int_det, zeta
-from .projpoint import Metric, VarietyId
+from .projpoint import Metric, VarietyId, card_projective_mod
 
 
 def local_density(variety: VarietyId, p: int) -> Fraction:
@@ -157,8 +157,6 @@ def nu_window(weights, lo, hi) -> float:
 
 def uniform_class_share(variety: VarietyId, modulus: int) -> Fraction:
     """Expected share of each residue class for equidistributed reductions."""
-    from .projpoint import card_projective_mod
-
     if variety.kind != "pn":
         raise ValueError("class shares are implemented for projective space")
     return Fraction(1, card_projective_mod(variety.n, modulus))

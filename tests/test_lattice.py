@@ -12,7 +12,6 @@ from heightlab import lattice
 from heightlab.exactnum import LogLin, int_adjugate, int_det
 from heightlab.lattice import (
     EucLattice,
-    _svp_int,
     _vectors_within,
     NotPositiveDefinite,
     UnsupportedRank,
@@ -227,7 +226,7 @@ def reference_min_covol2_red(red, i):
     """Minimal covol^2 over rank-i primitive sublattices of red.g: the best
     saturated span of i certified short vectors, every i-subset tried.
     Certified for i <= 4; the plain-determinant search replaced it."""
-    m1, _ = _svp_int(red)
+    m1 = red.svp[0]
     if i == 1:
         return Fraction(m1)
     r = len(red.gg)
@@ -244,6 +243,40 @@ def reference_min_covol2_red(red, i):
         if cv is not None and cv < best:
             best = cv
     return best
+
+
+def reference_polygon(lat):
+    """(d, m, slopes) of the Newton polygon with every ordinate m[i]
+    interpolated on its hull segment and the slopes taken as differences
+    m[i] - m[i-1]; the slope-per-segment construction replaced it."""
+    r = lat.rank
+    d = [max_deg_rank(lat, i) for i in range(1, r + 1)]
+    pts = [(0, LogLin.zero())] + [(i + 1, d[i]) for i in range(r)]
+    hull = [pts[0]]
+    for p in pts[1:]:
+        while len(hull) >= 2:
+            (xa, ya), (xb, yb) = hull[-2], hull[-1]
+            xc, yc = p
+            if ((yb - ya) * (xc - xb)).compare((yc - yb) * (xb - xa)) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    m = [LogLin.zero()] * (r + 1)
+    seg = 0
+    for i in range(r + 1):
+        while hull[seg + 1][0] < i:
+            seg += 1
+        (xa, ya), (xb, yb) = hull[seg], hull[seg + 1]
+        if i == xa:
+            m[i] = ya
+        elif i == xb:
+            m[i] = yb
+        else:
+            t = Fraction(i - xa, xb - xa)
+            m[i] = ya.scale(1 - t) + yb.scale(t)
+    slopes = [m[i] - m[i - 1] for i in range(1, r + 1)]
+    return d, m, slopes
 
 
 # gram_pool(6, 10)[2] and [3] of the benchmark: every triple below the
@@ -280,7 +313,10 @@ class TestReduction:
         rng = np.random.default_rng(seed)
         g = [list(row) for row in random_gram(rng, rank, spread=3)]
         for h in (g, int_adjugate(g)):
-            assert lattice._lll_transform(h) == reference_lll_transform(h), h
+            u, d, lam = lattice._lll_transform(h)
+            assert u == reference_lll_transform(h), h
+            # LLL hands back the data of the reduced Gram it kept current
+            assert (d, lam) == lattice._gram_schmidt(lattice._gram_of_transform(u, h)), h
 
     def test_polygon_and_minima_reduce_two_grams_once(self, monkeypatch):
         counts = {}
@@ -298,6 +334,25 @@ class TestReduction:
         successive_minima(lat)
         adj = tuple(map(tuple, int_adjugate(g)))
         assert counts == {g: 1, adj: 1}
+
+    def test_one_first_minimum_per_reduction(self, monkeypatch):
+        # a search at the least reduced diagonal entry is a first-minimum
+        # search; the polygon needs lambda_1 of G and of adj(G) once each
+        counts = {}
+        orig = lattice._vectors_within
+
+        def recording(red, bound):
+            if bound == min(red.gg[i][i] for i in range(len(red.gg))):
+                key = tuple(map(tuple, red.g))
+                counts[key] = counts.get(key, 0) + 1
+            return orig(red, bound)
+
+        monkeypatch.setattr(lattice, "_vectors_within", recording)
+        g = RANK6_GRAMS[0]
+        lat = EucLattice(g)
+        newton_polygon(lat)
+        successive_minima(lat)
+        assert counts == {g: 1, tuple(map(tuple, int_adjugate(g))): 1}
 
     def test_cached_reduction_leaves_identity_alone(self):
         g = ((2, 1), (1, 3))
@@ -489,6 +544,17 @@ class TestDegreesAndPolygon:
         assert np_.slopes[0] == np_.slopes[1] == LogLin.from_log(3, Fraction(-1, 4))
         assert is_semistable(lat)
         assert min_slope(lat) == LogLin.from_log(3, Fraction(-1, 4))
+
+    @pytest.mark.parametrize("gram", [
+        *[random_gram(np.random.default_rng(seed), rank) for rank in range(1, 7)
+          for seed in range(4)],
+        *RANK5_GRAMS, A5, D5, *RANK6_GRAMS,
+    ])
+    def test_polygon_matches_interpolating_reference(self, gram):
+        got = newton_polygon(EucLattice(gram))
+        want = reference_polygon(EucLattice(gram))
+        for a, b in zip((got.d, got.m, got.slopes), want):
+            assert [x.terms for x in a] == [x.terms for x in b]
 
     def test_rank3_diag(self):
         lat = EucLattice(((1, 0, 0), (0, 1, 0), (0, 0, 4)))
