@@ -3,7 +3,7 @@
 One subcommand per experiment family.  Outputs are deterministic: the
 provenance header carries the canonical command line, the seed and the
 package version, never timestamps, so identical configurations produce
-byte-identical files no matter how many workers run the enumeration.
+byte-identical files.  Every command runs in one process.
 Rational flags are read as p/q strings and stay exact all the way down.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import gc
 import io
 import json
 import math
@@ -20,7 +19,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +34,6 @@ from .counting import (
     count_window,
     enum_points,
     joint_class_box_counts,
-    partition_leading_ranges,
     sup_box_measure,
 )
 from .freeness import freeness_statistics
@@ -166,7 +163,6 @@ class RunConfig:
     format: str
     out: Path | None
     cache_dir: Path | None
-    workers: int
     seed: int
 
     def command_line(self) -> str:
@@ -196,7 +192,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cache_dir = Path(cache) if cache else args.cache_dir
     return RunConfig(command=args.command, params=tuple(params),
                      format=args.format, out=args.out, cache_dir=cache_dir,
-                     workers=args.workers, seed=args.seed)
+                     seed=args.seed)
 
 
 def _render(cfg: RunConfig, data: dict, table) -> str:
@@ -283,17 +279,6 @@ def _cmd_count(cfg: RunConfig, args) -> tuple:
     return data, None
 
 
-def _enum_chunk(window: HeightWindow, rng) -> list:
-    return [_point_token(p) for p in enum_points(window, rng)]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
 def _cache_key(args) -> str:
     bound = Fraction(args.bound)
     tag = str(bound.numerator) if bound.denominator == 1 else \
@@ -324,32 +309,25 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
         cache_file = cfg.cache_dir / _cache_key(args)
     tokens = _read_cache(cache_file) if cache_file is not None else None
     if tokens is None:
-        # a fork pool starts all of its processes at the first submit, so
-        # it gets one per leading range, and no more ranges than CPUs
-        workers = min(cfg.workers, _usable_cpus())
-        ranges = partition_leading_ranges(w, workers) if workers > 1 else []
-        if len(ranges) > 1:
-            # collect before forking: the children then share a compact
-            # heap, and no full collection falls due while they run
-            gc.collect()
-            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-                chunks = list(pool.map(_enum_chunk, [w] * len(ranges),
-                                       ranges))
-            tokens = [t for chunk in chunks for t in chunk]
-        else:
-            tokens = _enum_chunk(w, None)
+        tokens = [_point_token(p) for p in enum_points(w)]
         if cache_file is not None:
             cfg.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(f"{_CACHE_HEADER}{len(tokens)}\n")
-                fh.write("point\n")
-                fh.write("".join(t + "\n" for t in tokens))
-            os.replace(tmp, cache_file)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(f"{_CACHE_HEADER}{len(tokens)}\n")
+                    fh.write("point\n")
+                    fh.write("".join(t + "\n" for t in tokens))
+                os.replace(tmp, cache_file)
+            except BaseException:
+                # a failed write (a full disk, say) leaves no partial file
+                os.unlink(tmp)
+                raise
     data = {"variety": args.variety, "dim": args.dim, "metric": args.metric,
             "bound": _num(args.bound), "count": len(tokens),
             "points": tokens}
-    return data, (["point"], [[t] for t in tokens])
+    # csv takes any iterable of rows, so the table holds no second list
+    return data, (["point"], zip(tokens))
 
 
 def _cmd_constant(cfg: RunConfig, args) -> tuple:
@@ -668,7 +646,9 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--cache-dir", type=Path, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for old command lines; must be at least 1, "
+                        "and changes neither the work nor the output")
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -701,7 +701,9 @@ def partition_leading_ranges(w: HeightWindow, workers: int) -> list:
         raise ValueError("workers must be >= 1")
     shells, _ = _shell_spec(w)
     radius = _shell_radius(shells[0][1], w.metric)
-    edges = sorted({round(i * (radius + 1) / workers) for i in range(workers + 1)})
+    # exact edges: a float quotient stops covering the radius past 2^53
+    edges = sorted({round(Fraction(i * (radius + 1), workers))
+                    for i in range(workers + 1)})
     return [range(edges[i], edges[i + 1]) for i in range(len(edges) - 1) if edges[i] < edges[i + 1]]
 
 

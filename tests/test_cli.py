@@ -1,8 +1,11 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
 import math
+import multiprocessing.process
+import os
 import pkgutil
 import subprocess
 import sys
@@ -134,39 +137,21 @@ class TestEnumerate:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pool_gets_one_process_per_range_up_to_the_cpus(
-            self, monkeypatch, capsys):
-        sizes = []
+    def test_enumerate_starts_no_process(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate started a process")
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        outs = []
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
         # bound 20: leading coordinates 0..4; bound 1: only 0 and 1
-        for bound, workers in (("20", "1"), ("20", "1000000"), ("20", "3"),
-                               ("1", "1"), ("1", "1000000")):
-            assert main(["enumerate", "--variety", "p1n", "--dim", "2",
-                         "--bound", bound, "--workers", workers]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[1] == outs[2] == outs[0] and outs[4] == outs[3]
-        assert sizes == [4, 3, 2]
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        assert main(["enumerate", "--variety", "p1n", "--dim", "2",
-                     "--bound", "20", "--workers", "8"]) == 0
-        assert capsys.readouterr().out == outs[0]
-        assert sizes == [4, 3, 2]
+        for bound in ("20", "1"):
+            outs = []
+            for workers in ("1", "3", "1000000"):
+                assert main(["enumerate", "--variety", "p1n", "--dim", "2",
+                             "--bound", bound, "--workers", workers]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, capsys, workers):
@@ -216,6 +201,20 @@ class TestEnumerate:
         assert main(argv + ["--out", str(warm)]) == 0
         assert warm.read_bytes() == cold.read_bytes()
         assert cached.read_text() == whole
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                              capsys):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(os, "replace", full_disk)
+        assert main(["enumerate", "--variety", "pn", "--dim", "1",
+                     "--bound", "3", "--cache-dir", str(cache)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heightlab: computation failed: ")
+        assert list(cache.iterdir()) == []
 
     def test_cache_env_override(self, tmp_path, monkeypatch):
         env_cache = tmp_path / "envcache"

@@ -665,6 +665,15 @@ class TestPartitions:
         ranges = partition_leading_ranges(w, 3)
         assert [p for r in ranges for p in enum_points(w, r)] == whole
 
+    def test_ranges_cover_a_radius_past_2_53(self):
+        # P^1 under sup: the leading coordinate runs over 0..B
+        top = 2 ** 60 + 3
+        w = bounded_window(V1, top - 1)
+        for workers in range(1, 9):
+            ranges = partition_leading_ranges(w, workers)
+            assert ranges[0].start == 0 and ranges[-1].stop == top
+            assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+
 
 class TestWindows:
     def test_validation(self):
