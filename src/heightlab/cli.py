@@ -26,6 +26,8 @@ from pathlib import Path
 from . import __version__ as VERSION
 from .counting import (
     HeightWindow,
+    _p1n_points,
+    _pn_coords,
     _shell_spec,
     bounded_window,
     count_blowup,
@@ -223,12 +225,28 @@ def _write(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _coords_token(coords) -> str:
+    return ":".join(map(str, coords))
+
+
 def _point_token(pt) -> str:
     if hasattr(pt, "coords"):  # single projective point
-        return ":".join(map(str, pt.coords))
-    if pt and hasattr(pt[0], "coords"):  # product of factors
-        return ",".join(":".join(map(str, f.coords)) for f in pt)
-    return ",".join(":".join(map(str, f)) for f in pt)
+        return _coords_token(pt.coords)
+    return ",".join(_coords_token(f.coords) for f in pt)  # product of factors
+
+
+def _enum_tokens(w: HeightWindow) -> list:
+    """The tokens of `enum_points(w)`, in its order.  P^n points are
+    formatted from their coordinate tuples and each P^1 factor of a product
+    once, so neither builds a `PrimPoint` per point."""
+    shells, joint = _shell_spec(w)
+    if w.variety.kind == "pn":
+        return [_coords_token(c)
+                for c in _pn_coords(w.variety.n, *shells[0], w.metric)]
+    if w.variety.kind == "p1n":
+        return list(map(",".join, _p1n_points(shells, joint, w.metric,
+                                              factor=_coords_token)))
+    return [_point_token(p) for p in enum_points(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +327,7 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
         cache_file = cfg.cache_dir / _cache_key(args)
     tokens = _read_cache(cache_file) if cache_file is not None else None
     if tokens is None:
-        tokens = [_point_token(p) for p in enum_points(w)]
+        tokens = _enum_tokens(w)
         if cache_file is not None:
             cfg.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
@@ -544,16 +562,34 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
                         metric=_metric(args))
     except ValueError as exc:
         raise UsageError(str(exc))
+    try:
+        window = zc.window
+    except OverflowError:
+        raise UsageError("--radius and --bound give a window R B^-alpha "
+                         "past the float range")
     cloud = zoom_cloud(zc)
-    tokens = [_point_token(p) for p in cloud.points]
+    try:
+        rescaled = cloud.rescaled
+    except OverflowError:
+        raise UsageError(f"--alpha {_num(zc.alpha)} and --bound "
+                         f"{_num(zc.B)}: the rescaling factor B^alpha is "
+                         f"past the float range")
+    if cloud.index:  # a product cloud: the strings of each factor once
+        names = [_coords_token(pair) for pair, _ in cloud.factors]
+        charts = [str(_num(y)) for _, y in cloud.factors]
+        tokens = [",".join(map(names.__getitem__, t)) for t in cloud.index]
+        chart = [list(map(charts.__getitem__, t)) for t in cloud.index]
+    else:
+        tokens = [_point_token(p) for p in cloud.points]
+        chart = [[str(_num(y)) for y in ys] for ys in cloud.chart]
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,
         "center": args.center, "alpha": str(_num(zc.alpha)),
         "radius": str(_num(zc.R)), "bound": _num(zc.B),
-        "window": zc.window, "size": cloud.size,
+        "window": window, "size": cloud.size,
         "points": tokens,
-        "chart": [[str(_num(y)) for y in ys] for ys in cloud.chart],
-        "rescaled": [list(ys) for ys in cloud.rescaled],
+        "chart": chart,
+        "rescaled": [list(ys) for ys in rescaled],
         "heights": list(cloud.heights),
     }
     cols = ["point", "height"]

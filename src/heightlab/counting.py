@@ -454,19 +454,36 @@ def _cone_residue_counts(modulus: int, cone: list, m: int, r: int, dtype) -> np.
 def _iter_coords(n_coords: int, radius: int, first_range=None) -> Iterator:
     """Canonical primitive integer tuples in lexicographic order, sup box."""
     first = range(0, radius + 1) if first_range is None else first_range
+    full = range(-radius, radius + 1)
     for y0 in first:
         if y0 == 0:
             if n_coords > 1:
-                for rest in _iter_coords(n_coords - 1, radius):
-                    yield (0,) + rest
+                yield from map((0,).__add__, _iter_coords(n_coords - 1, radius))
         elif y0 <= radius:
             if n_coords == 1:
                 if y0 == 1:
                     yield (1,)
                 continue
-            for rest in itertools.product(range(-radius, radius + 1), repeat=n_coords - 1):
-                if math.gcd(y0, *[abs(r) for r in rest]) == 1:
-                    yield (y0,) + rest
+            yield from _coprime_tails((y0,), y0, n_coords - 1, full)
+
+
+def _coprime_tails(prefix: tuple, g: int, k: int, full: range) -> Iterator:
+    """prefix + t for the tails t in full^k with gcd(g, *t) = 1, where g is
+    the gcd of the prefix, in lexicographic order.
+
+    The walk carries the gcd down: once it is 1 every tail is primitive and
+    none is tested, and while it is g > 1 the next coordinate y only needs
+    gcd(g, y).
+    """
+    if g == 1:
+        yield from itertools.product(*[(v,) for v in prefix], *[full] * k)
+    elif k == 1:
+        for y in full:
+            if math.gcd(g, y) == 1:
+                yield prefix + (y,)
+    else:
+        for y in full:
+            yield from _coprime_tails(prefix + (y,), math.gcd(g, y), k - 1, full)
 
 
 def _pn_orbits(n: int, o1_bound: Fraction, metric: Metric) -> Iterator[tuple]:
@@ -618,21 +635,31 @@ def enum_points(w: HeightWindow, first_range=None) -> Iterator:
 
 def _pn_points(n: int, lo: int, hi: int, metric: Metric, first_range=None) -> Iterator[PrimPoint]:
     """P^n points with shell value in [lo, hi], lexicographic."""
+    return map(PrimPoint, _pn_coords(n, lo, hi, metric, first_range))
+
+
+def _pn_coords(n: int, lo: int, hi: int, metric: Metric, first_range=None) -> Iterator[tuple]:
+    """The coordinate tuples of `_pn_points`, in its order."""
     coords = _iter_coords(n + 1, _shell_radius(hi, metric), first_range)
     if metric is Metric.SUP and lo <= 1:
-        return map(PrimPoint, coords)  # the sup box is the whole range
-    return (PrimPoint(t) for t in coords if lo <= _shell_value(t, metric) <= hi)
+        return coords  # the sup box is the whole range
+    return (t for t in coords if lo <= _shell_value(t, metric) <= hi)
 
 
-def _p1n_points(shells: list, joint: int, metric: Metric, first_range=None) -> Iterator[tuple]:
+def _p1n_points(shells: list, joint: int, metric: Metric, first_range=None,
+                factor=PrimPoint) -> Iterator[tuple]:
     """Tuples of P^1 points, factor i of shell value in shells[i], whose
     shells multiply to at most joint, in lexicographic order: the capped
-    products of one (point, shell) table per distinct interval."""
-    tables = {s: [(p, _shell_value(p.coords, metric)) for p in _pn_points(1, *s, metric)]
-              for s in set(shells)}
+    products of one (point, shell) table per distinct interval.  Each
+    table maps a P^1 point's coordinate pair to `factor` once."""
+    def table(s, first=None):
+        return [(factor(c), _shell_value(c, metric))
+                for c in _pn_coords(1, *s, metric, first)]
+
+    tables = {s: table(s) for s in set(shells)}
     factors = [tables[s] for s in shells]
     if first_range is not None:
-        factors[0] = [f for f in factors[0] if f[0].coords[0] in first_range]
+        factors[0] = table(shells[0], first_range)
     return _capped_tuples(factors, joint)
 
 

@@ -19,6 +19,7 @@ the effective cone are stored in the same basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +38,15 @@ class InvalidPoint(ValueError):
     pass
 
 
+def _integers(coords) -> tuple:
+    """The coordinates as Python ints; a float or a Fraction is refused,
+    even when integral, rather than truncated."""
+    try:
+        return tuple(map(operator.index, coords))
+    except TypeError:
+        raise InvalidPoint(f"coordinates must be integers: {coords!r}")
+
+
 @dataclass(frozen=True)
 class PrimPoint:
     """Primitive integer coordinates, first nonzero coordinate positive."""
@@ -44,7 +54,7 @@ class PrimPoint:
     coords: tuple
 
     def __post_init__(self):
-        c = tuple(map(int, self.coords))
+        c = _integers(self.coords)
         g = math.gcd(*c)  # 0 iff every coordinate is 0
         if len(c) < 2 or g == 0:
             raise InvalidPoint("need >= 2 coordinates, not all zero")
@@ -67,7 +77,7 @@ class PrimPoint:
 
 def normalize(coords: Sequence[int]) -> PrimPoint:
     """Divide by the gcd and fix the sign of the first nonzero coordinate."""
-    c = [int(x) for x in coords]
+    c = _integers(coords)
     if len(c) < 2 or all(x == 0 for x in c):
         raise InvalidPoint("need >= 2 coordinates, not all zero")
     g = math.gcd(*c)

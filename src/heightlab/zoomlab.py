@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .counting import _capped_tuples, _shell_cap, _shell_value, int_nth_root
-from .freeness import _p1n_freeness, point_freeness
+from .freeness import point_freeness
 from .projpoint import Metric, VarietyId, normalize
 
 
@@ -70,12 +70,22 @@ class ZoomConfig:
 
 @dataclass(frozen=True)
 class ZoomCloud:
-    """Points of the window, their exact chart coordinates, and heights."""
+    """Points of the window, their exact chart coordinates, and heights.
+
+    A product cloud also lists each distinct factor once, as a row
+    (pair, chart value) of `factors`, and each point's factors as positions
+    in that list, in `index`; the work that depends on one factor alone
+    (rescaling, the band test of `fiber_share`, the norms of the overlay,
+    the command line's strings) reads them once per factor.  A P^n cloud
+    leaves both empty.
+    """
 
     config: ZoomConfig
     points: tuple
     chart: tuple    # tuples of Fractions, one per point
     heights: tuple  # exponential heights, floats for reporting
+    factors: tuple = ()
+    index: tuple = ()
 
     @property
     def size(self) -> int:
@@ -84,6 +94,9 @@ class ZoomCloud:
     @cached_property
     def rescaled(self) -> tuple:
         scale = float(self.B_pow_alpha())
+        if self.index:
+            per = [float(y) * scale for _, y in self.factors]
+            return tuple(tuple(map(per.__getitem__, t)) for t in self.index)
         return tuple(tuple(float(y) * scale for y in ys) for ys in self.chart)
 
     def B_pow_alpha(self) -> float:
@@ -98,19 +111,17 @@ def _radius_power(radius: Fraction, cfg: ZoomConfig) -> tuple:
     return t.numerator, t.denominator, r
 
 
-def _window_ranges(cfg: ZoomConfig, c: Fraction) -> list:
+def _window_ranges(cfg: ZoomConfig, c: Fraction) -> Iterator[range]:
     """For q = 1..floor(B), the range of integers a with |a| <= B and
     |a/q - c| <= R B^(-alpha), exactly."""
     tn, td, r = _radius_power(cfg.R, cfg)
     cn, cd = c.numerator, c.denominator
     clamp = int(cfg.B)
-    out = []
     for q in range(1, clamp + 1):
         k = int_nth_root((q * cd) ** r * tn // td, r)
         lo = -((k - cn * q) // cd)
         hi = (cn * q + k) // cd
-        out.append(range(max(lo, -clamp), min(hi, clamp) + 1))
-    return out
+        yield range(max(lo, -clamp), min(hi, clamp) + 1)
 
 
 def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
@@ -141,45 +152,99 @@ def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
                      heights=tuple(heights))
 
 
-def _p1_factor_candidates(cfg: ZoomConfig, center: tuple):
-    """P^1 points near one center coordinate: rows ((pair, chart value,
-    height key), height key), sorted by height key.
+def _chart_center(center: tuple) -> tuple:
+    """(j, c): the chart of a P^1 center is that of its last nonzero
+    coordinate j, where the center reads c."""
+    j = 1 if center[1] != 0 else 0
+    return j, Fraction(center[1 - j], center[j])
+
+
+def _factor_windows(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
+    """(q, range of a) for the P^1 points a/q near one center in its chart:
+    the window of q cut to the a whose pair has height key at most cap, for
+    q = 1, 2, ... while q alone keeps the key within cap.
 
     The height key is the exponential factor height for the sup metric and
-    its square for the euclidean one, so product caps stay integral.
+    its square for the euclidean one, so product caps stay integral: at
+    least q resp. q^2, and at most cap iff |a| <= cap resp. a^2 <= cap - q^2.
     """
-    j = 1 if center[1] != 0 else 0
-    cf = Fraction(center[1 - j], center[j])
+    euclid = cfg.metric is Metric.EUCLID
+    for q, window in enumerate(_window_ranges(cfg, _chart_center(center)[1]),
+                               start=1):
+        if _shell_value((0, q), cfg.metric) > cap:
+            return
+        t = math.isqrt(cap - q * q) if euclid else cap
+        yield q, range(max(window.start, -t), min(window.stop, t + 1))
+
+
+def _least_key(cfg: ZoomConfig, center: tuple, cap: int):
+    """The least height key at most cap of a P^1 point in the window of one
+    center, or None.  The scan over q stops once q alone puts the key past
+    the best so far."""
+    best = None
+    for q, window in _factor_windows(cfg, center, cap):
+        if best is not None and _shell_value((0, q), cfg.metric) > best:
+            break
+        for a in window:
+            if math.gcd(a, q) == 1:
+                key = _shell_value((a, q), cfg.metric)
+                if best is None or key < best:
+                    best = key
+    return best
+
+
+def _p1_factor_candidates(cfg: ZoomConfig, center: tuple, cap: int) -> list:
+    """P^1 points near one center coordinate with height key at most cap:
+    rows (pair, chart value, height key), sorted by height key."""
+    j, cf = _chart_center(center)
     cn, cd = cf.numerator, cf.denominator
     out = []
-    for q, window in enumerate(_window_ranges(cfg, cf), start=1):
+    for q, window in _factor_windows(cfg, center, cap):
         for a in window:
             if math.gcd(a, q) != 1:
                 continue
             # gcd(a, q) = 1 and q > 0, so only the sign of (a, q) can need fixing
             pair = (q, a) if j == 0 else (a, q) if a >= 0 else (-a, -q)
-            key = _shell_value(pair, cfg.metric)
             y = Fraction(a * cd - cn * q, q * cd)  # a/q - cf
-            out.append(((pair, y, key), key))
-    out.sort(key=lambda row: row[1])
+            out.append((pair, y, _shell_value(pair, cfg.metric)))
+    out.sort(key=lambda row: row[2])
     return out
 
 
 def _p1n_cloud(cfg: ZoomConfig) -> ZoomCloud:
     """The capped products of the factor candidates: the cloud lists them
-    by first-factor height key, then by second, and so on."""
-    candidates = {c: _p1_factor_candidates(cfg, c) for c in set(cfg.center)}
-    rows = []
-    # keys are factor heights (sup) or squared heights (euclid)
-    for combo in _capped_tuples([candidates[c] for c in cfg.center],
-                                _shell_cap(cfg.B ** 2, cfg.metric)):
-        h = float(math.prod(row[2] for row in combo))
-        rows.append((tuple(row[0] for row in combo),
-                     tuple(row[1] for row in combo),
-                     math.sqrt(h) if cfg.metric is Metric.EUCLID else h))
-    points, chart, heights = zip(*rows) if rows else ((), (), ())
-    return ZoomCloud(config=cfg, points=tuple(points), chart=tuple(chart),
-                     heights=tuple(heights))
+    by first-factor height key, then by second, and so on.
+
+    A candidate of one factor enters a product iff its key is at most the
+    cap over the product of the other factors' least keys, so only those
+    candidates are built, once per distinct center, and each enters.
+    """
+    cap = _shell_cap(cfg.B ** 2, cfg.metric)
+    least = {c: _least_key(cfg, c, cap) for c in dict.fromkeys(cfg.center)}
+    if None in least.values():
+        return ZoomCloud(config=cfg, points=(), chart=(), heights=())
+    floor = math.prod(least[c] for c in cfg.center)
+    factors, keys, rows = [], [], {}
+    for c in least:
+        found = _p1_factor_candidates(cfg, c, cap // (floor // least[c]))
+        # the walk's rows are (position in factors, height key)
+        rows[c] = [(len(factors) + i, row[2]) for i, row in enumerate(found)]
+        factors += [row[:2] for row in found]
+        keys += [row[2] for row in found]
+    index = tuple(_capped_tuples([rows[c] for c in cfg.center], cap))
+    pairs = [row[0] for row in factors]
+    ys = [row[1] for row in factors]
+    euclid = cfg.metric is Metric.EUCLID
+    heights = []
+    for t in index:
+        # keys are factor heights (sup) or squared heights (euclid)
+        h = float(math.prod(map(keys.__getitem__, t)))
+        heights.append(math.sqrt(h) if euclid else h)
+    return ZoomCloud(
+        config=cfg,
+        points=tuple(tuple(map(pairs.__getitem__, t)) for t in index),
+        chart=tuple(tuple(map(ys.__getitem__, t)) for t in index),
+        heights=tuple(heights), factors=tuple(factors), index=index)
 
 
 def zoom_cloud(cfg: ZoomConfig) -> ZoomCloud:
@@ -226,7 +291,7 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
 
     A rescaled coordinate Y_i = B^alpha y_i is within delta of the axis
     {Y_i = 0} iff |y_i| <= delta B^(-alpha), i.e. |y_i|^r <= delta^r / B^p
-    for alpha = p/r: one integer comparison per coordinate.
+    for alpha = p/r: one integer comparison per distinct factor.
     """
     if cloud.config.variety.kind != "p1n":
         raise ValueError("fiber share needs a product variety")
@@ -236,11 +301,9 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
     if cloud.size == 0:
         raise ValueError("empty cloud")
     tn, td, r = _radius_power(delta, cloud.config)
-    hits = sum(
-        1 for ys in cloud.chart
-        if any(abs(y.numerator) ** r * td <= tn * y.denominator ** r
-               for y in ys)
-    )
+    near = [abs(y.numerator) ** r * td <= tn * y.denominator ** r
+            for _, y in cloud.factors]
+    hits = sum(1 for t in cloud.index if any(map(near.__getitem__, t)))
     return hits / cloud.size
 
 
@@ -255,18 +318,21 @@ class OverlayRow:
 def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     """Cloud rows joined with the arithmetic freeness of each source point."""
     v = cloud.config.variety
-    norms = {}  # euclid norm of each distinct factor of a product cloud
+    rows = zip(cloud.points, cloud.rescaled, cloud.heights)
+    if v.kind != "p1n":
+        return tuple(OverlayRow(point=point.coords, rescaled=rescaled,
+                                h=math.log(height),
+                                l=point_freeness(v, point)[2])
+                     for point, rescaled, height in rows)
+    # `_p1n_freeness` of each point, from the half-log of the euclid norm
+    # of each distinct factor, taken once per factor (a unit factor's is 0)
+    logs = [math.log(_shell_value(pair, Metric.EUCLID)) / 2
+            for pair, _ in cloud.factors]
     out = []
-    for point, rescaled, height in zip(cloud.points, cloud.rescaled,
-                                       cloud.heights):
-        if v.kind == "p1n":
-            for p in point:
-                if p not in norms:
-                    norms[p] = _shell_value(p, Metric.EUCLID)
-            _, _, l = _p1n_freeness([norms[p] for p in point])
-        else:
-            _, _, l = point_freeness(v, point)
-            point = point.coords
+    for (point, rescaled, height), t in zip(rows, cloud.index):
+        hs = list(map(logs.__getitem__, t))
+        low = min(hs)
         out.append(OverlayRow(point=point, rescaled=rescaled,
-                              h=math.log(height), l=l))
+                              h=math.log(height),
+                              l=0.0 if low == 0 else v.n * low / sum(hs)))
     return tuple(out)

@@ -30,7 +30,7 @@ from heightlab.counting import HeightWindow
 from heightlab import geomcurve, tamagawa
 from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
 from heightlab.lattice import EucLattice, is_semistable
-from heightlab.projpoint import variety
+from heightlab.projpoint import PrimPoint, variety
 
 from test_lattice import RANK6_GRAMS, random_gram
 
@@ -126,6 +126,26 @@ class TestEnumerate:
         expect = [":".join(map(str, p.coords)) for p in enum_points(w)]
         assert doc["points"] == expect
         assert doc["count"] == len(expect)
+
+    @pytest.mark.parametrize("kind, bound", [("pn", 6), ("p1n", 40)])
+    def test_enumerate_builds_no_primpoint(self, monkeypatch, capsys, kind,
+                                           bound):
+        built = []
+        post_init = PrimPoint.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PrimPoint, "__post_init__", counted)
+        doc = run_json(capsys, ["enumerate", "--variety", kind, "--dim", "2",
+                                "--bound", str(bound)])
+        assert doc["count"] > 100
+        assert built == []
+        # the library enumeration still yields PrimPoints
+        w = bounded_window(variety(kind, 2), bound)
+        assert sum(1 for _ in enum_points(w)) == doc["count"]
+        assert built
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -610,6 +630,19 @@ class TestZoom:
                      "--center", "1:2,1:2", "--alpha", "1", "--bound", "30",
                      f"--delta={delta}"]) == 2
         assert "--delta must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--variety", "p1n", "--dim", "2", "--center", "1:2,1:2",
+          "--alpha", "200", "--radius", "1", "--bound", "370"], "--alpha"),
+        (["--variety", "pn", "--dim", "1", "--center", "1:2", "--alpha", "1",
+          "--radius", "1e400", "--bound", "5"], "--radius"),
+    ], ids=["rescaling", "window"])
+    def test_float_overflow_is_usage_error(self, capsys, argv, flag):
+        assert main(["zoom"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"heightlab: {flag} ")
+        assert "past the float range" in captured.err
 
     def test_bad_center_is_usage_error(self, capsys):
         assert main(["zoom", "--variety", "pn", "--dim", "1",

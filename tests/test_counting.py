@@ -675,6 +675,48 @@ class TestPartitions:
             assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
 
 
+def reference_iter_coords(n_coords, radius, first_range=None):
+    """Canonical primitive tuples of the sup box, lexicographic: the walk
+    over every tuple with the gcd of all its coordinates tested, which the
+    prefix-gcd walk of `counting._iter_coords` replaced."""
+    first = range(0, radius + 1) if first_range is None else first_range
+    for y0 in first:
+        if y0 == 0:
+            if n_coords > 1:
+                for rest in reference_iter_coords(n_coords - 1, radius):
+                    yield (0,) + rest
+        elif y0 <= radius:
+            if n_coords == 1:
+                if y0 == 1:
+                    yield (1,)
+                continue
+            for rest in itertools.product(range(-radius, radius + 1),
+                                          repeat=n_coords - 1):
+                if math.gcd(y0, *[abs(r) for r in rest]) == 1:
+                    yield (y0,) + rest
+
+
+class TestCoordinateWalk:
+    @pytest.mark.parametrize("n_coords", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", range(8))
+    def test_prefix_gcd_walk_equals_full_gcd_filter(self, n_coords, radius):
+        whole = list(counting._iter_coords(n_coords, radius))
+        assert whole == list(reference_iter_coords(n_coords, radius))
+        assert len(set(whole)) == len(whole)
+        cuts = sorted({0, 1, (radius + 1) // 2, radius, radius + 1})
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = list(counting._iter_coords(n_coords, radius, range(lo, hi)))
+            assert part == list(reference_iter_coords(n_coords, radius,
+                                                      range(lo, hi)))
+            pieces += part
+        assert pieces == whole
+        # a range past the radius adds nothing
+        assert list(counting._iter_coords(n_coords, radius,
+                                          range(2, radius + 3))) == \
+            list(reference_iter_coords(n_coords, radius, range(2, radius + 3)))
+
+
 class TestWindows:
     def test_validation(self):
         with pytest.raises(ValueError):

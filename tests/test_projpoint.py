@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +88,24 @@ class TestNormalize:
         p = PrimPoint([0, 3, True, -7])
         assert p.coords == (0, 3, 1, -7)
         assert all(type(c) is int for c in p.coords)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: normalize([1.5, 3]),
+        lambda: normalize([Fraction(1, 2), 1]),
+        lambda: PrimPoint((1.5, 2)),
+        lambda: PrimPoint((1.0, 2)),
+    ], ids=["normalize-float", "normalize-fraction", "primpoint-float",
+            "primpoint-integral-float"])
+    def test_non_integers_are_refused_not_truncated(self, make):
+        with pytest.raises(InvalidPoint, match="coordinates must be integers"):
+            make()
+
+    def test_numpy_integers_pass(self):
+        p = PrimPoint((np.int64(3), np.int32(-5)))
+        assert p.coords == (3, -5)
+        assert all(type(c) is int for c in p.coords)
+        assert normalize(np.array([6, -4])).coords == (3, -2)
 
 
 class TestHeights:

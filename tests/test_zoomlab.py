@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab.counting import _shell_value, bounded_window, enum_points
-from heightlab.freeness import point_freeness
+from heightlab.counting import (_capped_tuples, _shell_cap, _shell_value,
+                                bounded_window, enum_points)
+from heightlab.freeness import _p1n_freeness, point_freeness
 from heightlab.projpoint import Metric, PrimPoint, variety
 from heightlab.zoomlab import (
     OverlayRow,
+    _window_ranges,
     ScanResult,
     ZoomCloud,
     ZoomConfig,
@@ -454,3 +456,113 @@ def test_exact_windows_match_brute_force(kind, metric, data, alpha, radius,
                        if any(abs(y) ** r * bound ** p <= delta ** r
                               for y in ys))
             assert fiber_share(cloud, delta) == hits / len(oracle)
+
+
+def reference_factor_candidates(cfg, center):
+    """Every P^1 point in the window of one center, unpruned: rows
+    ((pair, chart value, height key), height key) sorted by key.  The
+    product zoom built these before it cut each factor at the cap over the
+    other factors' least keys."""
+    j = 1 if center[1] != 0 else 0
+    cf = Fraction(center[1 - j], center[j])
+    cn, cd = cf.numerator, cf.denominator
+    out = []
+    for q, window in enumerate(_window_ranges(cfg, cf), start=1):
+        for a in window:
+            if math.gcd(a, q) != 1:
+                continue
+            pair = (q, a) if j == 0 else (a, q) if a >= 0 else (-a, -q)
+            key = _shell_value(pair, cfg.metric)
+            out.append(((pair, Fraction(a * cd - cn * q, q * cd), key), key))
+    out.sort(key=lambda row: row[1])
+    return out
+
+
+def reference_product_zoom(cfg, deltas):
+    """(points, chart, heights, rescaled, overlay, fiber shares) of a
+    product zoom, every value formed point by point from the unpruned
+    candidates, as the product zoom formed them before it read each
+    distinct factor once."""
+    candidates = {c: reference_factor_candidates(cfg, c)
+                  for c in set(cfg.center)}
+    combos = list(_capped_tuples([candidates[c] for c in cfg.center],
+                                 _shell_cap(cfg.B ** 2, cfg.metric)))
+    points = tuple(tuple(row[0] for row in combo) for combo in combos)
+    chart = tuple(tuple(row[1] for row in combo) for combo in combos)
+    heights = []
+    for combo in combos:
+        h = float(math.prod(row[2] for row in combo))
+        heights.append(math.sqrt(h) if cfg.metric is Metric.EUCLID else h)
+    scale = float(cfg.B) ** float(cfg.alpha)
+    rescaled = tuple(tuple(float(y) * scale for y in ys) for ys in chart)
+    overlay = tuple(
+        OverlayRow(point=point, rescaled=zs, h=math.log(h),
+                   l=_p1n_freeness([_shell_value(p, Metric.EUCLID)
+                                    for p in point])[2])
+        for point, zs, h in zip(points, rescaled, heights))
+    p, r = cfg.alpha.numerator, cfg.alpha.denominator
+    shares = [sum(1 for ys in chart
+                  if any(abs(y) ** r * cfg.B ** p <= d ** r for y in ys))
+              / len(chart) if chart else None for d in deltas]
+    return points, chart, tuple(heights), rescaled, overlay, shares
+
+
+_CENTERS = [(1, 2), (0, 1), (1, 0), (-1, 2)]
+_PRODUCT_CENTERS = (
+    [(c,) for c in _CENTERS]
+    + [(a, b) for a in _CENTERS for b in _CENTERS]
+    + [(c,) * 3 for c in _CENTERS]
+    + [((1, 2), (0, 1), (1, 0)), ((-1, 2), (1, 0), (-1, 2)),
+       ((1, 0), (1, 2), (1, 2))])
+
+
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 2), Fraction(1),
+                                   Fraction(2)], ids=str)
+def test_pruned_product_zoom_matches_unpruned_listing(metric, alpha):
+    deltas = (Fraction(1, 10), Fraction(1), Fraction(7, 3))
+    sizes = []
+    for center in _PRODUCT_CENTERS:
+        small = len(center) == 3
+        for radius, bound in ((Fraction(2), Fraction(6 if small else 12)),
+                              (Fraction(1, 3), Fraction(8 if small else 31, 2))):
+            cfg = ZoomConfig(variety=variety("p1n", len(center)),
+                             center=center, alpha=alpha, R=radius, B=bound,
+                             metric=metric)
+            cloud = zoom_cloud(cfg)
+            points, chart, heights, rescaled, overlay, shares = \
+                reference_product_zoom(cfg, deltas)
+            assert cloud.points == points, cfg
+            assert cloud.chart == chart
+            assert cloud.heights == heights
+            assert cloud.rescaled == rescaled
+            assert zoom_freeness_overlay(cloud) == overlay
+            # each factor is built once, and only if some point holds it
+            assert {i for t in cloud.index for i in t} == \
+                set(range(len(cloud.factors)))
+            if cloud.size:
+                assert [fiber_share(cloud, d) for d in deltas] == shares
+            sizes.append(cloud.size)
+    assert 0 in sizes and max(sizes) >= 1
+
+
+def test_empty_product_cloud_from_one_empty_factor():
+    # [7:9] has no point of height <= 3 near it at alpha 3; the cloud is
+    # empty though [0:1] alone would fill its own window
+    cfg = ZoomConfig(variety=VP2, center=((0, 1), (7, 9)), alpha=3, R=1,
+                     B=3)
+    cloud = zoom_cloud(cfg)
+    assert cloud.size == 0 and cloud.factors == () and cloud.index == ()
+    assert reference_product_zoom(cfg, ())[0] == ()
+
+
+def test_product_zoom_builds_only_candidates_that_can_enter():
+    # least key 5 ([1:2] itself) on each factor, cap 100^2: a candidate
+    # enters only with key <= 2000, so q <= 44 is scanned, not q <= 100
+    cfg = ZoomConfig(variety=VP2, center=((1, 2), (1, 2)), alpha=1, R=40,
+                     B=100, metric=Metric.EUCLID)
+    cloud = zoom_cloud(cfg)
+    unpruned = reference_factor_candidates(cfg, (1, 2))
+    assert len(cloud.factors) == sum(1 for _, key in unpruned if key <= 2000)
+    assert len(cloud.factors) < len(unpruned) / 2
