@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -133,9 +134,11 @@ def _parse_fracs(text: str, what: str) -> tuple:
         raise UsageError(f"{what} must be comma-separated rationals: {text!r}")
 
 
-def _parse_center(text: str) -> tuple:
+def _parse_center(text: str, kind: str) -> tuple:
+    """The center as `ZoomConfig` reads it: one coordinate tuple on P^n, a
+    tuple of factors on (P^1)^n, even when there is one factor."""
     factors = tuple(_parse_ints(part, "center") for part in text.split(","))
-    return factors[0] if len(factors) == 1 else factors
+    return factors[0] if kind != "p1n" and len(factors) == 1 else factors
 
 
 def _ratio(num, den):
@@ -197,12 +200,71 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                      seed=args.seed)
 
 
+# json.dumps(indent=2) runs the pure-Python encoder; the C encoder writes a
+# list of scalars with "\n" between the items, and an encoded token never
+# holds a raw newline, so one call and a split give every token of the list
+_ENCODE = json.JSONEncoder(separators=("\n", ": "), allow_nan=False).encode
+_NESTED = (dict, list, tuple)
+
+
+def _tokens(values) -> list:
+    """The JSON token of each scalar in values (the key part '"k": 0' of
+    each key of a dict), by one C encoder call."""
+    return _ENCODE(values)[1:-1].split("\n") if values else []
+
+
+def _nested(kinds) -> bool:
+    """Whether a set of types holds a dict, list or tuple type."""
+    return any(issubclass(k, _NESTED) for k in kinds)
+
+
+def _items(values, pad: str) -> list:
+    """Each of values as json.dumps(indent=2) writes it on a line that
+    starts with pad.  Scalars take one C encoder call; so do the items of
+    rows that hold only scalars, which are flattened and regrouped."""
+    kinds = set(map(type, values))
+    if not _nested(kinds):
+        return _tokens(values)
+    if all(issubclass(k, (list, tuple)) for k in kinds):
+        flat = list(itertools.chain.from_iterable(values))
+        if not _nested(set(map(type, flat))):
+            toks, inner, out, i = _tokens(flat), pad + "  ", [], 0
+            for row in values:
+                j = i + len(row)
+                out.append("[" + inner + ("," + inner).join(toks[i:j]) + pad
+                           + "]" if row else "[]")
+                i = j
+            return out
+    toks = iter(_tokens([v for v in values if not isinstance(v, _NESTED)]))
+    return [_dump(v, pad) if isinstance(v, _NESTED) else next(toks)
+            for v in values]
+
+
+def _dump(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False) for a dict, list or tuple
+    whose first line starts with pad ("\n" and its indent)."""
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        # the C encoder coerces keys as json.dumps does: '"k": 0' less "0"
+        items = [k[:-1] + v for k, v in zip(_tokens(dict.fromkeys(obj, 0)),
+                                            _items(list(obj.values()), inner))]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join(_items(obj, inner)) + pad + "]"
+
+
 def _render(cfg: RunConfig, data: dict, table) -> str:
     if cfg.format == "json":
         doc = {"provenance": {"command": cfg.command_line(),
                               "seed": cfg.seed, "version": VERSION}}
         doc.update(data)
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        try:
+            return _dump(doc, "\n") + "\n"
+        except ValueError:
+            # NaN or inf: the C encoder's message names no value, so let
+            # json.dumps raise the same error with the value named
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if table is None:
         cols = [k for k, v in data.items()
                 if not isinstance(v, (dict, list, tuple))]
@@ -557,7 +619,7 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
         if args.delta <= 0:
             raise UsageError(f"--delta must be positive, got {_num(args.delta)}")
     try:
-        zc = ZoomConfig(variety=v, center=_parse_center(args.center),
+        zc = ZoomConfig(variety=v, center=_parse_center(args.center, v.kind),
                         alpha=args.alpha, R=args.radius, B=args.bound,
                         metric=_metric(args))
     except ValueError as exc:
@@ -596,10 +658,10 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
     rows = [[t, h] for t, h in zip(tokens, cloud.heights)]
     if args.overlay_freeness:
         overlay = zoom_freeness_overlay(cloud)
-        data["freeness"] = [r.l for r in overlay]
+        data["freeness"] = list(overlay)
         cols.append("freeness")
-        for row, r in zip(rows, overlay):
-            row.append(r.l)
+        for row, l in zip(rows, overlay):
+            row.append(l)
     if args.delta is not None:
         data["delta"] = str(_num(args.delta))
         # an empty cloud has no share, as `_ratio` reports 0/0

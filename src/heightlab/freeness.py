@@ -16,10 +16,12 @@ On P^2 and P^3 it takes the integer minima of the quotient form, picks
 the minimal slope term by exact integer power comparisons, and rounds
 that single term to a float; P^1 and (P^1)^n use their closed forms and
 P^n with n >= 4 the Newton polygon.  The minima are lambda_1^2 of the
-integer quotient form (and, on P^3, of its adjugate): `lagrange_gauss`
-reduces the rank-2 form, and `lattice.int_min_norm2` gives the rank-3
-ones from the lattice layer's LLL and Fincke-Pohst walk, so this module
-runs no short-vector search of its own.  `pn_freeness_data` assembles
+integer quotient form (and, on P^3, of its adjugate).  On P^2 that form
+is |v x y|^2, so `lagrange_gauss` reduces the Gram of a closed-form basis
+of the plane lattice y^perp meet Z^3 (`_pn_minima`), with no unimodular
+completion.  `lattice.int_min_norm2` gives the rank-3 ones from the
+lattice layer's LLL and Fincke-Pohst walk, so this module runs no
+short-vector search of its own.  `pn_freeness_data` assembles
 the same minima as exact `LogLin`s, and `freeness(tangent_lattice_pn(p))`
 is the generic slope route on the tangent Gram.  The returned l is a
 float, rounded through n * mu / h: a point whose exact l equals a
@@ -130,10 +132,26 @@ def _quotient_int_gram(y: Sequence[int]) -> tuple:
 def _pn_minima(y: Sequence[int]) -> tuple:
     """(m, lam2, lam2_adj) for a primitive y of length 3 or 4: m = <y, y>,
     lam2 = lambda_1^2 of the integer quotient form Gq, lam2_adj that of its
-    adjugate (None on P^2)."""
+    adjugate (None on P^2).
+
+    On P^2 no completion is built.  Gq(v) = m<v, v> - <v, y>^2 = |v x y|^2,
+    and v -> v x y maps Z^3 onto y^perp meet Z^3, so lam2 is lambda_1^2 of
+    that plane lattice.  For y = (a, b, c) with g = gcd(a, b) = s a + t b,
+    u = (b/g, -a/g, 0) and w = (s c, t c, -g) lie in it and u x w = y:
+    their parallelogram has area |y|, the covolume of the plane lattice, so
+    they are a basis, and `lagrange_gauss` reduces their Gram.
+    """
+    if len(y) == 3:
+        a, b, c = y
+        m = a * a + b * b + c * c
+        g, s, t = _xgcd(a, b)
+        if g == 0:  # y = (0, 0, +-1): the plane lattice is Z^2
+            return m, 1, None
+        uu = (a * a + b * b) // (g * g)
+        uw = c * (b * s - a * t) // g
+        ww = (s * s + t * t) * c * c + g * g
+        return m, lagrange_gauss(((uu, uw), (uw, ww)))[0], None
     gq, m = _quotient_int_gram(y)
-    if len(gq) == 2:
-        return m, lagrange_gauss(gq)[0], None
     return m, int_min_norm2(gq), int_min_norm2(int_adjugate(gq))
 
 

@@ -12,8 +12,9 @@ coordinate y = a/q - cn/cd that is |a cd - cn q| <= K(q) with
 K(q) = floor(((q cd R)^r / B^p)^(1/r)), an exact integer root, so for each
 denominator q the window is the integer range of a between
 ceil((cn q - K)/cd) and floor((cn q + K)/cd), clamped to |a| <= B.  No
-candidate outside the window is ever built.  Rescaled coordinates are
-floats for display only.
+candidate outside the window is ever built, and no q below the least
+one with some K(q) >= 1 is visited but the center's own.  Rescaled
+coordinates are floats for display only.
 """
 
 from __future__ import annotations
@@ -111,17 +112,45 @@ def _radius_power(radius: Fraction, cfg: ZoomConfig) -> tuple:
     return t.numerator, t.denominator, r
 
 
-def _window_ranges(cfg: ZoomConfig, c: Fraction) -> Iterator[range]:
-    """For q = 1..floor(B), the range of integers a with |a| <= B and
+def _window_ranges(cfg: ZoomConfig, c: Fraction, qs) -> Iterator[range]:
+    """For each q of qs, the range of integers a with |a| <= B and
     |a/q - c| <= R B^(-alpha), exactly."""
     tn, td, r = _radius_power(cfg.R, cfg)
     cn, cd = c.numerator, c.denominator
     clamp = int(cfg.B)
-    for q in range(1, clamp + 1):
+    for q in qs:
         k = int_nth_root((q * cd) ** r * tn // td, r)
         lo = -((k - cn * q) // cd)
         hi = (cn * q + k) // cd
         yield range(max(lo, -clamp), min(hi, clamp) + 1)
+
+
+def _first_open_q(cfg: ZoomConfig, c: Fraction) -> int:
+    """The least q with K(q) >= 1 in the window about chart value c.
+
+    K(q) >= 1 iff (q cd)^r tn >= td, the test `_window_ranges` makes, iff
+    q cd >= z for the least z with z^r >= ceil(td / tn).
+    """
+    tn, td, r = _radius_power(cfg.R, cfg)
+    need = -(-td // tn)
+    z = int_nth_root(need, r)
+    if z ** r < need:
+        z += 1
+    return -(-z // c.denominator)
+
+
+def _windows(cfg: ZoomConfig, cf: list, own: int) -> Iterator[tuple]:
+    """(q, one window range per chart value of cf) for q = 1..floor(B).
+
+    Below the least q at which some chart value has K(q) >= 1, each window
+    is a single a = c q or empty, so the only primitive point there is the
+    center, at its own denominator own; every other such q is skipped.
+    """
+    clamp = int(cfg.B)
+    q0 = min(_first_open_q(cfg, c) for c in cf)
+    for qs in ([own] if own < q0 and own <= clamp else [],
+               range(q0, clamp + 1)):
+        yield from zip(qs, zip(*(_window_ranges(cfg, c, qs) for c in cf)))
 
 
 def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
@@ -132,8 +161,7 @@ def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
     cf = [Fraction(center[i], center[j]) for i in others]
     cap = _shell_cap(cfg.B ** 2, cfg.metric)
     rows = []
-    windows = zip(*(_window_ranges(cfg, c) for c in cf))
-    for q, ranges in enumerate(windows, start=1):
+    for q, ranges in _windows(cfg, cf, abs(center[j])):
         for combo in iproduct(*ranges):
             x = [0] * (n + 1)
             x[j] = q
@@ -162,15 +190,15 @@ def _chart_center(center: tuple) -> tuple:
 def _factor_windows(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
     """(q, range of a) for the P^1 points a/q near one center in its chart:
     the window of q cut to the a whose pair has height key at most cap, for
-    q = 1, 2, ... while q alone keeps the key within cap.
+    each q that `_windows` visits while q alone keeps the key within cap.
 
     The height key is the exponential factor height for the sup metric and
     its square for the euclidean one, so product caps stay integral: at
     least q resp. q^2, and at most cap iff |a| <= cap resp. a^2 <= cap - q^2.
     """
     euclid = cfg.metric is Metric.EUCLID
-    for q, window in enumerate(_window_ranges(cfg, _chart_center(center)[1]),
-                               start=1):
+    j, c = _chart_center(center)
+    for q, (window,) in _windows(cfg, [c], abs(center[j])):
         if _shell_value((0, q), cfg.metric) > cap:
             return
         t = math.isqrt(cap - q * q) if euclid else cap
@@ -307,32 +335,23 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
     return hits / cloud.size
 
 
-@dataclass(frozen=True)
-class OverlayRow:
-    point: tuple
-    rescaled: tuple
-    h: float   # logarithmic height of the source point
-    l: float
-
-
 def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
-    """Cloud rows joined with the arithmetic freeness of each source point."""
+    """The arithmetic freeness l of each source point, in cloud order.
+
+    The point, its rescaled coordinates and its height are the cloud's
+    own rows, so only l is returned.  A product cloud reads the euclid
+    norm of each distinct factor once.
+    """
     v = cloud.config.variety
-    rows = zip(cloud.points, cloud.rescaled, cloud.heights)
     if v.kind != "p1n":
-        return tuple(OverlayRow(point=point.coords, rescaled=rescaled,
-                                h=math.log(height),
-                                l=point_freeness(v, point)[2])
-                     for point, rescaled, height in rows)
+        return tuple(point_freeness(v, point)[2] for point in cloud.points)
     # `_p1n_freeness` of each point, from the half-log of the euclid norm
     # of each distinct factor, taken once per factor (a unit factor's is 0)
     logs = [math.log(_shell_value(pair, Metric.EUCLID)) / 2
             for pair, _ in cloud.factors]
     out = []
-    for (point, rescaled, height), t in zip(rows, cloud.index):
+    for t in cloud.index:
         hs = list(map(logs.__getitem__, t))
         low = min(hs)
-        out.append(OverlayRow(point=point, rescaled=rescaled,
-                              h=math.log(height),
-                              l=0.0 if low == 0 else v.n * low / sum(hs)))
+        out.append(0.0 if low == 0 else v.n * low / sum(hs))
     return tuple(out)

@@ -419,12 +419,15 @@ def test_11_zoom_experiments():
     cloud = zoom_cloud(ZoomConfig(variety=P1N2, center=((1, 2), (1, 2)),
                                   alpha=Fraction(1), R=Fraction(40),
                                   B=Fraction(1000), metric=Metric.EUCLID))
-    fiber_rows = [r for r in zoom_freeness_overlay(cloud) if r.point[0] == (1, 2)]
+    # (log height, l) of each point on the fiber
+    fiber_rows = [(math.log(height), l) for point, height, l in
+                  zip(cloud.points, cloud.heights, zoom_freeness_overlay(cloud))
+                  if point[0] == (1, 2)]
     assert len(fiber_rows) > 3000
     by_h = {}
-    for r in fiber_rows:
-        assert abs(r.l * r.h - math.log(5)) < 1e-12  # l = log(5)/h exactly
-        by_h.setdefault(r.h, set()).add(r.l)
+    for h, l in fiber_rows:
+        assert abs(l * h - math.log(5)) < 1e-12  # l = log(5)/h exactly
+        by_h.setdefault(h, set()).add(l)
     hs = sorted(by_h)
     assert all(len(by_h[h]) == 1 for h in hs)
     assert all(max(by_h[a]) > max(by_h[b]) for a, b in zip(hs, hs[1:]))

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,8 @@ from heightlab import geomcurve, tamagawa
 from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
 from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import PrimPoint, variety
+from heightlab.zoomlab import (ZoomConfig, fiber_share, zoom_cloud,
+                               zoom_freeness_overlay)
 
 from test_lattice import RANK6_GRAMS, random_gram
 
@@ -644,6 +647,22 @@ class TestZoom:
         assert captured.err.startswith(f"heightlab: {flag} ")
         assert "past the float range" in captured.err
 
+    def test_one_factor_product_zoom_is_the_library_cloud(self, capsys):
+        # a one-factor center is a tuple of one factor, not a bare pair
+        doc = run_json(capsys, ["zoom", "--variety", "p1n", "--dim", "1",
+                                "--center", "1:2", "--alpha", "1",
+                                "--radius", "2", "--bound", "30",
+                                "--overlay-freeness", "--delta", "1/10"])
+        cloud = zoom_cloud(ZoomConfig(variety=variety("p1n", 1),
+                                      center=((1, 2),), alpha=1, R=2, B=30))
+        assert doc["size"] == cloud.size > 1
+        assert doc["points"] == [":".join(map(str, p)) for (p,) in cloud.points]
+        assert doc["chart"] == [[str(y)] for (y,) in cloud.chart]
+        assert doc["rescaled"] == [list(ys) for ys in cloud.rescaled]
+        assert doc["heights"] == list(cloud.heights)
+        assert doc["freeness"] == list(zoom_freeness_overlay(cloud))
+        assert doc["fiber_share"] == fiber_share(cloud, Fraction(1, 10))
+
     def test_bad_center_is_usage_error(self, capsys):
         assert main(["zoom", "--variety", "pn", "--dim", "1",
                      "--center", "0:0", "--alpha", "1",
@@ -947,3 +966,87 @@ def test_cli_fuzz_exit_codes_and_strict_json(command, kind, dim, metric,
         with contextlib.redirect_stdout(counted):
             assert main(["count", *argv[1:]]) == 0
         assert doc["count"] == json.loads(counted.getvalue())["count"], argv
+
+
+# ---------------------------------------------------------------------------
+# the JSON renderer writes json.dumps(indent=2)'s bytes
+
+
+def test_render_contract_for_every_command(tmp_path, capsys):
+    # whatever renders it, JSON output is json.dumps(indent=2) of itself
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps({"gram": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}))
+    line = tmp_path / "line.json"
+    line.write_text(curve_to_json(line_p2()))
+    argvs = [
+        ["count", "--variety", "blowup", "--bound", "30"],
+        ["enumerate", "--variety", "p1n", "--dim", "2", "--bound", "4"],
+        ["constant", "--variety", "pn", "--dim", "2", "--primes-up-to", "50"],
+        ["equidist", "--dim", "2", "--modulus", "3", "--bound", "12",
+         "--class", "1:1:1", "--box", "0,1;-1,1;-1,1"],
+        ["window", "--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2",
+         "--u", "1,2", "--bound", "10"],
+        ["slopes", "--gram", str(gram)],
+        ["freeness", "--variety", "pn", "--dim", "2", "--bound", "6"],
+        ["curve", "--file", str(line), "--op", "limit", "--heights", "10,100"],
+        ["zoom", "--variety", "p1n", "--dim", "2", "--center", "1:2,0:1",
+         "--alpha", "1", "--radius", "3", "--bound", "40",
+         "--overlay-freeness", "--delta", "1/3"],
+        ["motivic", "--op", "euler", "--n", "2", "--cutoff", "6"],
+    ]
+    assert {a[0] for a in argvs} == {
+        "count", "enumerate", "constant", "equidist", "window", "slopes",
+        "freeness", "curve", "zoom", "motivic"}
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n" \
+            == out, argv
+
+
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+                  st.none(), st.floats(allow_nan=False, allow_infinity=False))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-2 ** 70, 2 ** 70), st.just(10 ** 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -1e308]),
+    st.text(max_size=6),
+    st.sampled_from(["", "\"", "\\", "\n", "\x00\x1f\x7f", "é€𝄞", "a\"b\nc"]))
+# lists of rows: empty, one-element and ragged rows, lists and tuples
+_ROWS = st.lists(st.lists(_SCALARS, max_size=4)
+                 | st.lists(_SCALARS, max_size=3).map(tuple), max_size=5)
+_VALUES = st.recursive(
+    _SCALARS | _ROWS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=30)
+_RUN = cli.RunConfig(command="render", params=(), format="json", out=None,
+                     cache_dir=None, seed=0)
+
+
+def _doc(data):
+    doc = {"provenance": {"command": "render", "seed": 0,
+                          "version": VERSION}}
+    doc.update(data)
+    return doc
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.dictionaries(st.text(max_size=4), _VALUES, max_size=6))
+def test_render_equals_json_dumps_indent_2(data):
+    assert cli._render(_RUN, data, None) == \
+        json.dumps(_doc(data), indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    {"x": math.nan}, {"x": [1, 2, -math.inf]}, {"x": [[1.5], [math.inf]]},
+    {"x": {"y": [0, {"z": math.nan}]}}, {"x": {math.inf: 1}},
+    {"x": [[1, [math.nan]]]}], ids=repr)
+def test_render_rejects_nan_and_inf_as_json_dumps_does(data):
+    with pytest.raises(ValueError) as want:
+        json.dumps(_doc(data), indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._render(_RUN, data, None)
+    assert str(got.value) == str(want.value)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from heightlab.freeness import (
     unimodular_completion,
 )
 from heightlab.geomcurve import twisted_cubic
-from heightlab.lattice import EucLattice, degree, max_deg_rank
+from heightlab.lattice import EucLattice, degree, lagrange_gauss, max_deg_rank
 from heightlab.projpoint import Metric, PrimPoint, normalize, variety
 
 from freeness_reference import (
@@ -436,6 +438,43 @@ class TestRankThreeMinima:
         y = (4983, -2498, -3921, -3596)
         self.check(y)
         assert _pn_minima(y)[2] == 25828451250
+
+
+class TestPlaneMinima:
+    """`_pn_minima` on P^2, the closed-form basis of y^perp meet Z^3,
+    against `lagrange_gauss` of the completion's quotient form."""
+
+    @staticmethod
+    def check(y):
+        gq, m = _quotient_int_gram(y)
+        assert _pn_minima(y) == (m, lagrange_gauss(gq)[0], None), y
+
+    def test_every_primitive_vector_in_a_box(self):
+        box = [y for y in itertools.product(range(-12, 13), repeat=3)
+               if math.gcd(*y) == 1]
+        for y in box:
+            self.check(y)
+        assert len(box) == 12674
+
+    @pytest.mark.parametrize("y", [(0, 0, 1), (0, 0, -1), (0, 1, 0),
+                                   (1, 0, 0), (0, -5, 7), (6, 0, -5)])
+    def test_axis_and_coordinate_plane_points(self, y):
+        self.check(y)
+
+    def test_first_two_coordinates_sharing_a_factor(self):
+        # g = gcd(a, b) > 1 makes u = (b/g, -a/g, 0) shorter than (b, -a, 0)
+        for a, b in ((6, 10), (-12, 18), (30, 0), (0, -14), (2 ** 40, 6 ** 20)):
+            for c in (1, -1, 7, -11, 3 ** 25 + 2):
+                if math.gcd(a, b, c) == 1:
+                    self.check((a, b, c))
+                    self.check((b, c, a))
+
+    def test_random_80_bit_points(self):
+        rng = random.Random(80)
+        for _ in range(2000):
+            y = [rng.randint(-2 ** 80, 2 ** 80) for _ in range(3)]
+            g = math.gcd(*y)
+            self.check(tuple(v // g for v in y))
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,4 +1,5 @@
-"""Every `heightlab` line of the README's command-line block exits 0.
+"""Every `heightlab` line of the README's command-line block exits 0, and
+its JSON output is `json.dumps(indent=2)` of itself.
 
 Each command runs in-process through `cli.main` in a fresh directory that
 holds the README's JSON examples under the file names the commands read,
@@ -52,5 +53,8 @@ def test_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
     for doc in EXAMPLES:
         (tmp_path / _file_name(doc)).write_text(json.dumps(doc))
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 0, err
+    if "csv" not in argv:  # the render contract: bytes of json.dumps(indent=2)
+        assert json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n" \
+            == out

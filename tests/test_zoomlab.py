@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,8 @@ from hypothesis import strategies as st
 from heightlab.counting import (_capped_tuples, _shell_cap, _shell_value,
                                 bounded_window, enum_points)
 from heightlab.freeness import _p1n_freeness, point_freeness
-from heightlab.projpoint import Metric, PrimPoint, variety
+from heightlab.projpoint import Metric, PrimPoint, normalize, variety
 from heightlab.zoomlab import (
-    OverlayRow,
     _window_ranges,
     ScanResult,
     ZoomCloud,
@@ -281,25 +282,24 @@ class TestOverlay:
     def test_p1_rows(self):
         cloud = zoom_cloud(ZoomConfig(variety=V1, center=(0, 1),
                                       alpha=Fraction(1, 2), R=1, B=50))
-        rows = zoom_freeness_overlay(cloud)
-        assert len(rows) == cloud.size > 1
-        for row, pt, h in zip(rows, cloud.points, cloud.heights):
-            assert row.point == pt.coords
-            assert row.h == pytest.approx(math.log(h))
-            assert row.l == (1.0 if h > 1 else 0.0)
-        assert any(row.l == 0.0 for row in rows)  # the center itself
+        overlay = zoom_freeness_overlay(cloud)
+        assert len(overlay) == cloud.size > 1
+        for pt, h, l in zip(cloud.points, cloud.heights, overlay):
+            assert l == (1.0 if h > 1 else 0.0), pt
+        assert 0.0 in overlay  # the center itself
 
     def test_p1_sup_window_uses_euclid_freeness(self):
         # [1:1] has sup height 1 but euclid height sqrt 2, so l = 1, as in
         # freeness_rows; only [0:1] and [1:0] have l = 0
         cloud = zoom_cloud(ZoomConfig(variety=V1, center=(1, 1), alpha=0,
                                       R=1, B=3))
-        rows = zoom_freeness_overlay(cloud)
+        overlay = zoom_freeness_overlay(cloud)
         expect = {p.coords: l for p, _, _, l in freeness_rows(V1, 3)}
-        assert (1, 1) in [r.point for r in rows]
-        for r in rows:
-            assert r.l == expect[r.point]
-        assert [r.point for r in rows if r.l == 0.0] == [(0, 1)]
+        points = [p.coords for p in cloud.points]
+        assert (1, 1) in points
+        for point, l in zip(points, overlay):
+            assert l == expect[point]
+        assert [p for p, l in zip(points, overlay) if l == 0.0] == [(0, 1)]
 
     @pytest.mark.parametrize("v,center,bound,metric", [
         (VP2, ((1, 2), (1, 2)), 200, Metric.SUP),
@@ -309,13 +309,12 @@ class TestOverlay:
     def test_product_rows_equal_point_freeness(self, v, center, bound, metric):
         cloud = zoom_cloud(ZoomConfig(variety=v, center=center, alpha=1,
                                       R=40, B=bound, metric=metric))
-        rows = zoom_freeness_overlay(cloud)
-        assert len(rows) == cloud.size > 100
-        assert len({r.l for r in rows}) > 10
-        for row, point in zip(rows, cloud.points):
+        overlay = zoom_freeness_overlay(cloud)
+        assert len(overlay) == cloud.size > 100
+        assert len(set(overlay)) > 10
+        for point, l in zip(cloud.points, overlay):
             expect = point_freeness(v, [PrimPoint(p) for p in point])[2]
-            assert row.point == point
-            assert row.l == expect, point
+            assert l == expect, point
 
     def test_fiber_points_follow_exact_height_law(self):
         # euclid heights make l a function of height alone on each fiber:
@@ -323,8 +322,8 @@ class TestOverlay:
         cfg = ZoomConfig(variety=VP2, center=((1, 2), (1, 2)), alpha=1,
                          R=40, B=100, metric=Metric.EUCLID)
         cloud = zoom_cloud(cfg)
-        rows = zoom_freeness_overlay(cloud)
-        fiber = [(cloud.heights[i], rows[i].l)
+        overlay = zoom_freeness_overlay(cloud)
+        fiber = [(cloud.heights[i], overlay[i])
                  for i, ys in enumerate(cloud.chart)
                  if any(y == 0 for y in ys)]
         assert len(fiber) > 500
@@ -337,12 +336,12 @@ class TestOverlay:
         cfg = ZoomConfig(variety=VP2, center=((1, 2), (1, 2)), alpha=1,
                          R=40, B=100, metric=Metric.EUCLID)
         cloud = zoom_cloud(cfg)
-        rows = zoom_freeness_overlay(cloud)
+        overlay = zoom_freeness_overlay(cloud)
         by_height = {}
         for i, ys in enumerate(cloud.chart):
             if any(y == 0 for y in ys):
                 h = round(cloud.heights[i], 9)
-                by_height.setdefault(h, set()).add(round(rows[i].l, 12))
+                by_height.setdefault(h, set()).add(round(overlay[i], 12))
         assert all(len(v) == 1 for v in by_height.values())
         levels = sorted(by_height)
         values = [max(by_height[h]) for h in levels]
@@ -458,6 +457,69 @@ def test_exact_windows_match_brute_force(kind, metric, data, alpha, radius,
             assert fiber_share(cloud, delta) == hits / len(oracle)
 
 
+def reference_pn_cloud(cfg):
+    """(points, chart, heights) of a P^n zoom by the walk over every
+    q = 1..floor(B), as `_pn_cloud` formed them before it skipped the q
+    whose windows can hold only the center."""
+    n, center = cfg.variety.n, cfg.center
+    j = max(i for i, c in enumerate(center) if c != 0)
+    others = [i for i in range(n + 1) if i != j]
+    cf = [Fraction(center[i], center[j]) for i in others]
+    cap = _shell_cap(cfg.B ** 2, cfg.metric)
+    rows = []
+    qs = range(1, int(cfg.B) + 1)
+    for q, ranges in zip(qs, zip(*(_window_ranges(cfg, c, qs) for c in cf))):
+        for combo in itertools.product(*ranges):
+            x = [0] * (n + 1)
+            x[j] = q
+            for i, v in zip(others, combo):
+                x[i] = v
+            s = _shell_value(x, cfg.metric)
+            if math.gcd(*x) != 1 or s > cap:
+                continue
+            ys = tuple(Fraction(v, q) - c for v, c in zip(combo, cf))
+            height = float(s) if cfg.metric is Metric.SUP else math.sqrt(s)
+            rows.append((normalize(x), ys, height))
+    return tuple(tuple(col) for col in zip(*rows)) if rows else ((), (), ())
+
+
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+@pytest.mark.parametrize("center", [(0, 1), (1, 2), (-1, 2), (1, 2, 3)],
+                         ids=str)
+def test_pn_cloud_equals_the_walk_over_every_q(center, metric):
+    sizes = []
+    for alpha in (1, 2, 3, Fraction(1, 2), Fraction(3, 2)):
+        for radius in (Fraction(1), Fraction(3), Fraction(1, 2)):
+            for bound in (Fraction(2), Fraction(7), Fraction(31, 2),
+                          Fraction(40)):
+                cfg = ZoomConfig(variety=variety("pn", len(center) - 1),
+                                 center=center, alpha=alpha, R=radius,
+                                 B=bound, metric=metric)
+                cloud = zoom_cloud(cfg)
+                assert (cloud.points, cloud.chart, cloud.heights) == \
+                    reference_pn_cloud(cfg), cfg
+                sizes.append(cloud.size)
+    assert 1 in sizes and max(sizes) > 1
+
+
+@pytest.mark.parametrize("v,center", [
+    (V1, (0, 1)), (V2, (1, 2, 3)), (variety("p1n", 1), ((0, 1),)),
+    (VP2, ((0, 1), (1, 2)))], ids=["p1", "p2", "p1n1", "p1n2"])
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+def test_cloud_of_the_center_alone_skips_the_empty_windows(v, center, metric):
+    # K(q) = floor(q cd / B^2) is 0 for every q <= B = 1e9: the walk over
+    # every q took longer than 10 s, the cloud is the center alone
+    cfg = ZoomConfig(variety=v, center=center, alpha=2, R=1, B=10 ** 9,
+                     metric=metric)
+    start = time.perf_counter()
+    cloud = zoom_cloud(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert cloud.size == 1
+    assert all(y == 0 for y in cloud.chart[0])
+
+
 def reference_factor_candidates(cfg, center):
     """Every P^1 point in the window of one center, unpruned: rows
     ((pair, chart value, height key), height key) sorted by key.  The
@@ -467,7 +529,8 @@ def reference_factor_candidates(cfg, center):
     cf = Fraction(center[1 - j], center[j])
     cn, cd = cf.numerator, cf.denominator
     out = []
-    for q, window in enumerate(_window_ranges(cfg, cf), start=1):
+    qs = range(1, int(cfg.B) + 1)
+    for q, window in zip(qs, _window_ranges(cfg, cf, qs)):
         for a in window:
             if math.gcd(a, q) != 1:
                 continue
@@ -495,11 +558,8 @@ def reference_product_zoom(cfg, deltas):
         heights.append(math.sqrt(h) if cfg.metric is Metric.EUCLID else h)
     scale = float(cfg.B) ** float(cfg.alpha)
     rescaled = tuple(tuple(float(y) * scale for y in ys) for ys in chart)
-    overlay = tuple(
-        OverlayRow(point=point, rescaled=zs, h=math.log(h),
-                   l=_p1n_freeness([_shell_value(p, Metric.EUCLID)
-                                    for p in point])[2])
-        for point, zs, h in zip(points, rescaled, heights))
+    overlay = tuple(_p1n_freeness([_shell_value(p, Metric.EUCLID)
+                                   for p in point])[2] for point in points)
     p, r = cfg.alpha.numerator, cfg.alpha.denominator
     shares = [sum(1 for ys in chart
                   if any(abs(y) ** r * cfg.B ** p <= d ** r for y in ys))
