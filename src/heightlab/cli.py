@@ -291,12 +291,6 @@ def _coords_token(coords) -> str:
     return ":".join(map(str, coords))
 
 
-def _point_token(pt) -> str:
-    if hasattr(pt, "coords"):  # single projective point
-        return _coords_token(pt.coords)
-    return ",".join(_coords_token(f.coords) for f in pt)  # product of factors
-
-
 def _enum_tokens(w: HeightWindow) -> list:
     """The tokens of `enum_points(w)`, in its order.  P^n points are
     formatted from their coordinate tuples and each P^1 factor of a product
@@ -308,7 +302,8 @@ def _enum_tokens(w: HeightWindow) -> list:
     if w.variety.kind == "p1n":
         return list(map(",".join, _p1n_points(shells, joint, w.metric,
                                               factor=_coords_token)))
-    return [_point_token(p) for p in enum_points(w)]
+    return [",".join(_coords_token(f.coords) for f in pair)
+            for pair in enum_points(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +631,11 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
         raise UsageError(f"--alpha {_num(zc.alpha)} and --bound "
                          f"{_num(zc.B)}: the rescaling factor B^alpha is "
                          f"past the float range")
-    if cloud.index:  # a product cloud: the strings of each factor once
-        names = [_coords_token(pair) for pair, _ in cloud.factors]
-        charts = [str(_num(y)) for _, y in cloud.factors]
-        tokens = [",".join(map(names.__getitem__, t)) for t in cloud.index]
-        chart = [list(map(charts.__getitem__, t)) for t in cloud.index]
-    else:
-        tokens = [_point_token(p) for p in cloud.points]
-        chart = [[str(_num(y)) for y in ys] for ys in cloud.chart]
+    # the strings of each factor once
+    names = [_coords_token(x) for x, _ in cloud.factors]
+    charts = [[str(_num(y)) for y in ys] for _, ys in cloud.factors]
+    tokens = [",".join(map(names.__getitem__, t)) for t in cloud.index]
+    chart = [[y for k in t for y in charts[k]] for t in cloud.index]
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,
         "center": args.center, "alpha": str(_num(zc.alpha)),

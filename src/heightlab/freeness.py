@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .counting import (_capped_tuples, _pn_orbits, _pn_points, _shell_spec, _shell_value,
+from .counting import (_capped_tuples, _pn_coords, _pn_orbits, _shell_spec, _shell_value,
                        bounded_window)
 from .exactnum import LogLin, int_adjugate
 from .lattice import EucLattice, degree, int_min_norm2, lagrange_gauss, newton_polygon
@@ -280,11 +280,17 @@ def _factor_norms(points: Sequence[PrimPoint]) -> list:
 
 def _p1n_freeness(norms: Sequence[int]) -> tuple:
     """(h, mu_min, l) of a point of (P^1)^n from its factor norms
-    m_i = a_i^2 + b_i^2 alone: h_i = (1/2) log m_i and l = n min h_i /
-    sum h_i, or 0 when some factor is a unit point."""
+    m_i = a_i^2 + b_i^2 alone, through h_i = (1/2) log m_i."""
     logs = [math.log(m) / 2 for m in norms]
-    l = 0.0 if min(norms) == 1 else len(norms) * min(logs) / sum(logs)
-    return 2 * sum(logs), 2 * min(logs), l
+    return 2 * sum(logs), 2 * min(logs), _p1n_l(logs)
+
+
+def _p1n_l(logs: Sequence[float]) -> float:
+    """l of a point of (P^1)^n from the half-logs h_i of its factor norms:
+    n min h_i / sum h_i, or 0 when some factor is a unit point, whose
+    half-log is exactly 0."""
+    low = min(logs)
+    return 0.0 if low == 0 else len(logs) * low / sum(logs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +383,8 @@ def _p1n_classes(v: VarietyId, bound, metric: Metric) -> Iterator[tuple]:
     factors lie in those classes, the product of the class sizes."""
     shells, joint = _shell_spec(bounded_window(v, bound, metric))
     # a bounded window gives every factor the same shell interval
-    sizes = Counter((_shell_value(p.coords, metric), sum(c * c for c in p.coords))
-                    for p in _pn_points(1, *shells[0], metric))
+    sizes = Counter((_shell_value(x, metric), sum(c * c for c in x))
+                    for x in _pn_coords(1, *shells[0], metric))
     classes = [((m, size), s) for (s, m), size in sorted(sizes.items())]
     for t in _capped_tuples([classes] * v.n, joint):
         norms, counts = zip(*t)

@@ -15,6 +15,11 @@ ceil((cn q - K)/cd) and floor((cn q + K)/cd), clamped to |a| <= B.  No
 candidate outside the window is ever built, and no q below the least
 one with some K(q) >= 1 is visited but the center's own.  Rescaled
 coordinates are floats for display only.
+
+One walk, `_near`, lists the points of P^k near a center, for P^n clouds
+and for each P^1 factor of a product cloud alike, and every cloud has one
+shape: distinct factors (whole points on P^n) and each point's positions
+among them.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .counting import _capped_tuples, _shell_cap, _shell_value, int_nth_root
-from .freeness import point_freeness
-from .projpoint import Metric, VarietyId, normalize
+from .freeness import _p1n_l, point_freeness
+from .projpoint import Metric, PrimPoint, VarietyId, normalize
 
 
 @dataclass(frozen=True)
@@ -73,32 +79,46 @@ class ZoomConfig:
 class ZoomCloud:
     """Points of the window, their exact chart coordinates, and heights.
 
-    A product cloud also lists each distinct factor once, as a row
-    (pair, chart value) of `factors`, and each point's factors as positions
-    in that list, in `index`; the work that depends on one factor alone
+    Each row of `factors` is (coordinates, tuple of chart values): a whole
+    point on P^n, one P^1 factor on (P^1)^n, each distinct factor listed
+    once.  `index` gives each point's factors as positions in `factors`,
+    ((0,), (1,), ...) on P^n.  The work that depends on one factor alone
     (rescaling, the band test of `fiber_share`, the norms of the overlay,
-    the command line's strings) reads them once per factor.  A P^n cloud
-    leaves both empty.
+    the command line's strings) reads it once per factor.
     """
 
     config: ZoomConfig
-    points: tuple
-    chart: tuple    # tuples of Fractions, one per point
+    factors: tuple
+    index: tuple
     heights: tuple  # exponential heights, floats for reporting
-    factors: tuple = ()
-    index: tuple = ()
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.index)
+
+    @cached_property
+    def points(self) -> tuple:
+        """A PrimPoint per point of P^n, a tuple of pairs per point of
+        (P^1)^n."""
+        coords = [x for x, _ in self.factors]
+        if self.config.variety.kind == "pn":
+            return tuple(PrimPoint(coords[i]) for (i,) in self.index)
+        return tuple(tuple(map(coords.__getitem__, t)) for t in self.index)
+
+    @cached_property
+    def chart(self) -> tuple:
+        """The chart values of each point, Fractions."""
+        return self._per_point([ys for _, ys in self.factors])
 
     @cached_property
     def rescaled(self) -> tuple:
         scale = float(self.B_pow_alpha())
-        if self.index:
-            per = [float(y) * scale for _, y in self.factors]
-            return tuple(tuple(map(per.__getitem__, t)) for t in self.index)
-        return tuple(tuple(float(y) * scale for y in ys) for ys in self.chart)
+        return self._per_point([tuple(float(y) * scale for y in ys)
+                                for _, ys in self.factors])
+
+    def _per_point(self, per: list) -> tuple:
+        """Each point's values: those in per of its factors, in turn."""
+        return tuple(tuple([v for k in t for v in per[k]]) for t in self.index)
 
     def B_pow_alpha(self) -> float:
         return float(self.config.B) ** float(self.config.alpha)
@@ -153,126 +173,102 @@ def _windows(cfg: ZoomConfig, cf: list, own: int) -> Iterator[tuple]:
         yield from zip(qs, zip(*(_window_ranges(cfg, c, qs) for c in cf)))
 
 
-def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
-    n = cfg.variety.n
-    center = cfg.center
+def _near(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
+    """(q, rows) for each q that `_windows` visits about a P^k center, up to
+    the first q whose own shell value exceeds cap: rows (x, chart values,
+    shell value) for each primitive x with shell value at most cap whose
+    coordinate j, the center's last nonzero one, is q.  x is normalized,
+    and the chart values are x_i / q - center_i / center_j, i != j.
+
+    The shell value is the sup height, or the squared euclid one, so caps
+    stay integral: it is at least that of q, and at most cap only if each
+    other coordinate a has |a| <= cap resp. a^2 <= cap - q^2, the cut of
+    each window.
+    """
+    euclid = cfg.metric is Metric.EUCLID
     j = max(i for i, c in enumerate(center) if c != 0)
-    others = [i for i in range(n + 1) if i != j]
-    cf = [Fraction(center[i], center[j]) for i in others]
-    cap = _shell_cap(cfg.B ** 2, cfg.metric)
-    rows = []
-    for q, ranges in _windows(cfg, cf, abs(center[j])):
-        for combo in iproduct(*ranges):
-            x = [0] * (n + 1)
-            x[j] = q
-            for i, v in zip(others, combo):
-                x[i] = v
+    cf = [Fraction(c, center[j]) for i, c in enumerate(center) if i != j]
+    for q, windows in _windows(cfg, cf, abs(center[j])):
+        own = _shell_value((q,), cfg.metric)
+        if own > cap:
+            return
+        t = math.isqrt(cap - own) if euclid else cap
+        rows = []
+        for combo in iproduct(*(range(max(w.start, -t), min(w.stop, t + 1))
+                                for w in windows)):
+            x = [*combo[:j], q, *combo[j:]]
             if math.gcd(*x) != 1:
                 continue
             s = _shell_value(x, cfg.metric)
             if s > cap:
                 continue
-            ys = tuple(Fraction(v, q) - c for v, c in zip(combo, cf))
-            height = float(s) if cfg.metric is Metric.SUP else math.sqrt(s)
-            rows.append((normalize(x), ys, height))
-    points, chart, heights = zip(*rows) if rows else ((), (), ())
-    return ZoomCloud(config=cfg, points=tuple(points), chart=tuple(chart),
-                     heights=tuple(heights))
+            ys = tuple(Fraction(a * c.denominator - c.numerator * q,
+                                q * c.denominator)  # a/q - c
+                       for a, c in zip(combo, cf))
+            if next(v for v in x if v) < 0:  # first nonzero made positive
+                x = [-v for v in x]
+            rows.append((tuple(x), ys, s))
+        yield q, rows
 
 
-def _chart_center(center: tuple) -> tuple:
-    """(j, c): the chart of a P^1 center is that of its last nonzero
-    coordinate j, where the center reads c."""
-    j = 1 if center[1] != 0 else 0
-    return j, Fraction(center[1 - j], center[j])
-
-
-def _factor_windows(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
-    """(q, range of a) for the P^1 points a/q near one center in its chart:
-    the window of q cut to the a whose pair has height key at most cap, for
-    each q that `_windows` visits while q alone keeps the key within cap.
-
-    The height key is the exponential factor height for the sup metric and
-    its square for the euclidean one, so product caps stay integral: at
-    least q resp. q^2, and at most cap iff |a| <= cap resp. a^2 <= cap - q^2.
-    """
+def _cloud(cfg: ZoomConfig, rows: list, index) -> ZoomCloud:
+    """The cloud of the points index over factor rows (x, chart values,
+    shell value); a point's height is read from its shell values' product,
+    the sup height or the squared euclid one."""
+    index = tuple(index)
+    keys = [row[2] for row in rows]
     euclid = cfg.metric is Metric.EUCLID
-    j, c = _chart_center(center)
-    for q, (window,) in _windows(cfg, [c], abs(center[j])):
-        if _shell_value((0, q), cfg.metric) > cap:
-            return
-        t = math.isqrt(cap - q * q) if euclid else cap
-        yield q, range(max(window.start, -t), min(window.stop, t + 1))
+    heights = []
+    for t in index:
+        h = float(math.prod(map(keys.__getitem__, t)))
+        heights.append(math.sqrt(h) if euclid else h)
+    return ZoomCloud(config=cfg, factors=tuple(row[:2] for row in rows),
+                     index=index, heights=tuple(heights))
+
+
+def _pn_cloud(cfg: ZoomConfig) -> ZoomCloud:
+    cap = _shell_cap(cfg.B ** 2, cfg.metric)
+    rows = [row for _, found in _near(cfg, cfg.center, cap) for row in found]
+    return _cloud(cfg, rows, ((i,) for i in range(len(rows))))
 
 
 def _least_key(cfg: ZoomConfig, center: tuple, cap: int):
     """The least height key at most cap of a P^1 point in the window of one
-    center, or None.  The scan over q stops once q alone puts the key past
-    the best so far."""
+    center, or None.  The walk stops once q alone puts the key past the
+    best so far."""
     best = None
-    for q, window in _factor_windows(cfg, center, cap):
-        if best is not None and _shell_value((0, q), cfg.metric) > best:
+    for q, rows in _near(cfg, center, cap):
+        if best is not None and _shell_value((q,), cfg.metric) > best:
             break
-        for a in window:
-            if math.gcd(a, q) == 1:
-                key = _shell_value((a, q), cfg.metric)
-                if best is None or key < best:
-                    best = key
+        for _, _, key in rows:
+            if best is None or key < best:
+                best = key
     return best
 
 
-def _p1_factor_candidates(cfg: ZoomConfig, center: tuple, cap: int) -> list:
-    """P^1 points near one center coordinate with height key at most cap:
-    rows (pair, chart value, height key), sorted by height key."""
-    j, cf = _chart_center(center)
-    cn, cd = cf.numerator, cf.denominator
-    out = []
-    for q, window in _factor_windows(cfg, center, cap):
-        for a in window:
-            if math.gcd(a, q) != 1:
-                continue
-            # gcd(a, q) = 1 and q > 0, so only the sign of (a, q) can need fixing
-            pair = (q, a) if j == 0 else (a, q) if a >= 0 else (-a, -q)
-            y = Fraction(a * cd - cn * q, q * cd)  # a/q - cf
-            out.append((pair, y, _shell_value(pair, cfg.metric)))
-    out.sort(key=lambda row: row[2])
-    return out
-
-
 def _p1n_cloud(cfg: ZoomConfig) -> ZoomCloud:
-    """The capped products of the factor candidates: the cloud lists them
-    by first-factor height key, then by second, and so on.
+    """The capped products of the factors near each center coordinate: the
+    cloud lists them by first-factor height key, then by second, and so on.
 
-    A candidate of one factor enters a product iff its key is at most the
-    cap over the product of the other factors' least keys, so only those
-    candidates are built, once per distinct center, and each enters.
+    A factor enters a product iff its key is at most the cap over the
+    product of the other factors' least keys, so `_near` walks each
+    distinct center only that far, and every factor it yields enters.
     """
     cap = _shell_cap(cfg.B ** 2, cfg.metric)
     least = {c: _least_key(cfg, c, cap) for c in dict.fromkeys(cfg.center)}
     if None in least.values():
-        return ZoomCloud(config=cfg, points=(), chart=(), heights=())
+        return _cloud(cfg, [], ())
     floor = math.prod(least[c] for c in cfg.center)
-    factors, keys, rows = [], [], {}
+    factors, keyed = [], {}
     for c in least:
-        found = _p1_factor_candidates(cfg, c, cap // (floor // least[c]))
-        # the walk's rows are (position in factors, height key)
-        rows[c] = [(len(factors) + i, row[2]) for i, row in enumerate(found)]
-        factors += [row[:2] for row in found]
-        keys += [row[2] for row in found]
-    index = tuple(_capped_tuples([rows[c] for c in cfg.center], cap))
-    pairs = [row[0] for row in factors]
-    ys = [row[1] for row in factors]
-    euclid = cfg.metric is Metric.EUCLID
-    heights = []
-    for t in index:
-        # keys are factor heights (sup) or squared heights (euclid)
-        h = float(math.prod(map(keys.__getitem__, t)))
-        heights.append(math.sqrt(h) if euclid else h)
-    return ZoomCloud(
-        config=cfg,
-        points=tuple(tuple(map(pairs.__getitem__, t)) for t in index),
-        chart=tuple(tuple(map(ys.__getitem__, t)) for t in index),
-        heights=tuple(heights), factors=tuple(factors), index=index)
+        found = sorted((row for _, rows in
+                        _near(cfg, c, cap // (floor // least[c]))
+                        for row in rows), key=itemgetter(2))
+        # the capped walk's rows are (position in factors, height key)
+        keyed[c] = [(len(factors) + i, row[2]) for i, row in enumerate(found)]
+        factors += found
+    return _cloud(cfg, factors,
+                  _capped_tuples([keyed[c] for c in cfg.center], cap))
 
 
 def zoom_cloud(cfg: ZoomConfig) -> ZoomCloud:
@@ -330,7 +326,7 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
         raise ValueError("empty cloud")
     tn, td, r = _radius_power(delta, cloud.config)
     near = [abs(y.numerator) ** r * td <= tn * y.denominator ** r
-            for _, y in cloud.factors]
+            for _, (y,) in cloud.factors]
     hits = sum(1 for t in cloud.index if any(map(near.__getitem__, t)))
     return hits / cloud.size
 
@@ -345,13 +341,7 @@ def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     v = cloud.config.variety
     if v.kind != "p1n":
         return tuple(point_freeness(v, point)[2] for point in cloud.points)
-    # `_p1n_freeness` of each point, from the half-log of the euclid norm
-    # of each distinct factor, taken once per factor (a unit factor's is 0)
+    # the half-log of the euclid norm of each distinct factor, once
     logs = [math.log(_shell_value(pair, Metric.EUCLID)) / 2
             for pair, _ in cloud.factors]
-    out = []
-    for t in cloud.index:
-        hs = list(map(logs.__getitem__, t))
-        low = min(hs)
-        out.append(0.0 if low == 0 else v.n * low / sum(hs))
-    return tuple(out)
+    return tuple(_p1n_l([logs[k] for k in t]) for t in cloud.index)

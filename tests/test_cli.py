@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import importlib
 import io
 import json
@@ -966,6 +967,22 @@ def test_cli_fuzz_exit_codes_and_strict_json(command, kind, dim, metric,
         with contextlib.redirect_stdout(counted):
             assert main(["count", *argv[1:]]) == 0
         assert doc["count"] == json.loads(counted.getvalue())["count"], argv
+
+
+def test_zoom_bytes_match_the_benchmark_reference():
+    # every zoom input of the benchmark prints the bytes it recorded; the
+    # reference file is only read
+    ref = json.loads((Path(__file__).parents[1] / "perfbench"
+                      / "reference.json").read_text())
+    lines = [k for k in ref if k.split()[0] == "zoom"]
+    assert len(lines) == 20
+    for line in lines:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(line.split())
+        assert code == ref[line]["rc"] == 0, line
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+            ref[line]["sha"], line
 
 
 # ---------------------------------------------------------------------------

@@ -626,3 +626,72 @@ def test_product_zoom_builds_only_candidates_that_can_enter():
     unpruned = reference_factor_candidates(cfg, (1, 2))
     assert len(cloud.factors) == sum(1 for _, key in unpruned if key <= 2000)
     assert len(cloud.factors) < len(unpruned) / 2
+
+
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+def test_least_key_walk_stops_past_the_best_key(metric):
+    # the center's denominator 1001e7 is past the cap, and every window
+    # below q = 1e7 holds at most one a: only the stop at the first q past
+    # the least key, 1001 of [1000:1001], keeps the walk short
+    c = (1000 * 10 ** 7 + 1, 1001 * 10 ** 7)
+    cfg = ZoomConfig(variety=VP2, center=(c, c), alpha=1, R=1, B=10 ** 7,
+                     metric=metric)
+    start = time.perf_counter()
+    cloud = zoom_cloud(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert cloud.size == 1
+    assert cloud.points == (((1000, 1001), (1000, 1001)),)
+
+
+@pytest.mark.parametrize("v,center", [
+    (V1, (1, 2)), (V2, (1, 2, 3)), (V2, (0, 1, 0)),
+    (variety("p1n", 1), ((1, 2),)), (VP2, ((1, 2), (0, 1))),
+    (VP3, ((1, 2), (1, 2), (1, 0)))],
+    ids=["p1", "p2", "p2-axis", "p1n1", "p1n2", "p1n3"])
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+def test_cloud_rows_and_index_agree(v, center, metric):
+    sizes = []
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        cfg = ZoomConfig(variety=v, center=center, alpha=alpha, R=2, B=9,
+                         metric=metric)
+        cloud = zoom_cloud(cfg)
+        assert cloud.size == len(cloud.index) == len(cloud.heights)
+        assert cloud.size == len(cloud.points) == len(cloud.chart)
+        # every factor row is some point's
+        assert {i for t in cloud.index for i in t} == \
+            set(range(len(cloud.factors)))
+        if v.kind == "pn":
+            assert cloud.index == tuple((i,) for i in range(cloud.size))
+            assert [p.coords for p in cloud.points] == \
+                [x for x, _ in cloud.factors]
+        else:
+            assert all(len(t) == v.n for t in cloud.index)
+        sizes.append(cloud.size)
+    assert max(sizes) > 1
+
+
+@pytest.mark.parametrize("metric", [Metric.SUP, Metric.EUCLID],
+                         ids=["sup", "euclid"])
+def test_one_factor_product_cloud_is_the_p1_cloud(metric):
+    sizes = []
+    for center in ((0, 1), (1, 2), (-1, 2), (1, 0), (3, 7), (5, 2),
+                   (13, 41)):
+        for alpha in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
+            for radius, bound in ((Fraction(1), Fraction(12)),
+                                  (Fraction(5, 2), Fraction(31, 2)),
+                                  (Fraction(1, 3), Fraction(40))):
+                def cloud(v, c):
+                    return zoom_cloud(ZoomConfig(
+                        variety=v, center=c, alpha=alpha, R=radius, B=bound,
+                        metric=metric))
+
+                p1 = cloud(V1, center)
+                p1n1 = cloud(variety("p1n", 1), (center,))
+                assert {p.coords: row for p, row in
+                        zip(p1.points, zip(p1.chart, p1.heights))} == \
+                    {pair: row for (pair,), row in
+                     zip(p1n1.points, zip(p1n1.chart, p1n1.heights))}
+                sizes.append(p1.size)
+    assert 0 in sizes and 1 in sizes and max(sizes) > 20
