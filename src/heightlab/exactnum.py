@@ -4,7 +4,7 @@ number-theoretic utilities.
 Heights of rational points and degrees of lattices are half-logarithms
 of positive rationals, so we never store them as floats.  `LogLin` holds a
 rational linear combination of logarithms of positive rationals: a height
-is the one-term `LogLin.from_log(q, 1/2)`, and Newton-polygon chords are
+is the one-term `LogLin.from_log(q, 1/2)`, and Newton-polygon slopes are
 longer combinations.  Comparisons go through a floating filter and fall
 back to exact rational power comparisons only when the filter cannot
 decide.
@@ -70,6 +70,14 @@ class LogLin:
         self.terms = tuple(sorted(merged.items()))
 
     @staticmethod
+    def _canonical(terms: tuple) -> "LogLin":
+        """The LogLin of terms that are already canonical: sorted by
+        argument, merged, with no argument 1 and no zero coefficient."""
+        out = object.__new__(LogLin)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def from_log(arg: RatLike, coeff: RatLike = 1) -> "LogLin":
         return LogLin([(_to_frac(arg), _to_frac(coeff))])
 
@@ -84,11 +92,14 @@ class LogLin:
         return self + (-other)
 
     def __neg__(self) -> "LogLin":
-        return LogLin([(a, -c) for a, c in self.terms])
+        return LogLin._canonical(tuple([(a, -c) for a, c in self.terms]))
 
     def scale(self, k: RatLike) -> "LogLin":
+        # negating or scaling by k != 0 keeps the terms canonical
         k = _to_frac(k)
-        return LogLin([(a, c * k) for a, c in self.terms])
+        if not k:
+            return LogLin._canonical(())
+        return LogLin._canonical(tuple([(a, c * k) for a, c in self.terms]))
 
     def __mul__(self, k: RatLike) -> "LogLin":
         return self.scale(k)

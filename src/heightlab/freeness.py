@@ -11,7 +11,9 @@ by sup-height).  Its degree equals the anticanonical log-height
 
 which lands in [0, 1] because mu_min is at most the average slope.
 
-One kernel, `point_freeness`, computes (h, mu_min, l) for every caller.
+One kernel, `point_freeness`, computes (h, mu_min, l) for every caller;
+its P^n part, `_pn_freeness`, reads the coordinates alone, so the
+statistics and the zoom overlay pass coordinate rows.
 On P^2 and P^3 it takes the integer minima of the quotient form, picks
 the minimal slope term by exact integer power comparisons, and rounds
 that single term to a float; P^1 and (P^1)^n use their closed forms and
@@ -338,19 +340,25 @@ def point_freeness(v: VarietyId, point) -> tuple:
         return _p1n_freeness(_factor_norms(point))
     if v.kind != "pn":
         raise ValueError("freeness covers P^n and (P^1)^n")
-    n = v.n
+    return _pn_freeness(v.n, point.coords)
+
+
+def _pn_freeness(n: int, y: Sequence[int]) -> tuple:
+    """`point_freeness` of the point of P^n with primitive coordinates y,
+    first nonzero one positive; only n >= 4 builds a `PrimPoint`, for the
+    tangent lattice."""
     if n >= 4:
-        t = tangent_lattice_pn(point)
+        t = tangent_lattice_pn(PrimPoint(y))
         r = freeness(t)
         # float(): at a unit point both are LogLin's zero, whose to_float is 0
         return float(t.h.to_float()), float(r.mu_min.to_float()), r.l
-    m = sum(c * c for c in point.coords)
+    m = sum(c * c for c in y)
     h = 0.5 * math.log(m ** (n + 1))
     if m == 1:
         return h, 0.0, 0.0
     if n == 1:
         return h, h, 1.0
-    _, lam2, lam2_adj = _pn_minima(point.coords)
+    _, lam2, lam2_adj = _pn_minima(y)
     if n == 2:
         k = 1 if lam2 * lam2 < m else 0
     else:
@@ -405,7 +413,7 @@ def freeness_statistics(v: VarietyId, bound, metric: Metric = Metric.SUP,
     if v.kind not in ("pn", "p1n"):
         raise ValueError("freeness statistics cover P^n and (P^1)^n")
     if v.kind == "pn":
-        weighted = ((point_freeness(v, PrimPoint(y))[2], w)
+        weighted = ((_pn_freeness(v.n, y)[2], w)
                     for y, w in _pn_orbits(v.n, bound, metric))
     else:
         weighted = ((_p1n_freeness(norms)[2], w)

@@ -34,26 +34,34 @@ class ConstantMap(ValueError):
     """Degree zero or all forms proportional: no tangent data to split."""
 
 
+def _primitive(p: list) -> list:
+    """p with trailing zero coefficients dropped and its content divided out."""
+    while p and p[-1] == 0:
+        p.pop()
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
 def _poly_gcd(p: list, q: list) -> list:
-    """Gcd of univariate polynomials with Fraction coefficients, ascending."""
+    """Primitive gcd of univariate integer polynomials, ascending.
 
-    def trim(r):
-        while r and r[-1] == 0:
-            r.pop()
-        return r
-
-    a, b = trim(list(p)), trim(list(q))
+    The primitive polynomial remainder sequence (Knuth, TAOCP 2, 4.6.1,
+    Algorithm E): the pseudo-remainder of a by b, lc(b)^k a mod b, stays
+    integral, and dividing out its content keeps the coefficients small.
+    The result is determined up to sign; a constant means coprime.
+    """
+    a, b = _primitive(list(p)), _primitive(list(q))
     while b:
-        # plain Euclid; degrees here never exceed a few dozen
+        lead = b[-1]
         while len(a) >= len(b):
-            lead = a[-1] / b[-1]
-            shift = len(a) - len(b)
+            top, shift = a[-1], len(a) - len(b)
+            a = [lead * c for c in a]
             for i, c in enumerate(b):
-                a[i + shift] -= lead * c
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
+                a[i + shift] -= top * c
+            a.pop()  # the leading term cancels
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive(a)
     return a
 
 
@@ -92,9 +100,9 @@ class CurveMap:
             raise NotAMorphism("s divides every form")
         if all(f[0] == 0 for f in forms):
             raise NotAMorphism("t divides every form")
-        g = [Fraction(c) for c in forms[0]]
+        g = list(forms[0])
         for f in forms[1:]:
-            g = _poly_gcd(g, [Fraction(c) for c in f])
+            g = _poly_gcd(g, list(f))
             if len(g) <= 1:
                 return
         raise NotAMorphism("forms share a nonconstant factor")

@@ -3,8 +3,9 @@
 The central computation is the degree profile d(i) = max over rank-i
 primitive sublattices of -log covol, its concave hull (the Newton polygon)
 and the slope vector.  Everything is exact: covolumes squared are rational,
-so degrees are one-term `LogLin` half-logs and hull ordinates are `LogLin`
-combinations.
+so the hull is decided by comparing products of their powers, and only the
+printed values are built as `LogLin`s: one-term half-logs for the degrees,
+one combination per hull segment for the slopes.
 
 All the lattice work is in integers.  A rational Gram enters as the integer
 Gram G = den * gram, kept on the lattice.  One integral Gram-Schmidt
@@ -392,63 +393,79 @@ def degree(lat: EucLattice) -> LogLin:
     return LogLin.from_log(1 / d, Fraction(1, 2))
 
 
+def _half_log_inverse(den: int, i: int, c: Fraction) -> LogLin:
+    """The degree -(1/2) log(c / den^i) of a rank-i sublattice whose
+    integer Gram den * gram gives it covol^2 c."""
+    return LogLin.from_log(den ** i / c, Fraction(1, 2))
+
+
 def max_deg_rank(lat: EucLattice, i: int) -> LogLin:
     """Largest degree of a rank-i primitive sublattice (min covolume)."""
     if not 1 <= i <= lat.rank:
         raise ValueError("need 1 <= i <= rank")
     _, den = _int_gram(lat)
-    covol2 = _min_covol2_int(lat, i) / den ** i
-    return LogLin.from_log(1 / covol2, Fraction(1, 2))
+    return _half_log_inverse(den, i, _min_covol2_int(lat, i))
 
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """Degree profile d, concave hull ordinates m, and slope vector."""
+    """Degree profile d, slope vector and the hull's vertices; the concave
+    hull ordinates m are derived."""
 
     d: tuple       # LogLin, indices 1..r (d[0] corresponds to rank 1)
-    m: tuple       # LogLin, indices 0..r, m[0] = 0
     slopes: tuple  # LogLin, length r, non-increasing
+    vertices: tuple  # abscissae of the hull's vertices, 0 .. r
 
     @property
     def rank(self) -> int:
         return len(self.slopes)
 
+    @functools.cached_property
+    def m(self) -> tuple:
+        """Hull ordinates, indices 0..r with m[0] = 0: the partial sums of
+        the slopes, built on first read."""
+        m = [LogLin.zero()]
+        for s in self.slopes:
+            m.append(m[-1] + s)
+        return tuple(m)
+
     @property
     def is_semistable(self) -> bool:
         """All slopes equal, i.e. the polygon is a straight segment."""
-        return self.slopes[0].compare(self.slopes[-1]) == 0
+        return len(self.vertices) == 2
 
 
 def newton_polygon(lat: EucLattice) -> NewtonPolygon:
     """Degree profile d, its concave hull through (0, 0) and the slopes.
 
-    Each hull segment (xa, ya)-(xb, yb) gives one slope
-    (yb - ya) / (xb - xa), repeated xb - xa times; the ordinates m are
-    the partial sums of the slopes from m[0] = 0.
+    The hull is decided on the minimal covolumes squared c_i of the
+    integer Gram den * gram, with c_0 = 1, so d_i = -(1/2) log(c_i / den^i).
+    A vertex b between a and c is popped when it lies on or under the
+    chord a-c, that is when c_a^(c-b) c_c^(b-a) <= c_b^(c-a): the den^i
+    cancel, as a(c-b) + c(b-a) = b(c-a), and the test is one comparison
+    of rationals.  On a tie b is popped, so consecutive hull slopes differ
+    and the polygon is semistable exactly when the hull is one segment.
+    Each segment (a, y_a)-(b, y_b) gives one `LogLin` slope
+    (y_b - y_a) / (b - a), repeated b - a times.
     """
     r = lat.rank
-    d = [max_deg_rank(lat, i) for i in range(1, r + 1)]
-    pts = [(0, LogLin.zero())] + [(i + 1, d[i]) for i in range(r)]
-    hull = [pts[0]]
-    for p in pts[1:]:
+    _, den = _int_gram(lat)
+    c = [Fraction(1)] + [_min_covol2_int(lat, i) for i in range(1, r + 1)]
+    hull = [0]
+    for x in range(1, r + 1):
         while len(hull) >= 2:
-            (xa, ya), (xb, yb) = hull[-2], hull[-1]
-            xc, yc = p
-            # pop b when slope(a,b) <= slope(b,c): b is under the chord a-c
-            left = (yb - ya) * (xc - xb)
-            right = (yc - yb) * (xb - xa)
-            if left.compare(right) <= 0:
+            a, b = hull[-2], hull[-1]
+            if c[a] ** (x - b) * c[x] ** (b - a) <= c[b] ** (x - a):
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append(x)
+    d = [_half_log_inverse(den, i, c[i]) for i in range(1, r + 1)]
+    y = [LogLin.zero()] + d
     slopes = []
-    for (xa, ya), (xb, yb) in zip(hull, hull[1:]):
-        slopes += [(yb - ya).scale(Fraction(1, xb - xa))] * (xb - xa)
-    m = [LogLin.zero()]
-    for s in slopes:
-        m.append(m[-1] + s)
-    return NewtonPolygon(tuple(d), tuple(m), tuple(slopes))
+    for a, b in zip(hull, hull[1:]):
+        slopes += [(y[b] - y[a]).scale(Fraction(1, b - a))] * (b - a)
+    return NewtonPolygon(tuple(d), tuple(slopes), tuple(hull))
 
 
 def slopes(lat: EucLattice) -> tuple:

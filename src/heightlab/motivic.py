@@ -227,13 +227,14 @@ def verify_recurrence(n: int, dmax: int) -> bool:
     """Check L^{(n+1)(d+1)} - L^{(n+1)d} = sum_k L^k [W_{d-k}] for d <= dmax.
 
     The left side counts tuples with top degree exactly d; the right side
-    stratifies them by the degree of the monic gcd.
+    stratifies them by the degree of the monic gcd.  The right side is
+    built in one pass, rhs_d = [W_d] + L rhs_{d-1} from rhs_{-1} = 0, so
+    each [W_d] is computed once.
     """
+    rhs = LPoly()
     for d in range(dmax + 1):
+        rhs = class_wd(n, d) + rhs.shift(1)
         lhs = LPoly.tate((n + 1) * (d + 1)) - LPoly.tate((n + 1) * d)
-        rhs = LPoly()
-        for k in range(d + 1):
-            rhs = rhs + class_wd(n, d - k).shift(k)
         if lhs != rhs:
             return False
     return True

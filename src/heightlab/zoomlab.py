@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .counting import _capped_tuples, _shell_cap, _shell_value, int_nth_root
-from .freeness import _p1n_l, point_freeness
+from .freeness import _p1n_l, _pn_freeness
 from .projpoint import Metric, PrimPoint, VarietyId, normalize
 
 
@@ -335,12 +335,13 @@ def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     """The arithmetic freeness l of each source point, in cloud order.
 
     The point, its rescaled coordinates and its height are the cloud's
-    own rows, so only l is returned.  A product cloud reads the euclid
-    norm of each distinct factor once.
+    own rows, so only l is returned.  A P^n cloud hands the freeness
+    kernel its coordinate rows; a product cloud reads the euclid norm of
+    each distinct factor once.
     """
     v = cloud.config.variety
-    if v.kind != "p1n":
-        return tuple(point_freeness(v, point)[2] for point in cloud.points)
+    if v.kind == "pn":
+        return tuple(_pn_freeness(v.n, y)[2] for y, _ in cloud.factors)
     # the half-log of the euclid norm of each distinct factor, once
     logs = [math.log(_shell_value(pair, Metric.EUCLID)) / 2
             for pair, _ in cloud.factors]

@@ -985,6 +985,27 @@ def test_zoom_bytes_match_the_benchmark_reference():
             ref[line]["sha"], line
 
 
+def test_slopes_curve_motivic_bytes_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # every slopes, curve and motivic input of the benchmark prints the
+    # bytes it recorded; a key lists its input files as " |name=text"
+    ref = json.loads((Path(__file__).parents[1] / "perfbench"
+                      / "reference.json").read_text())
+    keys = [k for k in ref if k.split()[0] in ("slopes", "curve", "motivic")]
+    assert len(keys) == 189
+    monkeypatch.chdir(tmp_path)
+    for key in keys:
+        line, *files = key.split(" |")
+        for spec in files:
+            name, text = spec.split("=", 1)
+            (tmp_path / name).write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(line.split())
+        assert code == ref[key]["rc"] == 0, line
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+            ref[key]["sha"], line
+
+
 # ---------------------------------------------------------------------------
 # the JSON renderer writes json.dumps(indent=2)'s bytes
 

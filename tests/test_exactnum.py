@@ -78,6 +78,20 @@ class TestLogLin:
         b = LogLin.from_log(2, 64)
         assert a.compare(b) == 1
 
+    @given(st.lists(st.tuples(st.fractions(Fraction(1, 50), 50, max_denominator=50),
+                              st.fractions(-5, 5, max_denominator=6)), max_size=5),
+           st.fractions(-4, 4, max_denominator=5))
+    @settings(max_examples=120, deadline=None)
+    def test_neg_and_scale_terms_equal_the_merged_ones(self, terms, k):
+        x = LogLin(terms)
+        assert (-x).terms == LogLin([(a, -c) for a, c in x.terms]).terms
+        assert x.scale(k).terms == LogLin([(a, c * k) for a, c in x.terms]).terms
+
+    def test_scaling_by_zero_gives_the_zero_element(self):
+        x = LogLin.from_log(Fraction(9, 2), Fraction(1, 2)).scale(0)
+        assert x.terms == () and x.is_zero()
+        assert type(x.to_float()) is int
+
     def test_rational_coefficients(self):
         # (1/4) log(4/3) pair sums to (1/2) log(4/3)
         mu = LogLin.from_log(Fraction(4, 3), Fraction(1, 4))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from heightlab.geomcurve import (
     splitting_type,
     twisted_cubic,
 )
+from heightlab.geomcurve import _poly_gcd
 
 
 def change_coordinates(c: CurveMap, mat) -> CurveMap:
@@ -120,6 +122,116 @@ class TestSplittingType:
         for u, v in [(1, 0), (0, 1), (3, 2), (-1, 4)]:
             su, sv = u + 2 * v, v
             assert cg.evaluate(u, v) == c.evaluate(su, sv)
+
+
+def reference_poly_gcd(p: list, q: list) -> list:
+    """Gcd of univariate polynomials with Fraction coefficients, ascending,
+    by plain Euclid; the base-point test used it before the integer
+    primitive remainder sequence replaced it."""
+
+    def trim(r):
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    a = trim([Fraction(c) for c in p])
+    b = trim([Fraction(c) for c in q])
+    while b:
+        while len(a) >= len(b):
+            lead = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + shift] -= lead * c
+            trim(a)
+            if not a:
+                break
+        a, b = b, a
+    return a
+
+
+# primitive non-monic common factors, ascending in t: 2t + 3,
+# 3t^2 - t + 5, 4t^3 + 6t - 9
+PLANTED = ([3, 2], [5, -1, 3], [-9, 6, 0, 4])
+
+
+def _random_poly(rng, degree, size=5):
+    """A polynomial of the given degree, neither of whose end coefficients is 0."""
+    if degree == 0:
+        return [rng.choice([-2, -1, 1, 3])]
+    return ([rng.choice([-2, -1, 1, 3])] + [rng.randint(-size, size) for _ in range(degree - 1)]
+            + [rng.choice([-2, -1, 1, 3])])
+
+
+class TestPolyGcd:
+    def _agrees(self, p, q):
+        got, want = _poly_gcd(p, q), reference_poly_gcd(p, q)
+        assert len(got) == len(want), (p, q)
+        # the same polynomial up to a rational factor
+        assert all(g * want[-1] == w * got[-1] for g, w in zip(got, want)), (p, q)
+        assert all(isinstance(c, int) for c in got)
+        return len(got) - 1
+
+    def test_random_forms_are_coprime_as_the_oracle_says(self):
+        rng = random.Random(11)
+        degrees = []
+        for _ in range(300):
+            p = _random_poly(rng, rng.randint(0, 12), rng.choice([1, 3, 40]))
+            q = _random_poly(rng, rng.randint(0, 12), rng.choice([1, 3, 40]))
+            degrees.append(self._agrees(p, q))
+        assert degrees.count(0) > 250
+
+    @pytest.mark.parametrize("factor", PLANTED)
+    def test_planted_factor_is_found(self, factor):
+        rng = random.Random(len(factor))
+        for _ in range(60):
+            p = _form_mul(factor, _random_poly(rng, rng.randint(0, 8)))
+            q = _form_mul(factor, _random_poly(rng, rng.randint(0, 8)))
+            assert self._agrees(p, q) >= len(factor) - 1
+        assert _poly_gcd(_form_mul(factor, [1, 1]), _form_mul(factor, [-1, 1])) in (factor, [-c for c in factor])
+
+    def test_zero_and_constant_inputs(self):
+        assert _poly_gcd([0, 0], [4, 6]) == [2, 3]
+        assert len(_poly_gcd([7], [4, 6])) == 1
+        assert len(_poly_gcd([0, 0, 4], [0, 6])) == 2
+
+    @pytest.mark.parametrize("factor", PLANTED)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_planted_factor_is_a_base_point(self, factor, n):
+        rng = random.Random(10 * n + len(factor))
+        for _ in range(20):
+            k = rng.randint(1, 5)
+            forms = [tuple(_form_mul(factor, _random_poly(rng, k))) for _ in range(n + 1)]
+            with pytest.raises(NotAMorphism, match="nonconstant factor"):
+                CurveMap(n=n, d=len(factor) - 1 + k, forms=tuple(forms))
+
+    def test_curve_maps_accepted_exactly_when_the_oracle_finds_no_factor(self):
+        # small random forms, half of them with a random common factor
+        rng = random.Random(5)
+        accepted = rejected = 0
+        for _ in range(800):
+            n, d = rng.randint(1, 3), rng.randint(1, 4)
+            k = rng.randint(1, d) if rng.random() < 0.5 else 0
+            common = [rng.randint(-2, 2) for _ in range(k)] + [rng.choice([-2, -1, 1, 2])]
+            forms = tuple(tuple(_form_mul(common, [rng.randint(-2, 2) for _ in range(d - k + 1)]))
+                          for _ in range(n + 1))
+            nonzero = [f for f in forms if any(f)]
+            if len(nonzero) < 2 or any(f[-1] == 0 for f in nonzero) \
+                    or any(f[0] == 0 for f in nonzero):
+                continue  # the s- and t-tests and degenerate maps are covered above
+            g = list(nonzero[0])
+            for f in nonzero[1:]:
+                g = reference_poly_gcd(g, list(f))
+            try:
+                CurveMap(n=n, d=d, forms=forms)
+            except ConstantMap:
+                continue
+            except NotAMorphism:
+                assert len(g) > 1, forms
+                rejected += 1
+            else:
+                assert len(g) <= 1, forms
+                accepted += 1
+        assert accepted > 80 and rejected > 30
 
 
 class TestValidation:

@@ -556,6 +556,27 @@ class TestDegreesAndPolygon:
         for a, b in zip((got.d, got.m, got.slopes), want):
             assert [x.terms for x in a] == [x.terms for x in b]
 
+    @pytest.mark.parametrize("gram, vertices", [
+        # (0, 0), (1, 0), (2, 0) are collinear: vertex 1 is popped on the tie
+        (((1, 0, 0), (0, 1, 0), (0, 0, 4)), (0, 2, 3)),
+        (((4, 0, 0), (0, 4, 0), (0, 0, 4)), (0, 3)),
+        (((2, -1), (-1, 2)), (0, 2)),                                  # A2
+        (((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 2)), (0, 4)),  # D4
+        # Z^r with scaled rows: every covol^2 a power of the scale
+        (tuple(tuple(Fraction(1, 4) if i == j else 0 for j in range(3)) for i in range(3)), (0, 3)),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)), (0, 2, 4)),
+        (tuple(tuple((1, 1, 9, 9, 9)[i] if i == j else 0 for j in range(5)) for i in range(5)),
+         (0, 2, 5)),
+    ])
+    def test_collinear_degree_points_pop_on_the_tie(self, gram, vertices):
+        got = newton_polygon(EucLattice(gram))
+        want = reference_polygon(EucLattice(gram))
+        for a, b in zip((got.d, got.m, got.slopes), want):
+            assert [x.terms for x in a] == [x.terms for x in b]
+        assert got.vertices == vertices
+        assert got.is_semistable == (len(vertices) == 2)
+        assert got.is_semistable == (want[2][0].compare(want[2][-1]) == 0)
+
     def test_rank3_diag(self):
         lat = EucLattice(((1, 0, 0), (0, 1, 0), (0, 0, 4)))
         np_ = newton_polygon(lat)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightlab import motivic
 from heightlab.motivic import (
     L,
     ONE,
@@ -146,6 +147,38 @@ class TestProjectiveClasses:
         for n in (1, 2, 3):
             for d in (1, 2, 5, 10):
                 assert (L - ONE) * class_homd(n, d) == class_wd(n, d)
+
+
+def reference_recurrence_rhs(n, d):
+    """sum_k L^k [W_{d-k}] as a double sum, every [W_j] built afresh; the
+    one-pass recurrence of `verify_recurrence` replaced it."""
+    rhs = LPoly()
+    for k in range(d + 1):
+        rhs = rhs + class_wd(n, d - k).shift(k)
+    return rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_incremental_rhs_equals_the_double_sum(n):
+    rhs = LPoly()
+    for d in range(16):
+        rhs = class_wd(n, d) + rhs.shift(1)
+        assert rhs == reference_recurrence_rhs(n, d)
+        assert rhs == LPoly.tate((n + 1) * (d + 1)) - LPoly.tate((n + 1) * d)
+
+
+@pytest.mark.parametrize("bad_d", [0, 3, 9])
+def test_recurrence_fails_on_a_wrong_class(monkeypatch, bad_d):
+    # [W_bad_d] off by one term: the recurrence breaks at bad_d
+    true_wd = motivic.class_wd
+
+    def off_by_one(n, d):
+        return true_wd(n, d) + (LPoly.tate(1) if d == bad_d else LPoly())
+
+    monkeypatch.setattr(motivic, "class_wd", off_by_one)
+    assert not verify_recurrence(2, 10)
+    assert not verify_recurrence(2, bad_d)
+    assert verify_recurrence(2, bad_d - 1)
 
 
 class TestZetaResidue:
