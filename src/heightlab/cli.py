@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -506,7 +507,10 @@ def _cmd_window(cfg: RunConfig, args) -> tuple:
 
 def _read_gram(path: Path):
     doc = json.loads(path.read_text())
-    rows = doc["gram"] if isinstance(doc, dict) else doc
+    rows = doc.get("gram") if isinstance(doc, dict) else doc
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError("a gram file holds a list of rows, bare or "
+                         "under 'gram'")
     return tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
 
 
@@ -555,12 +559,18 @@ def _cmd_curve(cfg: RunConfig, args) -> tuple:
     text = args.file.read_text()
     if args.op == "alpha":
         doc = json.loads(text)
-        if "branches" not in doc:
+        if not isinstance(doc, dict) or "branches" not in doc:
             raise UsageError("--op alpha needs a file with 'branches' "
                              "[[r,m],...] and 'd'")
-        branch = BranchData(tuple((int(r), int(m))
-                                  for r, m in doc["branches"]),
-                            int(doc["d"]))
+        try:
+            branches = tuple((operator.index(r), operator.index(m))
+                             for r, m in doc["branches"])
+            d = operator.index(doc["d"])
+        except (KeyError, TypeError, ValueError):
+            # ValueError: a branch that is not a pair
+            raise ValueError("--op alpha needs 'branches' as integer pairs "
+                             "[[r,m],...] and an integer 'd'") from None
+        branch = BranchData(branches, d)
         alpha = mckinnon_roth_alpha(branch)
         data = {"op": "alpha", "d": branch.d,
                 "branches": [list(b) for b in branch.branches],

@@ -9,10 +9,13 @@ longer combinations.  Comparisons go through a floating filter and fall
 back to exact rational power comparisons only when the filter cannot
 decide.
 
-`int_det`, `int_rank` and `int_adjugate` are the package's one exact linear
-algebra: fraction-free (Bareiss) elimination on integer matrices, so every
-intermediate entry is an integer minor of the input and no Fraction is
-built.  Rational matrices are scaled to integers by their callers.
+The package's exact linear algebra works on integer matrices and builds no
+Fraction; rational matrices are scaled to integers by their callers.
+`int_det` and `int_adjugate` use fraction-free (Bareiss) elimination, so
+every intermediate entry is an integer minor of the input.  `IntEchelon`
+answers "is this row independent of the rows added before it?" one row at
+a time; `int_rank` counts the rows it keeps, and the splitting types of
+`geomcurve` and the minima of `lattice` ask it the same question.
 """
 
 from __future__ import annotations
@@ -191,32 +194,46 @@ def int_det(m) -> int:
     return sign * a[-1][-1]
 
 
-def int_rank(rows) -> int:
-    """Rank of an integer matrix of any shape.
+class IntEchelon:
+    """Integer rows filed under the index of their last nonzero entry, each
+    divided by its content.  `add` clears a row's last entry with the kept
+    row filed there, by a fraction-free combination, until the row vanishes
+    (it depends on the rows added before it) or reaches a free index."""
 
-    Fraction-free row echelon form: a column without a pivot below the
-    current row is skipped, and every row below the pivot is updated, so
-    each entry stays an integer minor and the division by the previous
-    pivot is exact.
-    """
-    a = [list(row) for row in rows]
-    rank = 0
-    prev = 1
-    for col in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        p = top[col]
-        for i in range(rank + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Keep `row` and return True unless it depends on the kept rows."""
+        row = list(row)
+        while row:
+            if not row[-1]:
+                row.pop()
+                continue
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            k = len(row) - 1
+            piv = self.rows.get(k)
+            if piv is None:
+                self.rows[k] = row
+                return True
+            g = math.gcd(piv[k], row[k])
+            a, b = piv[k] // g, row[k] // g
+            # entry k cancels, so the row shrinks by one
+            row = [a * x - b * y for x, y in zip(row[:k], piv)]
+        return False
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix of any shape: the rows an `IntEchelon` keeps."""
+    ech = IntEchelon()
+    return sum(ech.add(row) for row in rows)
 
 
 def int_adjugate(m) -> list:

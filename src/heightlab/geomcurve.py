@@ -2,11 +2,10 @@
 
 A morphism f: P^1 -> P^n of degree d is given by n+1 binary forms of
 degree d without a common factor.  The pull-back of the tangent bundle
-splits as a direct sum of line bundles O(a_1) >= ... >= O(a_n), and the
-splitting type is computed here by exact linear algebra on the twisted
-Euler sequence
-
-    0 -> O(m) -> O(d+m)^{n+1} -> f*(T)(m) -> 0.
+splits as a direct sum of line bundles O(a_1) >= ... >= O(a_n).  Dualising
+the pulled-back Euler sequence gives a_i = d + mu_i, where mu_1..mu_n are
+the degrees of a mu-basis of the syzygies of (f_0, ..., f_n); they are
+read off one integer echelon of the rows t^j f_i.
 
 The geometric freeness n*a_n / sum(a_i) is the limit of the arithmetic
 freeness l(f(t)) as the parameter height grows; `limit_experiment`
@@ -17,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import int_rank
+from .exactnum import IntEchelon, int_rank
 from .freeness import point_freeness
 from .projpoint import VarietyId, normalize
 
@@ -78,12 +78,21 @@ class CurveMap:
     forms: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if len(self.forms) != self.n + 1:
-            raise ValueError("need n+1 coordinate forms")
-        forms = tuple(tuple(int(c) for c in f) for f in self.forms)
+        try:
+            n, d = operator.index(self.n), operator.index(self.d)
+            forms = tuple(tuple(map(operator.index, f)) for f in self.forms)
+        except TypeError:
+            # a float or a Fraction is refused, even when integral, rather
+            # than truncated
+            raise ValueError("n, d and every form coefficient must be "
+                             "integers") from None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "forms", forms)
+        if n < 1:
+            raise ValueError("ambient dimension must be at least 1")
+        if len(forms) != n + 1:
+            raise ValueError("need n+1 coordinate forms")
         if any(len(f) != self.d + 1 for f in forms):
             raise ValueError("every form must be homogeneous of degree d")
         if all(all(c == 0 for c in f) for f in forms):
@@ -175,64 +184,38 @@ class BranchData:
                 raise ValueError("branch multiplicity must be positive")
 
 
-def _mult_rank(c: CurveMap, e: int) -> int:
-    """Rank of (g_0..g_n) -> sum f_i g_i from degree e-d forms to degree e."""
-    k = e - c.d
-    if k < 0:
-        return 0
-    rows = []
-    for f in c.forms:
-        for j in range(k + 1):
-            # multiply f by s^(k-j) t^j: shifts the t-exponent by j
-            row = [0] * (e + 1)
-            for i, coeff in enumerate(f):
-                row[i + j] = coeff
-            rows.append(row)
-    return int_rank(rows)
+def splitting_type(c: CurveMap) -> SplittingType:
+    """Splitting degrees of f*(T P^n) from one mu-basis walk.
+
+    The syzygies (h_0, ..., h_n) with sum h_i f_i = 0 are free on n
+    generators whose degrees mu_i sum to d, and f*T = sum O(d + mu_i)
+    (Cox-Sederberg-Chen, 1998).  The rows t^j f_i enter one `IntEchelon`
+    in (j, i) order; the first j at which t^j f_i depends on the rows
+    before it is a mu_i (Hong-Hough-Kogan, 2017), and f_i then retires,
+    since t times a relation is again a relation.  As the mu_i sum to d,
+    j never passes d, and the walk stops once n forms have retired.
+    """
+    n, d = c.n, c.d
+    ech = IntEchelon()
+    live = list(range(n + 1))
+    a = []
+    for j in range(d + 1):
+        for i in tuple(live):
+            if not ech.add([0] * j + list(c.forms[i])):
+                a.append(d + j)
+                live.remove(i)
+        if len(live) == 1:
+            break
+    st = SplittingType(tuple(sorted(a, reverse=True)))
+    assert st.degree == (n + 1) * d
+    assert st.a[0] >= 2
+    return st
 
 
 def h0_twist(c: CurveMap, m: int) -> int:
-    """h^0 of f*(T P^n)(m), from the long exact sequence of the Euler twist.
-
-    For m <= -2 the connecting map lands in H^1(O(m)); its rank equals,
-    by duality, the rank of the multiplication pairing computed in
-    `_mult_rank`.
-    """
-    n, d = c.n, c.d
-    h = (n + 1) * max(0, d + m + 1) - max(0, m + 1)
-    if m <= -2:
-        h += (-m - 1) - _mult_rank(c, -m - 2)
-    return h
-
-
-def splitting_type(c: CurveMap) -> SplittingType:
-    """Splitting degrees of f*(T P^n), recovered from the h^0 step function.
-
-    h^0(E(m)) = sum_i max(0, a_i + m + 1), so consecutive differences
-    count the a_i above each level; the scan stops once h^0 vanishes.
-    """
-    h_prev = h0_twist(c, 0)
-    counts = []  # counts[v-1] = #{i : a_i >= v}
-    m = -1
-    floor = -(c.n + 1) * c.d - 2
-    while True:
-        h = h0_twist(c, m)
-        counts.append(h_prev - h)
-        if h == 0:
-            break
-        if m <= floor:
-            raise RuntimeError("h^0 failed to terminate; map is degenerate")
-        h_prev = h
-        m -= 1
-    # counts[0] = #{a_i >= 0} = n; higher levels peel off the positive part
-    a = []
-    for v in range(len(counts) - 1, 0, -1):
-        a.extend([v] * (counts[v] - (counts[v + 1] if v + 1 < len(counts) else 0)))
-    a.extend([0] * (counts[0] - len(a)))
-    st = SplittingType(tuple(sorted(a, reverse=True)))
-    assert st.degree == (c.n + 1) * c.d
-    assert st.a[0] >= 2
-    return st
+    """h^0 of f*(T P^n)(m) = sum_i max(0, a_i + m + 1), from the
+    splitting type."""
+    return sum(max(0, a + m + 1) for a in splitting_type(c).a)
 
 
 def geometric_freeness(c: CurveMap) -> Fraction:
@@ -326,8 +309,12 @@ def curve_to_json(c: CurveMap) -> str:
 
 def curve_from_json(text: str) -> CurveMap:
     data = json.loads(text)
-    return CurveMap(n=data["n"], d=data["d"],
-                    forms=tuple(tuple(f) for f in data["forms"]))
+    if not (isinstance(data, dict) and {"n", "d", "forms"} <= data.keys()):
+        raise ValueError("a curve is an object with 'n', 'd' and 'forms'")
+    forms = data["forms"]
+    if not (isinstance(forms, list) and all(isinstance(f, list) for f in forms)):
+        raise ValueError("'forms' must be a list of coefficient lists")
+    return CurveMap(n=data["n"], d=data["d"], forms=tuple(map(tuple, forms)))
 
 
 def line_p2() -> CurveMap:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import LogLin, int_adjugate, int_det, int_rank
+from .exactnum import IntEchelon, LogLin, int_adjugate, int_det
 
 RANK_CAP = 6
 
@@ -490,12 +490,11 @@ def successive_minima(lat: EucLattice) -> tuple:
     bound = max(red.gg[i][i] for i in range(r))
     vecs = _vectors_within(red, bound)
     norms = []
-    chosen: list = []
+    chosen = IntEchelon()
     for q, x in vecs:
-        if int_rank(chosen + [list(x)]) > len(chosen):
-            chosen.append(list(x))
+        if chosen.add(x):
             norms.append(q)
-            if len(chosen) == r:
+            if len(norms) == r:
                 break
     assert len(norms) == r
     return tuple(LogLin.from_log(Fraction(q, den), Fraction(1, 2)) for q in norms)

@@ -466,6 +466,19 @@ class TestSlopes:
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc["rank"] == 6 and len(doc["slopes"]) == 6
 
+    @pytest.mark.parametrize("doc", [{"rows": [[1, 0], [0, 1]]}, 7,
+                                     {"gram": 7}, [1, 2], [[1, 0], [0]]],
+                             ids=["no-gram", "number", "gram-number",
+                                  "flat", "ragged"])
+    def test_malformed_gram_is_exit_3(self, tmp_path, capsys, doc):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(doc))
+        assert main(["slopes", "--gram", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heightlab: computation failed: ")
+        assert captured.err.count("\n") == 1
+
     def test_not_positive_definite_is_exit_3(self, tmp_path, capsys):
         f = self.write_gram(tmp_path, [[1, 2], [2, 1]])
         assert main(["slopes", "--gram", str(f)]) == 3
@@ -600,6 +613,26 @@ class TestCurve:
         assert main(["curve", "--file", str(self.make_line(tmp_path)),
                      "--op", "alpha"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("op, doc", [
+        ("splitting", {"d": 2, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("splitting", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("splitting", {"n": 2, "d": 2, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
+        ("freeness", {"n": 2, "d": 2.0, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("alpha", {"branches": 5, "d": 3}),
+        ("alpha", {"branches": [[1, 1]]}),
+        ("alpha", {"branches": [[1, 1.5]], "d": 3}),
+        ("alpha", {"branches": [[1, 1]], "d": "3"}),
+    ], ids=["no-n", "list", "float-coefficient", "float-degree",
+            "branches-int", "no-d", "float-multiplicity", "string-d"])
+    def test_malformed_file_is_exit_3(self, tmp_path, capsys, op, doc):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(doc))
+        assert main(["curve", "--file", str(f), "--op", op]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heightlab: computation failed: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestZoom:
@@ -967,6 +1000,68 @@ def test_cli_fuzz_exit_codes_and_strict_json(command, kind, dim, metric,
         with contextlib.redirect_stdout(counted):
             assert main(["count", *argv[1:]]) == 0
         assert doc["count"] == json.loads(counted.getvalue())["count"], argv
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.floats(-3, 3, width=16),
+                    st.sampled_from(["1/2", "x", None, True]))
+
+
+@st.composite
+def _gram_docs(draw):
+    """Gram files: square or ragged rows of small entries, bare or under
+    'gram' or a wrong key, with the odd non-list in place of a row."""
+    size = draw(st.integers(0, 3))
+    rows = [draw(st.lists(_ENTRIES, min_size=size - 1, max_size=size + 1)
+                 if draw(st.integers(0, 9)) else _ENTRIES)
+            for _ in range(size)]
+    if draw(st.booleans()):  # a well-formed rank-size Gram now and then
+        rows = [[2 * (i == j) - (abs(i - j) == 1) * draw(st.integers(0, 1))
+                 for j in range(size)] for i in range(size)]
+    return draw(st.sampled_from([rows, {"gram": rows}, {"rows": rows},
+                                 draw(_ENTRIES)]))
+
+
+@st.composite
+def _curve_docs(draw):
+    """Curve and branch files: forms of the declared degree or off by one,
+    an all-zero form, float coefficients, and keys dropped or replaced."""
+    n, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    forms = [draw(st.lists(st.integers(-2, 2), min_size=d + draw(st.integers(0, 1)),
+                           max_size=d + 1)) for _ in range(n + 1)]
+    if forms and draw(st.booleans()):
+        forms[-1] = [0] * len(forms[-1])
+    if forms and draw(st.integers(0, 4)) == 0:
+        forms[0] = [float(c) + 0.5 * draw(st.booleans()) for c in forms[0]]
+    doc = {"n": n, "d": d, "forms": forms,
+           "branches": draw(st.lists(st.lists(st.integers(-1, 3), min_size=1,
+                                              max_size=3), max_size=3))}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        doc[key] = draw(st.one_of(_ENTRIES, st.just([])))
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        del doc[key]
+    return draw(st.sampled_from([doc, forms, doc.get("d")]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=st.one_of(_gram_docs().map(lambda g: ("slopes", g)),
+                     _curve_docs().map(lambda c: ("curve", c))),
+       op=st.sampled_from(["splitting", "freeness", "alpha"]))
+def test_file_fuzz_exit_codes_and_no_traceback(tmp_path_factory, doc, op):
+    command, body = doc
+    path = tmp_path_factory.mktemp("doc") / "in.json"
+    path.write_text(json.dumps(body))
+    argv = ([command, "--gram", str(path)] if command == "slopes"
+            else [command, "--file", str(path), "--op", op])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (body, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "", body
+        assert err.getvalue().count("\n") == 1, body
 
 
 def test_zoom_bytes_match_the_benchmark_reference():

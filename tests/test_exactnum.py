@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heightlab.exactnum import (
+    IntEchelon,
     LogLin,
     build_sieve,
     factorize,
@@ -149,6 +150,26 @@ class TestIntLinearAlgebra:
         rank = int_rank(m)
         assert rank == reference_rank(m)
         assert int_rank([list(col) for col in zip(*m)]) == rank
+
+    @given(int_matrices(square=False))
+    @settings(max_examples=150, deadline=None)
+    def test_echelon_keeps_the_rank_of_every_prefix(self, m):
+        ech = IntEchelon()
+        for k, row in enumerate(m, 1):
+            before = len(ech)
+            kept = ech.add(row)
+            assert len(ech) == reference_rank(m[:k])
+            assert kept == (len(ech) == before + 1)
+
+    def test_echelon_rows_are_primitive_and_filed_by_last_entry(self):
+        ech = IntEchelon()
+        assert ech.add([6, 4, 2])
+        # (3, 0, 9) - 9 (3, 2, 1) = (-24, -18), whose content is 6
+        assert ech.add([3, 0, 9, 0])
+        assert not ech.add([0, 0, 0, 0, 0])
+        assert not ech.add([9, 8, -5])  # 2 (6, 4, 2) - (3, 0, 9)
+        assert ech.rows == {2: [3, 2, 1], 1: [-4, -3]}
+        assert len(ech) == 2
 
     @given(int_matrices())
     @settings(max_examples=60, deadline=None)

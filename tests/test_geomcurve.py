@@ -28,6 +28,7 @@ from heightlab.geomcurve import (
     splitting_type,
     twisted_cubic,
 )
+from heightlab.exactnum import IntEchelon, int_rank
 from heightlab.geomcurve import _poly_gcd
 
 
@@ -70,6 +71,119 @@ def change_parameter(c: CurveMap, mat) -> CurveMap:
                     acc[pos] += coeff * val
         forms.append(tuple(acc))
     return CurveMap(n=c.n, d=c.d, forms=tuple(forms))
+
+
+def reference_mult_rank(c: CurveMap, e: int) -> int:
+    """Rank of (g_0..g_n) -> sum f_i g_i from degree e-d forms to degree e."""
+    k = e - c.d
+    if k < 0:
+        return 0
+    rows = []
+    for f in c.forms:
+        for j in range(k + 1):
+            # multiply f by s^(k-j) t^j: shifts the t-exponent by j
+            row = [0] * (e + 1)
+            for i, coeff in enumerate(f):
+                row[i + j] = coeff
+            rows.append(row)
+    return int_rank(rows)
+
+
+def reference_h0_twist(c: CurveMap, m: int) -> int:
+    """h^0 of f*(T P^n)(m), from the long exact sequence of the Euler twist
+
+        0 -> O(m) -> O(d+m)^{n+1} -> f*(T)(m) -> 0.
+
+    For m <= -2 the connecting map lands in H^1(O(m)); its rank equals,
+    by duality, the rank of the multiplication pairing of
+    `reference_mult_rank`.
+    """
+    n, d = c.n, c.d
+    h = (n + 1) * max(0, d + m + 1) - max(0, m + 1)
+    if m <= -2:
+        h += (-m - 1) - reference_mult_rank(c, -m - 2)
+    return h
+
+
+def reference_splitting_type(c: CurveMap) -> tuple:
+    """Splitting degrees from the h^0 step function, one fresh rank per
+    twist: h^0(E(m)) = sum_i max(0, a_i + m + 1), so consecutive
+    differences count the a_i above each level.  `splitting_type` used
+    this scan before the mu-basis walk replaced it."""
+    h_prev = reference_h0_twist(c, 0)
+    counts = []  # counts[v-1] = #{i : a_i >= v}
+    m = -1
+    while True:
+        h = reference_h0_twist(c, m)
+        counts.append(h_prev - h)
+        if h == 0:
+            break
+        assert m > -(c.n + 1) * c.d - 2, "h^0 failed to vanish"
+        h_prev = h
+        m -= 1
+    a = []
+    for v in range(len(counts) - 1, 0, -1):
+        a.extend([v] * (counts[v] - (counts[v + 1] if v + 1 < len(counts) else 0)))
+    a.extend([0] * (counts[0] - len(a)))
+    return tuple(sorted(a, reverse=True))
+
+
+def seeded_curves(seed=3, count=1000):
+    """Curves with n = 1..4 and d <= 10: random small forms, a third of
+    them with f_n = f_0 or f_n = f_0 + 2 f_1 planted, and some pulled back
+    through the double cover t -> t^2, so that unbalanced types occur."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, d = rng.randint(1, 4), rng.randint(1, 10)
+        cover = d % 2 == 0 and rng.random() < 0.25
+        k = d // 2 if cover else d
+        forms = [[rng.randint(-4, 4) for _ in range(k + 1)] for _ in range(n + 1)]
+        plant = rng.random()
+        if plant < 0.2:
+            forms[n] = list(forms[0])
+        elif plant < 0.35 and n >= 2:
+            forms[n] = [x + 2 * y for x, y in zip(forms[0], forms[1])]
+        if cover:
+            forms = [[0 if j % 2 else f[j // 2] for j in range(d + 1)]
+                     for f in forms]
+        try:
+            out.append(CurveMap(n=n, d=d, forms=tuple(map(tuple, forms))))
+        except ValueError:
+            continue
+    return out
+
+
+class TestAgainstTheTwistScan:
+    def test_splitting_type_matches_the_scan(self):
+        unbalanced = 0
+        for c in seeded_curves():
+            a = splitting_type(c).a
+            assert a == reference_splitting_type(c), c
+            unbalanced += a[0] - a[-1] > 1
+        assert unbalanced > 200
+
+    def test_h0_twist_matches_the_scan(self):
+        for c in seeded_curves(seed=4, count=60) + [conic_p2(), double_cover_line()]:
+            for m in range(-2 * c.d - 2, 1):
+                assert h0_twist(c, m) == reference_h0_twist(c, m), (c, m)
+
+    def test_the_walk_adds_rows_only_up_to_the_largest_mu(self, monkeypatch):
+        # one row per live form and degree j <= max mu: a scan that ranks
+        # a matrix per twist would add far more
+        calls = []
+        add = IntEchelon.add
+
+        def counted(self, row):
+            calls.append(1)
+            return add(self, row)
+
+        monkeypatch.setattr(IntEchelon, "add", counted)
+        for c in seeded_curves(seed=5, count=150):
+            calls.clear()
+            max_mu = splitting_type(c).a[0] - c.d
+            assert len(calls) <= (c.n + 1) * (max_mu + 1), c
+            assert len(calls) <= (c.n + 1) * (c.d + 1), c
 
 
 class TestSplittingType:
@@ -258,6 +372,32 @@ class TestValidation:
     def test_homogeneity_enforced(self):
         with pytest.raises(ValueError):
             CurveMap(n=1, d=2, forms=((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize("forms", [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1.5)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1.0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1))),
+        ((1, 0, 0), (0, 1, 0), (0, 0, "1")),
+    ], ids=["float", "integral-float", "fraction", "string"])
+    def test_non_integer_coefficients_refused(self, forms):
+        with pytest.raises(ValueError, match="integers"):
+            CurveMap(n=2, d=2, forms=forms)
+
+    def test_non_integer_degree_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            CurveMap(n=2.0, d=2, forms=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "d": 2, "forms": [[1,0,0],[0,1,0],[0,0,1.5]]}',
+        '{"d": 2, "forms": [[1,0,0],[0,1,0],[0,0,1]]}',
+        '[[1,0,0],[0,1,0],[0,0,1]]',
+        '{"n": 2, "d": 2, "forms": 5}',
+        '{"n": 2, "d": 2, "forms": [[1,0,0],[0,1,0],7]}',
+        '{"n": "2", "d": 2, "forms": [[1,0,0],[0,1,0],[0,0,1]]}',
+    ], ids=["float", "no-n", "list", "forms-int", "form-int", "n-string"])
+    def test_malformed_json_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            curve_from_json(text)
 
     def test_evaluate_scaling(self):
         c = conic_p2()
