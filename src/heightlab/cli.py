@@ -27,11 +27,13 @@ from pathlib import Path
 
 from . import __version__ as VERSION
 from .counting import (
+    BOX_WALK_LIMIT,
     HeightWindow,
     _p1n_points,
     _pn_coords,
     _shell_spec,
     bounded_window,
+    box_walk_cost,
     count_blowup,
     count_classes_pn,
     count_points,
@@ -432,6 +434,8 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
     if args.dim < 1:
         raise UsageError(f"--dim must be at least 1, got {args.dim}")
     v = variety("pn", args.dim)
+    _check_shell_cap(bounded_window(v, args.bound), args.bound)
+    bound = int(args.bound)
     target = None
     if args.cls is not None:
         coords = _parse_ints(args.cls, "--class")
@@ -440,9 +444,20 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
                              f"coordinates on P^{args.dim}, got {len(coords)}")
         target = _canonical_mod(coords, args.modulus)
     box = None if args.box is None else _parse_box(args.box, "--box")
-    if box is not None and len(box) != args.dim + 1:
-        raise UsageError("--box needs one interval per coordinate")
-    counts = count_classes_pn(args.dim, args.modulus, int(args.bound))
+    if box is not None:
+        if len(box) != args.dim + 1:
+            raise UsageError("--box needs one interval per coordinate")
+        try:
+            mu = sup_box_measure(box, args.dim)
+        except ValueError as exc:
+            raise UsageError(f"--box {args.box!r}: {exc}")
+        cost = box_walk_cost(args.dim, args.modulus, bound)
+        if cost > BOX_WALK_LIMIT:
+            raise UsageError(
+                f"--box at --bound {_num(args.bound)} mod {args.modulus} on "
+                f"P^{args.dim} is too large: the box walk covers about {cost} "
+                f"residue entries, past the limit {BOX_WALK_LIMIT}")
+    counts = count_classes_pn(args.dim, args.modulus, bound)
     total = sum(counts.values())
     uniform = uniform_class_share(v, args.modulus)
     rows = [[":".join(map(str, cls.coords)), counts[cls],
@@ -465,21 +480,12 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
         data["class"] = ":".join(map(str, target))
         data["class_share"] = _ratio(counts[key], total)
     if box is not None:
-        joint = joint_class_box_counts(args.dim, args.modulus,
-                                       int(args.bound), box)
-        vec_total = sum(joint.values())
-        inside = sum(c for (_, ib), c in joint.items() if ib)
-        mu = sup_box_measure(box, args.dim)
+        # a point of height <= B has two primitive vectors, +-y
+        joint = joint_class_box_counts(args.dim, args.modulus, bound, box)
         data["mu_box"] = float(mu)
-        data["box_share"] = _ratio(inside, vec_total)
+        data["box_share"] = _ratio(sum(joint.values()), 2 * total)
         if target is not None:
-            # the class [c] holds the vectors t c for every unit t mod M,
-            # distinct as c is primitive
-            hit = sum(joint.get((tuple(t * x % args.modulus for x in target),
-                                 True), 0)
-                      for t in range(1, args.modulus)
-                      if math.gcd(t, args.modulus) == 1)
-            data["joint_share"] = _ratio(hit, vec_total)
+            data["joint_share"] = _ratio(joint[key], 2 * total)
             data["predicted_joint"] = float(uniform) * float(mu)
     table = (["class", "count", "share"], rows)
     return data, table

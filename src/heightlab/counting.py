@@ -19,9 +19,10 @@ F_s(floor((lo-1)/d^e))), where F_s(x) counts all (g >= 1, z) of P-shell
 at most x: floor(x/s) (2x + 1) under sup, the sum over g <= sqrt(x/s) of
 2 isqrt(x - g^2 s) + 1 under euclid.  F_s vanishes below s, which cuts
 each walk at floor(x/s) resp. isqrt(x // s), and one Mertens table serves
-every s.  Counts by residue class and cone box on P^n use the scale
-invariance of the cone: Mobius inversion over d prime to M of lattice
-counts summed over sup shells.
+every s.  Counts by residue class on P^n, in all of the sup ball or in a
+cone box, are Mobius inversions over the d prime to M with those runs: a
+class is closed under the units mod M, so y -> y/d keeps it, and the box
+counts walk the sup shells of the one cone.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -376,63 +377,58 @@ def sup_box_measure(box: Sequence, n: int) -> Fraction:
 
 
 def joint_class_box_counts(n: int, modulus: int, bound: int, box: Sequence) -> dict:
-    """Primitive vector counts split by (residue vector mod M, inside box).
+    """Primitive vectors y with max|y| <= B and a_i max|y| <= y_i <= b_i
+    max|y| (exact rational test), counted by class mod M >= 2 under the
+    `ModPoint` keys of `count_classes_pn`.  Both signs count, so the full
+    box gives twice the class counts.
 
-    Counts integer vectors with both signs, so shares refer to the uniform
-    measure on primitive vectors of the sup ball.  Box membership is the
-    exact rational test a_i * max <= y_i <= b_i * max.  Returns a dict
-    {(class_tuple, in_box_bool): count} without zero counts.
-
-    The cone {a_i max|y| <= y_i <= b_i max|y|} is invariant under y -> d y.
-    The residue r of a primitive vector is primitive mod M, so y = d z = r
-    (mod M) forces d prime to M (a common prime would divide r) and
-    z = d^-1 r.  Mobius inversion over those d gives
-    count(r) = sum_(d <= B) mu(d) N(d^-1 r, floor(B/d)), where N(s, q)
-    counts the nonzero cone vectors y = s (mod M) with max|y| <= q.  N sums
-    over the sup shells m <= q: with max|y| = m the cone is the box
-    [ceil(a_i m), floor(b_i m)], so a shell holds the vectors of that box
-    in [-m, m]^(n+1) less those in [-(m-1), m-1]^(n+1), each a product of
-    per-coordinate residue counts.  The full box [-1, 1]^(n+1) gives the
-    totals, and the vectors outside the box are the rest.  N is read only
-    at the quotients floor(B/d), as the shell walk passes them: O(B M^(n+1))
-    exact work in numpy (int64 while the counts fit, Python ints beyond),
-    where a scan of the box is O(B^(n+1))."""
+    The cone is invariant under y -> d y, and a class under the units mod M.
+    If y = d z with z primitive lies in the class [c], d is prime to M (a
+    common prime would divide c), and z lies in it too.  Mobius inversion
+    over those d gives count([c]) = sum_d mu(d) O(c, floor(B/d)), where
+    O(c, q) counts the nonzero cone vectors of max|y| <= q with residue in
+    the orbit {t c}: the weights are the runs of `count_classes_pn`.  The
+    walk goes up the sup shells m <= B: with max|y| = m the cone is the box
+    [ceil(a_i m), floor(b_i m)], so a shell holds the vectors of that box in
+    [-m, m]^(n+1) less those in [-(m-1), m-1]^(n+1), each a product of
+    per-coordinate residue counts.  It adds w times these counts by residue
+    at each run's quotient; one gather per unit sums them over the orbits of
+    the class representatives, the only residues where the inversion holds.
+    That is O(B M^(n+1)) exact work in numpy (`box_walk_cost`; int64 while
+    the counts fit, Python ints beyond), where a scan of the box is
+    O(B^(n+1))."""
     iv = [(Fraction(a), Fraction(b)) for a, b in box]
     if len(iv) != n + 1:
         raise ValueError("box must have n+1 coordinate intervals")
-    shape = (modulus,) * (n + 1)
-    residues = np.indices(shape).reshape(n + 1, -1)  # column j: residue j
-    # weights[q][u] = sum of mu(d) over the d prime to M with floor(B/d) = q
-    # and d^-1 = u (mod M)
-    weights: dict = {}
-    mu = build_sieve(max(bound, 1)).mu
-    for d in range(1, bound + 1):
-        if mu[d] and math.gcd(d, modulus) == 1:
-            row = weights.setdefault(bound // d, {})
-            u = pow(d, -1, modulus)
-            row[u] = row.get(u, 0) + mu[d]
-    scaled = {u: np.ravel_multi_index(u * residues % modulus, shape)
-              for row in weights.values() for u in row}
+    prime_to_m = _CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
+    weights = dict(_quotient_runs(bound, bound, prime_to_m, 1))
     # every partial sum is at most 2 (2B+1)^(n+1) in absolute value
     dtype = np.int64 if (2 * bound + 1) ** (n + 1) < 2 ** 61 else object
-    counts = []
-    for cone in (iv, [(Fraction(-1), Fraction(1))] * (n + 1)):
-        run = np.zeros(modulus ** (n + 1), dtype=dtype)  # N(s, m), by s
-        count = np.zeros_like(run)                       # primitive, by r
-        for m in range(1, bound + 1):
-            run += _cone_residue_counts(modulus, cone, m, m, dtype) \
-                - _cone_residue_counts(modulus, cone, m, m - 1, dtype)
-            for u, w in weights.get(m, {}).items():
-                count += w * run[scaled[u]]
-        counts.append(count)
-    inside, total = counts
-    out = {}
-    for j in np.flatnonzero(np.gcd.reduce(residues, axis=0, initial=modulus) == 1):
-        r = tuple(residues[:, j].tolist())
-        for in_box, c in ((True, inside[j]), (False, total[j] - inside[j])):
-            if c:
-                out[r, in_box] = int(c)
-    return out
+    run = np.zeros(modulus ** (n + 1), dtype=dtype)  # nonzero, max|y| <= m
+    count = np.zeros_like(run)                       # sum of weight * run
+    for m in range(1, bound + 1):
+        run += _cone_residue_counts(modulus, iv, m, m, dtype) \
+            - _cone_residue_counts(modulus, iv, m, m - 1, dtype)
+        if weights.get(m):
+            count += weights[m] * run
+    classes = enum_projective_mod(n, modulus)
+    reps = np.array([cls.coords for cls in classes], dtype=np.int64).T
+    shape = (modulus,) * (n + 1)
+    orbits = sum(count[np.ravel_multi_index(t * reps % modulus, shape)]
+                 for t in range(1, modulus) if math.gcd(t, modulus) == 1)
+    return {cls: int(c) for cls, c in zip(classes, orbits.tolist())}
+
+
+# a walk step costs about 17 ns per residue plus 18 us (2-core VM, numpy
+# 2.4): the limit is about 0.4 s, and 160 MB per array at B <= 1
+BOX_WALK_LIMIT = 2 * 10 ** 7
+
+
+def box_walk_cost(n: int, modulus: int, bound: int) -> int:
+    """A-priori work of `joint_class_box_counts`, in residue entries: one
+    step per sup shell m <= B (at least one), each over the M^(n+1)
+    residues plus an overhead worth 1000 of them."""
+    return max(bound, 1) * (modulus ** (n + 1) + 1000)
 
 
 def _cone_residue_counts(modulus: int, cone: list, m: int, r: int, dtype) -> np.ndarray:

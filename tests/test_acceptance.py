@@ -157,16 +157,14 @@ def test_04_equidistribution_mod_3():
 
     box = ((0, 1), (-1, 1), (0, 1))
     joint = joint_class_box_counts(2, 3, 200, box)
-    vec_total = sum(joint.values())
+    # each point of height <= 200 has two primitive vectors, +-y
+    vec_total = 2 * sum(count_classes_pn(2, 3, 200).values())
     mu = float(sup_box_measure(box, 2))
     uni = float(uniform_class_share(P2, 3))
     predicted = uni * mu
     worst_joint = 0.0
     for cls in counts:
-        hit = 0
-        for s in (1, -1):
-            vec = tuple((s * x) % 3 for x in cls.coords)
-            hit += joint.get((vec, True), 0)
+        hit = joint[cls]
         worst_joint = max(worst_joint, abs(hit / vec_total - predicted) / predicted)
     assert worst_joint <= 0.05
     print(f"criterion 4: PASS  13 classes, max |share - 1/13| = {worst:.6f} "

@@ -32,10 +32,11 @@ from heightlab.counting import HeightWindow
 from heightlab import geomcurve, tamagawa
 from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
 from heightlab.lattice import EucLattice, is_semistable
-from heightlab.projpoint import PrimPoint, variety
+from heightlab.projpoint import PrimPoint, _canonical_mod, variety
 from heightlab.zoomlab import (ZoomConfig, fiber_share, zoom_cloud,
                                zoom_freeness_overlay)
 
+from test_counting import reference_joint_class_box_counts
 from test_lattice import RANK6_GRAMS, random_gram
 
 
@@ -364,6 +365,46 @@ class TestEquidist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"heightlab: {message}\n"
+
+    # box_share and joint_share against the numpy scan of the whole box,
+    # whose vectors outside the box give the total independently
+    @pytest.mark.parametrize("modulus, cls", [
+        (2, "1:0:1"), (7, "1:3:5"), (9, "3:1:0"), (12, "1:5:0")])
+    def test_box_shares_match_box_scan(self, capsys, modulus, cls):
+        box = "0,1;-1,1;-1,1"
+        doc = run_json(capsys, ["equidist", "--dim", "2", "--modulus",
+                                str(modulus), "--bound", "12", "--class", cls,
+                                "--box", box])
+        scan = reference_joint_class_box_counts(
+            2, modulus, 12, cli._parse_box(box, "--box"))
+        target = tuple(int(x) for x in doc["class"].split(":"))
+        vectors = sum(scan.values())
+        inside = sum(c for (_, in_box), c in scan.items() if in_box)
+        hit = sum(c for (r, in_box), c in scan.items()
+                  if in_box and _canonical_mod(r, modulus) == target)
+        assert doc["box_share"] == inside / vectors
+        assert doc["joint_share"] == hit / vectors
+
+    # refused before any counting: a box the measure rejects, a bound past
+    # the shell tables, and box walks over too many heights or residues
+    @pytest.mark.parametrize("argv, message", [
+        (["--dim", "1", "--modulus", "3", "--bound", "10",
+          "--box", "1,0;-1,1"], "--box '1,0;-1,1': empty interval"),
+        (["--dim", "2", "--modulus", "3", "--bound", "1e30"], "too large"),
+        (["--dim", "2", "--modulus", "3", "--bound", "1e9",
+          "--box", "0,1;-1,1;0,1"], "too large: the box walk"),
+        (["--dim", "5", "--modulus", "31", "--bound", "10",
+          "--box", ";".join(["-1,1"] * 6)], "too large: the box walk"),
+    ])
+    def test_out_of_range_fails_fast(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert main(["equidist", *argv]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("heightlab: ")
+        assert message in captured.err
 
     def test_imprimitive_class_rejected(self, capsys):
         code = main(["equidist", "--dim", "1", "--modulus", "4",

@@ -35,6 +35,7 @@ from heightlab.projpoint import (
     ModPoint,
     PrimPoint,
     anticanonical_height,
+    enum_projective_mod,
     normalize,
     reduce_mod,
     variety,
@@ -187,7 +188,9 @@ class TestCoprimeMertens:
     # counts ask for stays within about 2 v^(2/3) entries.
     @pytest.mark.parametrize("count, bound", [
         (lambda b: count_pn(1, b), 10**8),
-        (lambda b: count_classes_pn(2, 7, b), 10**6)])
+        (lambda b: count_classes_pn(2, 7, b), 10**6),
+        (lambda b: joint_class_box_counts(2, 3, b, [(0, 1), (-1, 1), (-1, 1)]),
+         10**4)])
     def test_sieve_work_is_sublinear(self, monkeypatch, count, bound):
         asked = []
 
@@ -207,8 +210,6 @@ def reference_count_classes_pn(n, modulus, bound):
     """The per-d Mobius loop that count_classes_pn ran before it walked the
     runs of floor(B/d), kept as an oracle: every d <= B prime to M, every
     unit t, each class rescaled by t/d."""
-    from heightlab.projpoint import enum_projective_mod
-
     classes = enum_projective_mod(n, modulus)
     table = build_sieve(bound + 1)
     units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
@@ -919,46 +920,44 @@ class TestEquidistribution:
         middle = sup_box_measure([(0, 0), (-1, 1)], 1)
         assert left + right - middle == whole
 
+    # the first coordinate in [0, 1] and in [-1, 0] covers every primitive
+    # vector, [0, 0] twice
+    @staticmethod
+    def halves_partition(n, modulus, bound):
+        rest = [(Fraction(-1), Fraction(1))] * n
+        right, left, middle = (
+            joint_class_box_counts(n, modulus, bound, [(lo, hi)] + rest)
+            for lo, hi in ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)),
+                           (Fraction(0), Fraction(0))))
+        assert right.keys() == left.keys() == middle.keys()
+        return {cls: right[cls] + left[cls] - middle[cls] for cls in right}
+
     def test_joint_counts_total(self):
-        box = [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1))]
-        jc = joint_class_box_counts(1, 3, 20, box)
-        assert sum(jc.values()) == 2 * count_pn_sieved(1, 20)
+        whole = self.halves_partition(1, 3, 20)
+        assert sum(whole.values()) == 2 * count_pn_sieved(1, 20)
 
     def test_joint_box_share_approaches_measure(self):
         box = [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1))]
-        jc = joint_class_box_counts(1, 1, 150, box)
-        total = sum(jc.values())
-        inside = sum(c for (_, ib), c in jc.items() if ib)
+        jc = joint_class_box_counts(1, 2, 150, box)
+        total = 2 * count_pn_sieved(1, 150)
+        inside = sum(jc.values())
         measure = float(sup_box_measure(box, 1))
         assert abs(inside / total - measure) < 0.01
 
     def test_joint_classes_match_sieve(self):
         box = [(Fraction(-1), Fraction(1))] * 2
         jc = joint_class_box_counts(1, 3, 50, box)
-        per_class: dict = {}
-        for (cls, _), c in jc.items():
-            per_class[cls] = per_class.get(cls, 0) + c
-        sieved = count_classes_pn(1, 3, 50)
         # vectors vs points: each point contributes its two sign vectors
-        total_from_sieve: dict = {}
-        for mp, c in sieved.items():
-            for sign in (1, -1):
-                key = tuple((sign * x) % 3 for x in mp.coords)
-                total_from_sieve[key] = total_from_sieve.get(key, 0) + c
-        assert per_class == {k: v for k, v in total_from_sieve.items() if v}
+        assert jc == {cls: 2 * c for cls, c in count_classes_pn(1, 3, 50).items()}
 
-    # P^5 at B = 800 has more than 2^63 primitive vectors, all in the full
-    # box and in the one residue class mod 1: no int64 count holds them
+    # P^5 at B = 800 has more than 2^63 primitive vectors: no int64 count
+    # holds them
     def test_joint_counts_exact_beyond_int64(self):
-        total = 2 * count_pn_sieved(5, 800)
-        assert total > 2**63
+        assert 2 * count_pn_sieved(5, 800) > 2**63
+        want = {cls: 2 * c for cls, c in count_classes_pn(5, 2, 800).items()}
         full = [(Fraction(-1), Fraction(1))] * 6
-        assert joint_class_box_counts(5, 1, 800, full) == {((0,) * 6, True): total}
-        box = [(Fraction(0), Fraction(1))] + full[1:]
-        jc = joint_class_box_counts(5, 2, 800, box)
-        for mp, c in count_classes_pn(5, 2, 800).items():
-            assert jc.get((mp.coords, True), 0) + \
-                jc.get((mp.coords, False), 0) == 2 * c
+        assert joint_class_box_counts(5, 2, 800, full) == want
+        assert self.halves_partition(5, 2, 800) == want
 
 
 def reference_joint_class_box_counts(n, modulus, bound, box):
@@ -1000,7 +999,7 @@ def reference_joint_class_box_counts(n, modulus, bound, box):
 @st.composite
 def class_box_inputs(draw):
     n = draw(st.integers(1, 3))
-    modulus = draw(st.sampled_from([1, 2, 3, 4, 6, 7]))
+    modulus = draw(st.integers(2, 12))
     bound = draw(st.integers(0, 30))
     end = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     interval = st.one_of(st.just((Fraction(0), Fraction(0))),
@@ -1016,11 +1015,20 @@ def class_box_inputs(draw):
 @example((1, 7, 30, [(Fraction(0), Fraction(0)), (Fraction(-3), Fraction(3))]))
 @example((3, 6, 30, [(Fraction(-2, 3), Fraction(5, 2)), (Fraction(1, 3), Fraction(1)),
                      (Fraction(-3), Fraction(-1, 2)), (Fraction(0), Fraction(0))]))
-@example((2, 1, 0, [(Fraction(-1), Fraction(1))] * 3))
+@example((2, 2, 0, [(Fraction(-1), Fraction(1))] * 3))
+@example((2, 9, 30, [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1)),
+                     (Fraction(0), Fraction(1))]))
+@example((3, 12, 20, [(Fraction(-1, 2), Fraction(1)), (Fraction(0), Fraction(1)),
+                      (Fraction(-1), Fraction(1, 3)), (Fraction(-1), Fraction(1))]))
 def test_joint_counts_match_box_scan(case):
     n, modulus, bound, box = case
-    assert joint_class_box_counts(n, modulus, bound, box) == \
-        reference_joint_class_box_counts(n, modulus, bound, box)
+    scan = reference_joint_class_box_counts(n, modulus, bound, box)
+    units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
+    # the class [c] holds the vectors t c for every unit t mod M
+    assert joint_class_box_counts(n, modulus, bound, box) == {
+        cls: sum(scan.get((tuple(t * c % modulus for c in cls.coords), True), 0)
+                 for t in units)
+        for cls in enum_projective_mod(n, modulus)}
 
 
 @settings(deadline=None, max_examples=25)
