@@ -28,6 +28,7 @@ from pathlib import Path
 from . import __version__ as VERSION
 from .counting import (
     BOX_WALK_LIMIT,
+    CLASS_LIMIT,
     HeightWindow,
     _p1n_points,
     _pn_coords,
@@ -75,6 +76,7 @@ from .projpoint import (
     ModPoint,
     VarietyId,
     _canonical_mod,
+    card_projective_mod,
     variety,
 )
 from .tamagawa import assemble_constant, closed_form, uniform_class_share
@@ -457,6 +459,14 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
                 f"--box at --bound {_num(args.bound)} mod {args.modulus} on "
                 f"P^{args.dim} is too large: the box walk covers about {cost} "
                 f"residue entries, past the limit {BOX_WALK_LIMIT}")
+    # |P^n(Z/M)| >= M^n >= 2^n, so a large M or n is refused unfactored
+    if (args.dim >= CLASS_LIMIT.bit_length()
+            or args.modulus ** args.dim > CLASS_LIMIT
+            or card_projective_mod(args.dim, args.modulus) > CLASS_LIMIT):
+        raise UsageError(
+            f"--modulus {args.modulus} on P^{args.dim} is too large: "
+            f"P^{args.dim}(Z/{args.modulus}) has more than {CLASS_LIMIT} "
+            f"classes")
     counts = count_classes_pn(args.dim, args.modulus, bound)
     total = sum(counts.values())
     uniform = uniform_class_share(v, args.modulus)

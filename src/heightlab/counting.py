@@ -423,6 +423,11 @@ def joint_class_box_counts(n: int, modulus: int, bound: int, box: Sequence) -> d
 # 2.4): the limit is about 0.4 s, and 160 MB per array at B <= 1
 BOX_WALK_LIMIT = 2 * 10 ** 7
 
+# Classes of P^n(Z/M) past which `count_classes_pn` is refused: it lists
+# every class in Python, and 88,741 classes (P^4 mod 17) took 2.3 s and
+# 94 MB, 101,556 (P^2 mod 180) 5 s on a 2-core VM.
+CLASS_LIMIT = 10 ** 5
+
 
 def box_walk_cost(n: int, modulus: int, bound: int) -> int:
     """A-priori work of `joint_class_box_counts`, in residue entries: one

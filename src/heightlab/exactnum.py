@@ -14,8 +14,9 @@ Fraction; rational matrices are scaled to integers by their callers.
 `int_det` and `int_adjugate` use fraction-free (Bareiss) elimination, so
 every intermediate entry is an integer minor of the input.  `IntEchelon`
 answers "is this row independent of the rows added before it?" one row at
-a time; `int_rank` counts the rows it keeps, and the splitting types of
-`geomcurve` and the minima of `lattice` ask it the same question.
+a time; `int_rank` counts the rows it keeps, the mu-basis walk that
+accepts each `geomcurve.CurveMap` and finds its splitting type, and the
+minima of `lattice` ask it the same question.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ A morphism f: P^1 -> P^n of degree d is given by n+1 binary forms of
 degree d without a common factor.  The pull-back of the tangent bundle
 splits as a direct sum of line bundles O(a_1) >= ... >= O(a_n).  Dualising
 the pulled-back Euler sequence gives a_i = d + mu_i, where mu_1..mu_n are
-the degrees of a mu-basis of the syzygies of (f_0, ..., f_n); they are
-read off one integer echelon of the rows t^j f_i.
+the degrees of a mu-basis of the syzygies of (f_0, ..., f_n).  One integer
+echelon of the rows t^j f_i, walked once when a `CurveMap` is built, reads
+off the mu_i; their sum is d less the degree of the forms' gcd, so the same
+walk decides whether f is a morphism at all.
 
 The geometric freeness n*a_n / sum(a_i) is the limit of the arithmetic
 freeness l(f(t)) as the parameter height grows; `limit_experiment`
@@ -17,52 +19,52 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import IntEchelon, int_rank
+from .exactnum import IntEchelon
 from .freeness import point_freeness
 from .projpoint import VarietyId, normalize
 
 
 class NotAMorphism(ValueError):
-    """The forms share a nonconstant factor, so the map has base points."""
+    """The forms share a nonconstant factor, so the map has base points:
+    the mu-basis degrees sum to less than d."""
 
 
 class ConstantMap(ValueError):
     """Degree zero or all forms proportional: no tangent data to split."""
 
 
-def _primitive(p: list) -> list:
-    """p with trailing zero coefficients dropped and its content divided out."""
-    while p and p[-1] == 0:
-        p.pop()
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else p
+def _mu_basis_degrees(d: int, forms: tuple) -> list:
+    """Degrees mu_1..mu_n of a mu-basis of the syzygies sum h_i f_i = 0.
 
-
-def _poly_gcd(p: list, q: list) -> list:
-    """Primitive gcd of univariate integer polynomials, ascending.
-
-    The primitive polynomial remainder sequence (Knuth, TAOCP 2, 4.6.1,
-    Algorithm E): the pseudo-remainder of a by b, lc(b)^k a mod b, stays
-    integral, and dividing out its content keeps the coefficients small.
-    The result is determined up to sign; a constant means coprime.
+    The syzygies are free on n generators whose degrees sum to d less the
+    degree of gcd(f_i) (Cox-Sederberg-Chen, 1998).  The rows t^j f_i enter
+    one `IntEchelon` in (j, i) order; the first j at which t^j f_i depends
+    on the rows before it is a mu_i (Hong-Hough-Kogan, 2017), and f_i then
+    retires, since t times a relation is again a relation.  The j = 0 pass
+    keeps rank(f_0..f_n) rows, and fewer than two mean a constant map.  As
+    the mu_i sum to at most d, j never passes d, and the walk stops once n
+    forms have retired; a sum below d means a common factor, s^k and t^k
+    included.
     """
-    a, b = _primitive(list(p)), _primitive(list(q))
-    while b:
-        lead = b[-1]
-        while len(a) >= len(b):
-            top, shift = a[-1], len(a) - len(b)
-            a = [lead * c for c in a]
-            for i, c in enumerate(b):
-                a[i + shift] -= top * c
-            a.pop()  # the leading term cancels
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, _primitive(a)
-    return a
+    ech = IntEchelon()
+    live = list(range(len(forms)))
+    mu = []
+    for j in range(d + 1):
+        for i in tuple(live):
+            if not ech.add([0] * j + list(forms[i])):
+                mu.append(j)
+                live.remove(i)
+        if len(ech) < 2:
+            raise ConstantMap("all forms proportional: image is a point")
+        if len(live) == 1:
+            break
+    if sum(mu) < d:
+        raise NotAMorphism("forms share a nonconstant factor")
+    return mu
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,9 @@ class CurveMap:
     n: int
     d: int
     forms: tuple
+    # the splitting type, from the one mu-basis walk that also accepted
+    # the forms
+    _splitting: SplittingType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -99,22 +104,9 @@ class CurveMap:
             raise ValueError("zero map")
         if self.d == 0:
             raise ConstantMap("degree zero map is constant")
-        if int_rank(forms) < 2:
-            raise ConstantMap("all forms proportional: image is a point")
-        self._check_base_point_free()
-
-    def _check_base_point_free(self):
-        forms = [f for f in self.forms if any(c != 0 for c in f)]
-        if all(f[-1] == 0 for f in forms):
-            raise NotAMorphism("s divides every form")
-        if all(f[0] == 0 for f in forms):
-            raise NotAMorphism("t divides every form")
-        g = list(forms[0])
-        for f in forms[1:]:
-            g = _poly_gcd(g, list(f))
-            if len(g) <= 1:
-                return
-        raise NotAMorphism("forms share a nonconstant factor")
+        mu = _mu_basis_degrees(d, forms)
+        object.__setattr__(self, "_splitting", SplittingType(
+            tuple(sorted((d + m for m in mu), reverse=True))))
 
     def evaluate(self, u: int, v: int) -> tuple:
         """Value (f_0(u,v), ..., f_n(u,v)), not reduced to a primitive vector."""
@@ -185,31 +177,9 @@ class BranchData:
 
 
 def splitting_type(c: CurveMap) -> SplittingType:
-    """Splitting degrees of f*(T P^n) from one mu-basis walk.
-
-    The syzygies (h_0, ..., h_n) with sum h_i f_i = 0 are free on n
-    generators whose degrees mu_i sum to d, and f*T = sum O(d + mu_i)
-    (Cox-Sederberg-Chen, 1998).  The rows t^j f_i enter one `IntEchelon`
-    in (j, i) order; the first j at which t^j f_i depends on the rows
-    before it is a mu_i (Hong-Hough-Kogan, 2017), and f_i then retires,
-    since t times a relation is again a relation.  As the mu_i sum to d,
-    j never passes d, and the walk stops once n forms have retired.
-    """
-    n, d = c.n, c.d
-    ech = IntEchelon()
-    live = list(range(n + 1))
-    a = []
-    for j in range(d + 1):
-        for i in tuple(live):
-            if not ech.add([0] * j + list(c.forms[i])):
-                a.append(d + j)
-                live.remove(i)
-        if len(live) == 1:
-            break
-    st = SplittingType(tuple(sorted(a, reverse=True)))
-    assert st.degree == (n + 1) * d
-    assert st.a[0] >= 2
-    return st
+    """Splitting degrees a_i = d + mu_i of f*(T P^n) = sum O(a_i), kept from
+    the mu-basis walk that built `c`."""
+    return c._splitting
 
 
 def h0_twist(c: CurveMap, m: int) -> int:

@@ -386,7 +386,8 @@ class TestEquidist:
         assert doc["joint_share"] == hit / vectors
 
     # refused before any counting: a box the measure rejects, a bound past
-    # the shell tables, and box walks over too many heights or residues
+    # the shell tables, box walks over too many heights or residues, and
+    # more classes of P^n(Z/M) than CLASS_LIMIT
     @pytest.mark.parametrize("argv, message", [
         (["--dim", "1", "--modulus", "3", "--bound", "10",
           "--box", "1,0;-1,1"], "--box '1,0;-1,1': empty interval"),
@@ -395,6 +396,12 @@ class TestEquidist:
           "--box", "0,1;-1,1;0,1"], "too large: the box walk"),
         (["--dim", "5", "--modulus", "31", "--bound", "10",
           "--box", ";".join(["-1,1"] * 6)], "too large: the box walk"),
+        (["--dim", "5", "--modulus", "31", "--bound", "10"],
+         "P^5(Z/31) has more than 100000 classes"),
+        (["--dim", "2", "--modulus", "300", "--bound", "10"],
+         "P^2(Z/300) has more than 100000 classes"),
+        (["--dim", "1", "--modulus", str(10 ** 18 + 3), "--bound", "10"],
+         "has more than 100000 classes"),
     ])
     def test_out_of_range_fails_fast(self, capsys, argv, message):
         start = time.perf_counter()
@@ -664,8 +671,12 @@ class TestCurve:
         ("alpha", {"branches": [[1, 1]]}),
         ("alpha", {"branches": [[1, 1.5]], "d": 3}),
         ("alpha", {"branches": [[1, 1]], "d": "3"}),
+        ("splitting", {"n": 2, "d": 2, "forms": [[0, 1, 0], [0, 0, 1], [0, 1, 1]]}),
+        ("splitting", {"n": 2, "d": 2, "forms": [[1, 1, 0], [0, 1, 1], [1, 2, 1]]}),
+        ("freeness", {"n": 2, "d": 2, "forms": [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]}),
     ], ids=["no-n", "list", "float-coefficient", "float-degree",
-            "branches-int", "no-d", "float-multiplicity", "string-d"])
+            "branches-int", "no-d", "float-multiplicity", "string-d",
+            "shared-t", "planted-factor", "proportional"])
     def test_malformed_file_is_exit_3(self, tmp_path, capsys, op, doc):
         f = tmp_path / "c.json"
         f.write_text(json.dumps(doc))
