@@ -29,12 +29,14 @@ from . import __version__ as VERSION
 from .counting import (
     BOX_WALK_LIMIT,
     CLASS_LIMIT,
+    CLASS_WORK_LIMIT,
     HeightWindow,
     _p1n_points,
     _pn_coords,
     _shell_spec,
     bounded_window,
     box_walk_cost,
+    class_count_cost,
     count_blowup,
     count_classes_pn,
     count_points,
@@ -467,6 +469,12 @@ def _cmd_equidist(cfg: RunConfig, args) -> tuple:
             f"--modulus {args.modulus} on P^{args.dim} is too large: "
             f"P^{args.dim}(Z/{args.modulus}) has more than {CLASS_LIMIT} "
             f"classes")
+    cost = class_count_cost(args.dim, args.modulus, bound)
+    if cost > CLASS_WORK_LIMIT:
+        raise UsageError(
+            f"--modulus {args.modulus} at --bound {_num(args.bound)} on "
+            f"P^{args.dim} is too large: the class counts take about {cost} "
+            f"products, past the limit {CLASS_WORK_LIMIT}")
     counts = count_classes_pn(args.dim, args.modulus, bound)
     total = sum(counts.values())
     uniform = uniform_class_share(v, args.modulus)

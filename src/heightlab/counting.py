@@ -22,7 +22,9 @@ each walk at floor(x/s) resp. isqrt(x // s), and one Mertens table serves
 every s.  Counts by residue class on P^n, in all of the sup ball or in a
 cone box, are Mobius inversions over the d prime to M with those runs: a
 class is closed under the units mod M, so y -> y/d keeps it, and the box
-counts walk the sup shells of the one cone.
+counts walk the sup shells of the one cone.  No kernel builds arrays: ball
+counts sum integer square roots over sorted coordinates, euclid P^1 shells
+come off a bytearray sieve, and the box walk adds a few differences a shell.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -42,13 +44,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .exactnum import build_sieve
 from .projpoint import (Metric, PrimPoint, VarietyId, blowup_from_plane, blowup_point,
-                        enum_projective_mod)
+                        card_projective_mod, enum_projective_mod)
 from .tamagawa import closed_form, cone_alpha, nu_window
 
 CENTER = (0, 0, 1)  # blow-up center in P^2
@@ -205,43 +206,48 @@ def _quotient_runs(x: int, top: int, cum, e: int) -> Iterator[tuple]:
         d = end + 1
 
 
-def _isqrt_array(m: np.ndarray) -> np.ndarray:
-    """floor(sqrt(m)) for an int64 array with 0 <= m < 2^63, exactly.  The
-    float root is at most one off and at most floor(sqrt(2^63)), so s * s
-    cannot overflow; nor can m - s^2 > 2 s, the test for (s + 1)^2 <= m."""
-    s = np.sqrt(m.astype(np.float64)).astype(np.int64)
-    s -= s * s > m
-    s += m - s * s > 2 * s
-    return s
-
-
-def _chunk_step(n_inner: int, radius: int) -> int:
-    width = max(1, (2 * radius + 1) ** n_inner)
-    return max(1, 2 * 10 ** 6 // width)
+def _root_sum(rem: int, lo: int, hi: int) -> int:
+    """sum of isqrt(rem - y^2) over 1 <= lo <= y <= hi, hi^2 <= rem: the
+    points (y, z), z >= 1, under the circle, counted by rows z.  Near the
+    diagonal, where the callers sum, the arc is steep, so there are fewer
+    rows than columns.  The t = isqrt(rem - hi^2) lowest rows are full; a
+    row z <= isqrt(rem - lo^2) above them holds isqrt(rem - z^2) - lo + 1."""
+    if hi < lo:
+        return 0
+    t, top = math.isqrt(rem - hi * hi), math.isqrt(rem - lo * lo)
+    total = t * (hi - lo + 1) - (top - t) * (lo - 1)
+    if top > t:
+        total += sum(map(math.isqrt, itertools.accumulate(
+            range(-2 * t - 3, -2 * top - 1, -2), initial=rem - (t + 1) ** 2)))
+    return total
 
 
 def _ball_count(k: int, n: int) -> int:
     """V_k(n) = #{x in Z^k : x_1^2 + ... + x_k^2 <= n}, k >= 2, exactly.
 
-    The first k - 1 coordinates run over nonnegative values, in chunks of
-    the first one, pruned to the ball; j nonzero entries stand for 2^j
-    sign choices.  The last coordinate takes 2 isqrt(rest) + 1 values.
-    Each int64 sum is at most len(rest) 2^33, far below 2^63."""
-    r = math.isqrt(n)
-    axis = np.arange(r + 1, dtype=np.int64)
-    sq, nonzero = axis * axis, (axis > 0).astype(np.int64)
-    step = _chunk_step(k - 2, r)
-    total = 0
-    for a in range(0, r + 1, step):
-        rest, signs = n - sq[a:a + step], nonzero[a:a + step]
-        for _ in range(k - 2):
-            rest = (rest[:, None] - sq).ravel()
-            signs = (signs[:, None] + nonzero).ravel()
-            inside = rest >= 0
-            rest, signs = rest[inside], signs[inside]
-        last = 2 * _isqrt_array(rest) + 1
-        total += sum(int(last[signs == j].sum()) << j for j in range(k))
-    return total
+    Each x is a signed permutation of one sorted 0 <= y_1 <= ... <= y_k,
+    which stands for k!/prod(mult!) 2^#nonzero vectors."""
+    return _sorted_ball(k, n, 0, 0, math.factorial(k), 0)
+
+
+def _sorted_ball(left: int, rem: int, v: int, run: int, weight: int, nz: int) -> int:
+    """Vectors of `_ball_count` with sorted tail v <= y_1 <= ... <= y_left,
+    sum y_i^2 <= rem, after a prefix that ends in `run` copies of v (none
+    at the start), has nz nonzero entries, and leaves weight = k!/prod(mult!)
+    over its closed runs.  The last two entries y <= z are counted in closed
+    form: y > v with z > y or z = y, then y = v (the run grows) with z > v
+    or z = v; 2 v^2 <= rem, as the prefix chose v with room for them."""
+    if left > 2:
+        return sum(_sorted_ball(left - 1, rem - u * u, u, run + 1 if u == v else 1,
+                                weight if u == v else weight // math.factorial(run),
+                                nz + (u > 0))
+                   for u in range(v, math.isqrt(rem // left) + 1))
+    top, w = math.isqrt(rem // 2), weight // math.factorial(run)
+    above = _root_sum(rem, v + 1, top) - (top * (top + 1) - v * (v + 1)) // 2
+    return ((w << nz + 2) * above + (w << nz + 1) * (top - v)
+            + (weight // math.factorial(run + 1) << nz + (v > 0) + 1)
+            * (math.isqrt(rem - v * v) - v)
+            + (weight // math.factorial(run + 2) << nz + 2 * (v > 0)))
 
 
 def _residue_counts(modulus: int, lo: int, hi: int) -> list:
@@ -295,15 +301,29 @@ def _p1_shells(cap: int, metric: Metric) -> list:
         # gcd(c, t) = 1 and |c| < t for t >= 2; [1:0], [0:1], [1:1], [1:-1]
         # at t = 1
         return [0] + [4 * f for f in build_sieve(cap).phi[1:]]
-    # [0 : 1] has norm 1; every other point has one vector [a : b] with a >= 1,
-    # collected row by row so that memory stays O(cap)
-    radius = math.isqrt(cap)
-    b = np.arange(-radius, radius + 1, dtype=np.int64)
-    norms = [np.ones(1, dtype=np.int64)]
-    for a in range(1, radius + 1):
-        norm = a * a + b * b
-        norms.append(norm[(np.gcd(a, np.abs(b)) == 1) & (norm <= cap)])
-    return np.bincount(np.concatenate(norms), minlength=cap + 1).tolist()
+    # Primitive [a : b] with a^2 + b^2 = t (two-squares theorem): 2 at t = 1,
+    # and 2^(w+1) at t >= 2 when neither 4 nor a prime = 3 (mod 4) divides
+    # t, w the number of primes = 1 (mod 4) of t.  shells[t] = 2^code[t],
+    # or 0 at code 0.
+    code = bytearray([1]) * (cap + 1)
+    code[0] = 0
+    code[4::4] = bytes(len(code[4::4]))
+    top = max(cap // 5, math.isqrt(cap))
+    prime = bytearray([1]) * (top + 1)
+    for p in range(3, math.isqrt(top) + 1, 2):
+        if prime[p]:
+            prime[p * p::2 * p] = bytes(len(prime[p * p::2 * p]))
+    grow = bytes([0, *range(2, 256), 255])
+    for p in itertools.compress(range(3, top + 1, 2), prime[3::2]):
+        code[p::p] = code[p::p].translate(grow) if p % 4 == 1 else bytes(cap // p)
+    # A t > 2 still at code 1 has one odd prime p > top >= sqrt(cap): t = p
+    # or 2 p, as 3 p and 4 p are marked or past cap, and 5 p > cap.
+    for start, step, to in ((5, 4, 2), (3, 4, 0), (10, 8, 2), (6, 8, 0)):
+        code[start::step] = code[start::step].translate(bytes([0, to, *range(2, 256)]))
+    # t has at most six primes = 1 (mod 4) below 5 * 13 * 17 * 29 * 37 * 41 * 53
+    if cap < 2576450045:
+        return list(code.translate(bytes([0, *(1 << e for e in range(1, 8))]) + bytes(248)))
+    return [1 << e if e else 0 for e in code]
 
 
 def count_p1n(n: int, bound, metric: Metric = Metric.SUP) -> int:
@@ -387,46 +407,82 @@ def joint_class_box_counts(n: int, modulus: int, bound: int, box: Sequence) -> d
     common prime would divide c), and z lies in it too.  Mobius inversion
     over those d gives count([c]) = sum_d mu(d) O(c, floor(B/d)), where
     O(c, q) counts the nonzero cone vectors of max|y| <= q with residue in
-    the orbit {t c}: the weights are the runs of `count_classes_pn`.  The
-    walk goes up the sup shells m <= B: with max|y| = m the cone is the box
-    [ceil(a_i m), floor(b_i m)], so a shell holds the vectors of that box in
-    [-m, m]^(n+1) less those in [-(m-1), m-1]^(n+1), each a product of
-    per-coordinate residue counts.  It adds w times these counts by residue
-    at each run's quotient; one gather per unit sums them over the orbits of
-    the class representatives, the only residues where the inversion holds.
-    That is O(B M^(n+1)) exact work in numpy (`box_walk_cost`; int64 while
-    the counts fit, Python ints beyond), where a scan of the box is
+    the orbit {t c}.  A vector of sup shell m is in O(c, floor(B/d)) for
+    each d <= floor(B/m), so it weighs M_M(floor(B/m)) from the
+    `_CoprimeMertens` of `count_classes_pn`.  With max|y| = m the cone is
+    the box [ceil(a_i m), floor(b_i m)], so a shell holds the vectors of
+    that box in [-m, m]^(n+1) less those in [-(m-1), m-1]^(n+1), each a
+    product of per-coordinate residue counts.  As differences over the
+    residue such a count has at most three nonzero entries
+    (`_residue_steps`), so a shell adds at most 2 * 3^(n+1) terms to one
+    table; prefix sums along its n + 1 axes turn it into counts by residue,
+    and one gather per unit sums those over the orbits of the class
+    representatives, the only residues where the inversion holds.  That is
+    O(B 3^(n+1) + (n+1) M^(n+1)) exact work, where a scan of the box is
     O(B^(n+1))."""
     iv = [(Fraction(a), Fraction(b)) for a, b in box]
     if len(iv) != n + 1:
         raise ValueError("box must have n+1 coordinate intervals")
     prime_to_m = _CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
-    weights = dict(_quotient_runs(bound, bound, prime_to_m, 1))
-    # every partial sum is at most 2 (2B+1)^(n+1) in absolute value
-    dtype = np.int64 if (2 * bound + 1) ** (n + 1) < 2 ** 61 else object
-    run = np.zeros(modulus ** (n + 1), dtype=dtype)  # nonzero, max|y| <= m
-    count = np.zeros_like(run)                       # sum of weight * run
+    strides = [modulus ** (n - i) for i in range(n + 1)]  # residues row-major
+    cone = [(a.numerator, a.denominator, b.numerator, b.denominator, stride)
+            for (a, b), stride in zip(iv, strides)]
+    size = modulus ** (n + 1)
+    steps = [0] * size
     for m in range(1, bound + 1):
-        run += _cone_residue_counts(modulus, iv, m, m, dtype) \
-            - _cone_residue_counts(modulus, iv, m, m - 1, dtype)
-        if weights.get(m):
-            count += weights[m] * run
+        w = prime_to_m[bound // m]
+        for r, sign in ((m, w), (m - 1, -w)) if w else ():
+            terms = [(0, sign)]
+            for an, ad, bn, bd, stride in cone:
+                factor = _residue_steps(modulus, max(-(-an * m // ad), -r),
+                                        min(bn * m // bd, r), stride)
+                terms = [(k + j, x * y) for k, x in terms for j, y in factor]
+            for k, x in terms:
+                steps[k] += x
+    for stride in strides:
+        span = stride * modulus
+        for start in (b + i for b in range(0, size, span) for i in range(stride)):
+            line = slice(start, start + span, stride)
+            steps[line] = itertools.accumulate(steps[line])
     classes = enum_projective_mod(n, modulus)
-    reps = np.array([cls.coords for cls in classes], dtype=np.int64).T
-    shape = (modulus,) * (n + 1)
-    orbits = sum(count[np.ravel_multi_index(t * reps % modulus, shape)]
-                 for t in range(1, modulus) if math.gcd(t, modulus) == 1)
-    return {cls: int(c) for cls, c in zip(classes, orbits.tolist())}
+    columns = list(zip(*(cls.coords for cls in classes)))
+    orbits = [0] * len(classes)
+    for t in range(1, modulus):
+        if math.gcd(t, modulus) == 1:
+            at = [0] * len(classes)
+            for column, stride in zip(columns, strides):
+                at = list(map(add, at, [t * c % modulus * stride for c in column]))
+            orbits = list(map(add, orbits, map(steps.__getitem__, at)))
+    return dict(zip(classes, orbits))
 
 
-# a walk step costs about 17 ns per residue plus 18 us (2-core VM, numpy
-# 2.4): the limit is about 0.4 s, and 160 MB per array at B <= 1
+def _residue_steps(modulus: int, lo: int, hi: int, stride: int) -> list:
+    """#{y in [lo, hi] : y = c (mod M)} over c = 0..M-1 as differences, the
+    count at c less that at c - 1 (none below 0), in (c * stride, step)
+    pairs: floor((hi+1)/M) - floor(lo/M) at c = 0, plus 1 at lo mod M,
+    less 1 at (hi + 1) mod M; nothing for an empty interval."""
+    if hi < lo:
+        return []
+    steps = {0: (hi + 1) // modulus - lo // modulus}
+    for c, x in ((lo % modulus, 1), ((hi + 1) % modulus, -1)):
+        steps[c * stride] = steps.get(c * stride, 0) + x
+    return [(k, x) for k, x in steps.items() if x]
+
+
+# `box_walk_cost` counts the residue entries of a full table per shell,
+# more than the walk's differences: at the limit it took 0.05 s (P^2 mod 31,
+# B = 649) to 1.7 s (P^5 mod 2, B = 18,796) on a 2-core VM
 BOX_WALK_LIMIT = 2 * 10 ** 7
 
 # Classes of P^n(Z/M) past which `count_classes_pn` is refused: it lists
 # every class in Python, and 88,741 classes (P^4 mod 17) took 2.3 s and
 # 94 MB, 101,556 (P^2 mod 180) 5 s on a 2-core VM.
 CLASS_LIMIT = 10 ** 5
+
+# `class_count_cost` past which `count_classes_pn` is refused: a product
+# takes about 250 ns on a 2-core VM (P^1 mod 2310 at B = 10, 2.0 10^7 of
+# them, 5 s), so the limit is about 1 s.
+CLASS_WORK_LIMIT = 4 * 10 ** 6
 
 
 def box_walk_cost(n: int, modulus: int, bound: int) -> int:
@@ -436,16 +492,11 @@ def box_walk_cost(n: int, modulus: int, bound: int) -> int:
     return max(bound, 1) * (modulus ** (n + 1) + 1000)
 
 
-def _cone_residue_counts(modulus: int, cone: list, m: int, r: int, dtype) -> np.ndarray:
-    """Vectors y with ceil(a_i m) <= y_i <= floor(b_i m) and max|y| <= r,
-    counted by residue y mod M (flattened, as `np.indices`)."""
-    counts = np.ones((), dtype=dtype)
-    for a, b in cone:
-        lo = -(-a.numerator * m // a.denominator)
-        hi = b.numerator * m // b.denominator
-        counts = np.multiply.outer(
-            counts, _residue_counts(modulus, max(lo, -r), min(hi, r)))
-    return counts.ravel()
+def class_count_cost(n: int, modulus: int, bound: int) -> int:
+    """A-priori work of `count_classes_pn`, in products: at most
+    |P^n(Z/M)| classes times phi(M) units times 2 sqrt(B) quotient runs."""
+    units = sum(math.gcd(t, modulus) == 1 for t in range(1, modulus))
+    return card_projective_mod(n, modulus) * units * 2 * math.isqrt(bound)
 
 
 # ---------------------------------------------------------------------------

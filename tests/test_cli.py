@@ -386,8 +386,9 @@ class TestEquidist:
         assert doc["joint_share"] == hit / vectors
 
     # refused before any counting: a box the measure rejects, a bound past
-    # the shell tables, box walks over too many heights or residues, and
-    # more classes of P^n(Z/M) than CLASS_LIMIT
+    # the shell tables, box walks over too many heights or residues, more
+    # classes of P^n(Z/M) than CLASS_LIMIT, and class counts whose work
+    # passes CLASS_WORK_LIMIT
     @pytest.mark.parametrize("argv, message", [
         (["--dim", "1", "--modulus", "3", "--bound", "10",
           "--box", "1,0;-1,1"], "--box '1,0;-1,1': empty interval"),
@@ -402,6 +403,8 @@ class TestEquidist:
          "P^2(Z/300) has more than 100000 classes"),
         (["--dim", "1", "--modulus", str(10 ** 18 + 3), "--bound", "10"],
          "has more than 100000 classes"),
+        (["--dim", "1", "--modulus", "30030", "--bound", "10"],
+         "the class counts take about 3344302080 products"),
     ])
     def test_out_of_range_fails_fast(self, capsys, argv, message):
         start = time.perf_counter()

@@ -161,8 +161,132 @@ class TestProjectiveCounts:
     def test_isqrt_array_is_exact(self, s):
         m = [t * t + e for t in range(s - 2, s + 3) for e in (-1, 0, 2 * t)]
         m.append(2**63 - 1)
-        got = counting._isqrt_array(np.array(m, dtype=np.int64)).tolist()
+        got = _isqrt_array(np.array(m, dtype=np.int64)).tolist()
         assert got == [math.isqrt(x) for x in m]
+
+
+# ---------------------------------------------------------------------------
+# The numpy kernels that `counting` ran before the package dropped numpy,
+# kept as oracles of the integer kernels that replaced them.
+
+
+def _isqrt_array(m):
+    """floor(sqrt(m)) for an int64 array with 0 <= m < 2^63, exactly.  The
+    float root is at most one off and at most floor(sqrt(2^63)), so s * s
+    cannot overflow; nor can m - s^2 > 2 s, the test for (s + 1)^2 <= m."""
+    s = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    s -= s * s > m
+    s += m - s * s > 2 * s
+    return s
+
+
+def _chunk_step(n_inner, radius):
+    width = max(1, (2 * radius + 1) ** n_inner)
+    return max(1, 2 * 10 ** 6 // width)
+
+
+def reference_ball_count(k, n):
+    """V_k(n) by arrays: the first k - 1 coordinates run over nonnegative
+    values, in chunks of the first one, pruned to the ball; j nonzero
+    entries stand for 2^j sign choices, and the last coordinate takes
+    2 isqrt(rest) + 1 values."""
+    r = math.isqrt(n)
+    axis = np.arange(r + 1, dtype=np.int64)
+    sq, nonzero = axis * axis, (axis > 0).astype(np.int64)
+    step = _chunk_step(k - 2, r)
+    total = 0
+    for a in range(0, r + 1, step):
+        rest, signs = n - sq[a:a + step], nonzero[a:a + step]
+        for _ in range(k - 2):
+            rest = (rest[:, None] - sq).ravel()
+            signs = (signs[:, None] + nonzero).ravel()
+            inside = rest >= 0
+            rest, signs = rest[inside], signs[inside]
+        last = 2 * _isqrt_array(rest) + 1
+        total += sum(int(last[signs == j].sum()) << j for j in range(k))
+    return total
+
+
+def reference_p1_shells_euclid(cap):
+    """#P^1 points of each squared norm t <= cap, by a bincount of the
+    norms of the vectors [a : b] with a >= 1, plus [0 : 1], row by row."""
+    radius = math.isqrt(cap)
+    b = np.arange(-radius, radius + 1, dtype=np.int64)
+    norms = [np.ones(1, dtype=np.int64)]
+    for a in range(1, radius + 1):
+        norm = a * a + b * b
+        norms.append(norm[(np.gcd(a, np.abs(b)) == 1) & (norm <= cap)])
+    return np.bincount(np.concatenate(norms), minlength=cap + 1).tolist()
+
+
+def reference_box_walk(n, modulus, bound, box):
+    """The numpy walk of `joint_class_box_counts`: a full table of residue
+    counts per sup shell, the run weights of `count_classes_pn` at each
+    run's quotient, and one gather per unit."""
+    iv = [(Fraction(a), Fraction(b)) for a, b in box]
+    prime_to_m = counting._CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
+    weights = dict(counting._quotient_runs(bound, bound, prime_to_m, 1))
+    dtype = np.int64 if (2 * bound + 1) ** (n + 1) < 2 ** 61 else object
+
+    def cone_counts(m, r):
+        counts = np.ones((), dtype=dtype)
+        for a, b in iv:
+            lo = -(-a.numerator * m // a.denominator)
+            hi = b.numerator * m // b.denominator
+            counts = np.multiply.outer(counts, counting._residue_counts(
+                modulus, max(lo, -r), min(hi, r)))
+        return counts.ravel()
+
+    run = np.zeros(modulus ** (n + 1), dtype=dtype)
+    count = np.zeros_like(run)
+    for m in range(1, bound + 1):
+        run += cone_counts(m, m) - cone_counts(m, m - 1)
+        if weights.get(m):
+            count += weights[m] * run
+    classes = enum_projective_mod(n, modulus)
+    reps = np.array([cls.coords for cls in classes], dtype=np.int64).T
+    shape = (modulus,) * (n + 1)
+    orbits = sum(count[np.ravel_multi_index(t * reps % modulus, shape)]
+                 for t in range(1, modulus) if math.gcd(t, modulus) == 1)
+    return {cls: int(c) for cls, c in zip(classes, orbits.tolist())}
+
+
+BALL_SIZES = {2: 10 ** 8, 3: 10 ** 5, 4: 4000, 5: 500}
+
+
+@st.composite
+def ball_inputs(draw):
+    k = draw(st.integers(2, 5))
+    top = BALL_SIZES[k]
+    n = draw(st.one_of(st.integers(0, top),
+                       st.integers(0, math.isqrt(top)).map(lambda r: r * r)))
+    return k, n
+
+
+@settings(deadline=None, max_examples=60)
+@given(ball_inputs())
+@example((2, 0))
+@example((3, 0))
+@example((4, 0))
+@example((5, 0))
+@example((2, 10 ** 8))
+@example((3, 99856))
+@example((5, 484))
+def test_ball_count_matches_array_oracle(case):
+    k, n = case
+    assert counting._ball_count(k, n) == reference_ball_count(k, n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 2 * 10 ** 4))
+@example(1)
+@example(2)
+@example(3)
+@example(4)
+@example(5)
+@example(2 * 10 ** 4)
+def test_euclid_p1_shells_match_bincount(cap):
+    assert counting._p1_shells(cap, Metric.EUCLID) == reference_p1_shells_euclid(cap)
 
 
 def reference_coprime_mertens(modulus, top):
@@ -468,7 +592,7 @@ def reference_count_pn_euclid_vectors(n, norm_bound):
         return 0
     total = 0
     full = np.arange(-radius, radius + 1, dtype=np.int64)
-    step = counting._chunk_step(n, radius)
+    step = _chunk_step(n, radius)
     for lo in range(0, len(full), step):
         grids = axis_coords(n + 1, radius, full[lo:lo + step])
         norm = sum(g * g for g in grids)
@@ -966,7 +1090,7 @@ def reference_joint_class_box_counts(n, modulus, bound, box):
     iv = [(Fraction(a), Fraction(b)) for a, b in box]
     out = {}
     full = np.arange(-bound, bound + 1, dtype=np.int64)
-    step = counting._chunk_step(n, bound)
+    step = _chunk_step(n, bound)
     for lo in range(0, len(full), step):
         grids = axis_coords(n + 1, bound, full[lo:lo + step])
         g = np.zeros((), dtype=np.int64)
@@ -1000,7 +1124,7 @@ def reference_joint_class_box_counts(n, modulus, bound, box):
 def class_box_inputs(draw):
     n = draw(st.integers(1, 3))
     modulus = draw(st.integers(2, 12))
-    bound = draw(st.integers(0, 30))
+    bound = draw(st.integers(0, 60))
     end = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     interval = st.one_of(st.just((Fraction(0), Fraction(0))),
                          st.tuples(end, end).map(lambda t: tuple(sorted(t))))
@@ -1020,12 +1144,21 @@ def class_box_inputs(draw):
                      (Fraction(0), Fraction(1))]))
 @example((3, 12, 20, [(Fraction(-1, 2), Fraction(1)), (Fraction(0), Fraction(1)),
                       (Fraction(-1), Fraction(1, 3)), (Fraction(-1), Fraction(1))]))
+@example((3, 12, 60, [(Fraction(-1), Fraction(1))] * 4))
+@example((2, 7, 60, [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1)),
+                     (Fraction(0), Fraction(1))]))
+@example((1, 2, 60, [(Fraction(1, 2), Fraction(3)), (Fraction(-3), Fraction(-1, 6))]))
 def test_joint_counts_match_box_scan(case):
     n, modulus, bound, box = case
+    got = joint_class_box_counts(n, modulus, bound, box)
+    assert got == reference_box_walk(n, modulus, bound, box)
+    # the scan covers (2B + 1)^(n+1) vectors, so on P^3 it stops at B = 30
+    if n == 3 and bound > 30:
+        return
     scan = reference_joint_class_box_counts(n, modulus, bound, box)
     units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
     # the class [c] holds the vectors t c for every unit t mod M
-    assert joint_class_box_counts(n, modulus, bound, box) == {
+    assert got == {
         cls: sum(scan.get((tuple(t * c % modulus for c in cls.coords), True), 0)
                  for t in units)
         for cls in enum_projective_mod(n, modulus)}
