@@ -21,7 +21,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .counting import (
     BOX_WALK_LIMIT,
     CLASS_LIMIT,
     CLASS_WORK_LIMIT,
+    P1_SHELL_LIMIT,
     HeightWindow,
     _p1n_points,
     _pn_coords,
@@ -45,6 +45,7 @@ from .counting import (
     joint_class_box_counts,
     sup_box_measure,
 )
+from .exactnum import Frozen
 from .freeness import freeness_statistics
 from .geomcurve import (
     BranchData,
@@ -168,8 +169,7 @@ PLUMBING = {"handler", "command", "format", "out", "cache_dir", "workers",
             "seed"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     command: str
     params: tuple       # canonical (flag, value) pairs, sorted by flag
     format: str
@@ -316,19 +316,26 @@ def _enum_tokens(w: HeightWindow) -> list:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _check_shell_cap(w: HeightWindow, bound) -> None:
+def _check_shell_cap(w: HeightWindow, bound,
+                     limit: int | None = None) -> None:
     # the counts tabulate every shell value up to the largest component cap
     cap = max(hi for _, hi in _shell_spec(w)[0])
     if cap >= sys.maxsize:
         raise UsageError(f"--bound {_num(bound)} is too large: the window "
                          f"reaches shell value {cap}, past the largest table "
                          f"size {sys.maxsize}")
+    if limit is not None and cap > limit:
+        raise UsageError(f"--bound {_num(bound)} is too large: the window "
+                         f"reaches shell value {cap}, past the shell table "
+                         f"limit {limit}")
 
 
 def _cmd_count(cfg: RunConfig, args) -> tuple:
     v = _variety(args)
     metric = _metric(args)
-    _check_shell_cap(bounded_window(v, args.bound, metric), args.bound)
+    # a (P^1)^n count lists the sizes of its cap + 1 shells in Python
+    _check_shell_cap(bounded_window(v, args.bound, metric), args.bound,
+                     P1_SHELL_LIMIT if v.kind == "p1n" else None)
     b = float(args.bound)
     if v.kind == "blowup":
         count_e, count_u = count_blowup(args.bound, metric)

@@ -42,12 +42,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Sequence
 
-from .exactnum import build_sieve
+from .exactnum import Frozen, build_sieve
 from .projpoint import (Metric, PrimPoint, VarietyId, blowup_from_plane, blowup_point,
                         card_projective_mod, enum_projective_mod)
 from .tamagawa import closed_form, cone_alpha, nu_window
@@ -484,6 +483,11 @@ CLASS_LIMIT = 10 ** 5
 # them, 5 s), so the limit is about 1 s.
 CLASS_WORK_LIMIT = 4 * 10 ** 6
 
+# Shell cap past which a (P^1)^n count is refused: `count_p1n` lists the
+# cap + 1 shell sizes in Python, and sup B = 1e14 (cap 10^7) took 6.4 s
+# and 1.26 GB on a 2-core VM.
+P1_SHELL_LIMIT = 10 ** 7
+
 
 def box_walk_cost(n: int, modulus: int, bound: int) -> int:
     """A-priori work of `joint_class_box_counts`, in residue entries: one
@@ -564,8 +568,7 @@ def _pn_orbits(n: int, o1_bound: Fraction, metric: Metric) -> Iterator[tuple]:
         yield y, weight // 2
 
 
-@dataclass(frozen=True)
-class HeightWindow:
+class HeightWindow(Frozen):
     """Either a plain height bound, or a box of scaled multiheight intervals.
 
     Boxed windows hold per-component intervals [a_i, b_i] of exponential
@@ -790,8 +793,7 @@ def partition_leading_ranges(w: HeightWindow, workers: int) -> list:
 # window counts with reference constants
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Frozen):
     count: int
     scale: Fraction
     fitted: float      # count / B^<anticanonical, u>

@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .counting import (_capped_tuples, _pn_coords, _pn_orbits, _shell_spec, _shell_value,
                        bounded_window)
-from .exactnum import LogLin, int_adjugate
+from .exactnum import Frozen, LogLin, int_adjugate
 from .lattice import EucLattice, degree, int_min_norm2, lagrange_gauss, newton_polygon
 from .projpoint import Metric, PrimPoint, VarietyId
 
@@ -161,8 +161,7 @@ def _pn_minima(y: Sequence[int]) -> tuple:
 # tangent lattices
 
 
-@dataclass(frozen=True)
-class TangentLattice:
+class TangentLattice(Frozen):
     """Tangent space T_P of P^n as a euclidean lattice; degree = log-height."""
 
     point: PrimPoint
@@ -179,8 +178,7 @@ def tangent_lattice_pn(p: PrimPoint) -> TangentLattice:
     return TangentLattice(point=p, lattice=lat, h=h)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(Frozen):
     slopes: tuple      # LogLin, non-increasing
     h: LogLin
     mu_min: LogLin
@@ -205,8 +203,7 @@ def freeness(t: TangentLattice) -> FreenessReport:
 # exact LogLin assembly of the integer minima (oracle)
 
 
-@dataclass(frozen=True)
-class PnFreeness:
+class PnFreeness(Frozen):
     """Exact freeness data for one point of P^2 or P^3, the test oracle of
     `point_freeness`.
 
@@ -376,8 +373,7 @@ def _pn_freeness(n: int, y: Sequence[int]) -> tuple:
 # statistics over height windows
 
 
-@dataclass(frozen=True)
-class FreenessStats:
+class FreenessStats(Frozen):
     total: int
     threshold_counts: dict  # threshold -> #points with l < threshold
     histogram: tuple        # bin counts of l over [0, 1]
@@ -466,6 +462,8 @@ def _term_coeffs_generic(n: int) -> tuple:
     return tuple(out)
 
 
+# the one dataclass left: perfbench/worker.py serializes it with
+# dataclasses.asdict
 @dataclass(frozen=True)
 class SweepResult:
     """Exhaustive freeness audit of a sup-height ball in P^n.

@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .exactnum import IntEchelon
+from .exactnum import Frozen, IntEchelon
 from .freeness import point_freeness
 from .projpoint import VarietyId, normalize
 
@@ -67,8 +66,7 @@ def _mu_basis_degrees(d: int, forms: tuple) -> list:
     return mu
 
 
-@dataclass(frozen=True)
-class CurveMap:
+class CurveMap(Frozen):
     """Morphism P^1 -> P^n given by integer binary forms.
 
     `forms[i][j]` is the coefficient of s^(d-j) t^j in f_i, so each form
@@ -78,9 +76,6 @@ class CurveMap:
     n: int
     d: int
     forms: tuple
-    # the splitting type, from the one mu-basis walk that also accepted
-    # the forms
-    _splitting: SplittingType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -105,6 +100,9 @@ class CurveMap:
         if self.d == 0:
             raise ConstantMap("degree zero map is constant")
         mu = _mu_basis_degrees(d, forms)
+        # the splitting type, from the one mu-basis walk that also accepted
+        # the forms; an attribute outside the fields, so ==, hash and repr
+        # ignore it
         object.__setattr__(self, "_splitting", SplittingType(
             tuple(sorted((d + m for m in mu), reverse=True))))
 
@@ -123,8 +121,7 @@ class CurveMap:
         )
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Frozen):
     """Degrees a_1 >= ... >= a_n of the pulled-back tangent bundle."""
 
     a: tuple
@@ -152,8 +149,7 @@ class SplittingType:
         return Fraction(len(self.a) * self.a[-1], self.degree)
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(Frozen):
     """Branches (r, m) of a rational curve through a fixed point.
 
     r is the Roth exponent of the branch point on P^1: 0 for a complex
@@ -217,8 +213,7 @@ def expected_dim(n: int, d: int, s: int = 0) -> int:
 
 # deterministic parameter family: t = [k : k+1] is always primitive and
 # its sup height is exactly k+1
-@dataclass(frozen=True)
-class LimitRow:
+class LimitRow(Frozen):
     param: tuple     # (k, k+1)
     h_param: float   # log sup-height of the parameter
     h_image: float   # log anticanonical-normalized O(1) height of f(t)
@@ -232,8 +227,7 @@ def _point_l(coords: Sequence[int]):
     return p, h, l
 
 
-@dataclass(frozen=True)
-class LimitExperiment:
+class LimitExperiment(Frozen):
     rows: tuple                  # LimitRow per kept parameter height
     geometric_freeness: Fraction  # l(f), the limit the rows approach
 

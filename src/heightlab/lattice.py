@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .exactnum import IntEchelon, LogLin, int_adjugate, int_det
+from .exactnum import Frozen, IntEchelon, LogLin, int_adjugate, int_det
 
 RANK_CAP = 6
 
@@ -66,8 +65,7 @@ class NotPositiveDefinite(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EucLattice:
+class EucLattice(Frozen):
     """Free Z-lattice described by a symmetric positive-definite Gram matrix."""
 
     gram: tuple
@@ -216,8 +214,7 @@ def _lll_transform(g):
     return u, d, lam
 
 
-@dataclass(frozen=True)
-class _Reduction:
+class _Reduction(Frozen):
     """An integer Gram g after LLL: the rows U, the reduced Gram
     gg = U g U^T and its integral Gram-Schmidt data (d, lam), as LLL left
     them.  Every search over g starts here."""
@@ -249,8 +246,8 @@ def _reduce(g) -> _Reduction:
 def _reduction(lat: EucLattice, dual: bool = False) -> _Reduction:
     """Reduction of the lattice's integer Gram G, or of adj(G) when `dual`.
 
-    Computed on first use and kept on the instance (outside the dataclass
-    fields, so equality, hashing and repr ignore it).
+    Computed on first use and kept on the instance (outside the fields, so
+    equality, hashing and repr ignore it).
     """
     attr = "_dual_reduction" if dual else "_reduction"
     red = lat.__dict__.get(attr)
@@ -407,8 +404,7 @@ def max_deg_rank(lat: EucLattice, i: int) -> LogLin:
     return _half_log_inverse(den, i, _min_covol2_int(lat, i))
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Frozen):
     """Degree profile d, slope vector and the hull's vertices; the concave
     hull ordinates m are derived."""
 
@@ -513,8 +509,7 @@ def dual_lattice(lat: EucLattice) -> EucLattice:
 # rank-2 reduction and the shape invariant
 
 
-@dataclass(frozen=True)
-class TauInvariant:
+class TauInvariant(Frozen):
     """Shape of a rank-2 lattice in the fundamental domain.
 
     tau = x + i*y with x = |g12|/g11 in [0, 1/2] and y^2 = det/g11^2 rational,

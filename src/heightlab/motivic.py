@@ -12,16 +12,16 @@ the worst-case level to which the result is still exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+
+from .exactnum import Frozen
 
 
 def _clean(terms: Mapping[int, int]) -> tuple:
     return tuple(sorted((e, c) for e, c in terms.items() if c != 0))
 
 
-@dataclass(frozen=True)
-class LPoly:
+class LPoly(Frozen):
     """Laurent polynomial in the Tate class with integer coefficients."""
 
     terms: tuple = ()
@@ -125,8 +125,7 @@ ONE = LPoly.const(1)
 L = LPoly.tate()
 
 
-@dataclass(frozen=True)
-class LSeries:
+class LSeries(Frozen):
     """A class known modulo the filtration level beyond the cutoff.
 
     Stores the coefficients at exponents >= -cutoff; everything deeper
@@ -231,7 +230,7 @@ def verify_recurrence(n: int, dmax: int) -> bool:
     built in one pass, rhs_d = [W_d] + L rhs_{d-1} from rhs_{-1} = 0, so
     each [W_d] is computed once.
     """
-    rhs = LPoly()
+    rhs = LPoly(())
     for d in range(dmax + 1):
         rhs = class_wd(n, d) + rhs.shift(1)
         lhs = LPoly.tate((n + 1) * (d + 1)) - LPoly.tate((n + 1) * d)
@@ -247,7 +246,7 @@ def normalized_symbol(n: int, d: int) -> LPoly:
 
 def u_convolve(a: Sequence[LPoly], b: Sequence[LPoly]) -> list:
     """Product of two polynomials in U with Laurent coefficients."""
-    out = [LPoly() for _ in range(len(a) + len(b) - 1)]
+    out = [LPoly(()) for _ in range(len(a) + len(b) - 1)]
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
@@ -258,7 +257,7 @@ def substitute_tate_inverse(coeffs: Sequence[LPoly], cutoff: int) -> LSeries:
     """Evaluate a U-polynomial at U = L^{-1}, truncated at the cutoff."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    total = LPoly()
+    total = LPoly(())
     for d, c in enumerate(coeffs):
         total = total + c.shift(-d)
     return LSeries.from_poly(total, cutoff)
@@ -289,7 +288,7 @@ def euler_product_inverse(n: int, cutoff: int) -> LSeries:
         raise ValueError("target dimension must be at least 1")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    total = LPoly()
+    total = LPoly(())
     m = 0
     while n * m <= cutoff:  # term m has top exponent -nm
         total = total + class_pn(m).shift(-(n + 1) * m)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
-from .exactnum import LogLin, factorize
+from .exactnum import Frozen, LogLin, factorize
 
 
 class Metric(Enum):
@@ -47,8 +46,7 @@ def _integers(coords) -> tuple:
         raise InvalidPoint(f"coordinates must be integers: {coords!r}")
 
 
-@dataclass(frozen=True)
-class PrimPoint:
+class PrimPoint(Frozen):
     """Primitive integer coordinates, first nonzero coordinate positive."""
 
     coords: tuple
@@ -94,8 +92,7 @@ def normalize(coords: Sequence[int]) -> PrimPoint:
 # Varieties
 
 
-@dataclass(frozen=True)
-class VarietyId:
+class VarietyId(Frozen):
     """Ambient variety: kind in {"pn", "p1n", "blowup"} plus dimension.
 
     picard_rank, anticanonical vector and effective-cone generators are all
@@ -214,8 +211,7 @@ def anticanonical_height(v: VarietyId, point, metric: Metric = Metric.SUP) -> Lo
 # Reduction mod M
 
 
-@dataclass(frozen=True)
-class ModPoint:
+class ModPoint(Frozen):
     """Canonical orbit representative of a primitive vector over Z/M."""
 
     modulus: int

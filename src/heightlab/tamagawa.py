@@ -16,10 +16,9 @@ be certified against the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import build_sieve, int_adjugate, int_det, zeta
+from .exactnum import Frozen, build_sieve, int_adjugate, int_det, zeta
 from .projpoint import Metric, VarietyId, card_projective_mod
 
 
@@ -98,8 +97,7 @@ def closed_form(variety: VarietyId, metric: Metric) -> float:
     return float(cone_alpha(variety)) * density_inf(variety, metric) / zeta(s) ** k
 
 
-@dataclass(frozen=True)
-class CountConstant:
+class CountConstant(Frozen):
     """Assembled leading constant with a certified finite-product tail."""
 
     alpha: Fraction

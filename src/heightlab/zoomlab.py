@@ -25,20 +25,19 @@ among them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
-from typing import Iterator, Sequence
 
 from .counting import _capped_tuples, _shell_cap, _shell_value, int_nth_root
+from .exactnum import Frozen
 from .freeness import _p1n_l, _pn_freeness
 from .projpoint import Metric, PrimPoint, VarietyId, normalize
 
 
-@dataclass(frozen=True)
-class ZoomConfig:
+class ZoomConfig(Frozen):
     variety: VarietyId
     center: tuple
     alpha: Fraction
@@ -75,8 +74,7 @@ class ZoomConfig:
         return float(self.R) * float(self.B) ** (-float(self.alpha))
 
 
-@dataclass(frozen=True)
-class ZoomCloud:
+class ZoomCloud(Frozen):
     """Points of the window, their exact chart coordinates, and heights.
 
     Each row of `factors` is (coordinates, tuple of chart values): a whole
@@ -278,8 +276,7 @@ def zoom_cloud(cfg: ZoomConfig) -> ZoomCloud:
     return _p1n_cloud(cfg)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Frozen):
     rows: tuple           # (alpha, B, cloud size)
     critical_alpha: Fraction  # largest alpha with a nontrivial cloud at max B
 

@@ -23,6 +23,7 @@ import heightlab
 from heightlab import cli
 from heightlab.cli import VERSION, main
 from heightlab.counting import (
+    P1_SHELL_LIMIT,
     bounded_window,
     count_points,
     count_window,
@@ -32,7 +33,7 @@ from heightlab.counting import HeightWindow
 from heightlab import geomcurve, tamagawa
 from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
 from heightlab.lattice import EucLattice, is_semistable
-from heightlab.projpoint import PrimPoint, _canonical_mod, variety
+from heightlab.projpoint import Metric, PrimPoint, _canonical_mod, variety
 from heightlab.zoomlab import (ZoomConfig, fiber_share, zoom_cloud,
                                zoom_freeness_overlay)
 
@@ -103,19 +104,36 @@ class TestCount:
         assert "blowup is a surface" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["--variety", "pn", "--dim", "2"],
-        ["--variety", "pn", "--dim", "2", "--metric", "euclid"],
-        ["--variety", "blowup"],
+        ["--variety", "pn", "--dim", "2", "--bound", "1e30"],
+        ["--variety", "pn", "--dim", "2", "--metric", "euclid",
+         "--bound", "1e30"],
+        ["--variety", "blowup", "--bound", "1e30"],
+        ["--variety", "p1n", "--dim", "2", "--bound", "1e30"],
+        ["--variety", "p1n", "--dim", "2", "--metric", "euclid",
+         "--bound", "1e30"],
+        # shell cap 10^8: a (P^1)^n count would list that many shell sizes
+        ["--variety", "p1n", "--dim", "2", "--bound", "1e16"],
     ])
     def test_huge_bound_is_usage_error(self, capsys, argv):
         start = time.perf_counter()
-        assert main(["count", *argv, "--bound", "1e30"]) == 2
+        assert main(["count", *argv]) == 2
         assert time.perf_counter() - start < 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("heightlab: --bound ")
         assert "too large" in captured.err
+
+    @pytest.mark.parametrize("bound, metric", [
+        (10 ** 14, Metric.SUP),      # shell cap isqrt(B) = 10^7
+        (10 ** 7, Metric.EUCLID),    # shell cap B = 10^7
+    ])
+    def test_p1n_shell_limit_is_inclusive(self, bound, metric):
+        # checks the cap without building the 10^7-entry table
+        w = bounded_window(variety("p1n", 2), bound, metric)
+        cli._check_shell_cap(w, bound, P1_SHELL_LIMIT)
+        with pytest.raises(cli.UsageError, match="shell table limit"):
+            cli._check_shell_cap(w, bound, P1_SHELL_LIMIT - 1)
 
     def test_pn_dim_still_defaults_to_one(self, capsys):
         doc = run_json(capsys, ["count", "--variety", "pn", "--bound", "10"])

@@ -3,6 +3,7 @@
 No module imports anything outside it, pyproject.toml declares no runtime
 dependency (numpy serves only the tests' oracles), and every CLI command
 prints the same bytes in a process where numpy cannot be imported.
+Importing the CLI loads no `typing` and builds one dataclass only.
 """
 
 import ast
@@ -44,6 +45,33 @@ def test_pyproject_declares_no_runtime_dependency():
     test_extra = {re.match(r"[A-Za-z0-9_.-]+", req).group()
                   for req in project["optional-dependencies"]["test"]}
     assert {"numpy", "pytest", "hypothesis"} <= test_extra
+
+
+# Prints whether `typing` was imported and every class of a heightlab
+# module that carries dataclass fields, in a process without `site`.
+IMPORT_PATH = """
+import json, sys
+import heightlab.cli
+classes = {f"{c.__module__}.{c.__qualname__}"
+           for name, m in list(sys.modules.items())
+           if name.split(".")[0] == "heightlab"
+           for c in vars(m).values()
+           if isinstance(c, type) and hasattr(c, "__dataclass_fields__")}
+print(json.dumps(["typing" in sys.modules, sorted(classes)]))
+"""
+
+
+def test_import_path_loads_no_typing_and_one_dataclass():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PATH], capture_output=True,
+        text=True, timeout=60,
+        env={"PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"},
+        check=False)
+    assert proc.returncode == 0, proc.stderr
+    typing_loaded, dataclasses = json.loads(proc.stdout)
+    assert not typing_loaded
+    # perfbench serializes the sweep's result with dataclasses.asdict
+    assert dataclasses == ["heightlab.freeness.SweepResult"]
 
 
 # Runs each command line and prints [[exit code, stdout], ...] as JSON,
