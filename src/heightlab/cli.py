@@ -773,6 +773,26 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+class _Command(_Parser):
+    """A subcommand's parser, whose `add_argument` calls wait for its first
+    parse: a run parses one subcommand, and `heightlab --help` lists the
+    subcommands without their arguments."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._waiting = []
+
+    def add_argument(self, *args, **kwargs):
+        if "_waiting" not in vars(self):  # -h, added by __init__
+            return super().add_argument(*args, **kwargs)
+        self._waiting.append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        for a, k in self.__dict__.pop("_waiting", ()):
+            super().add_argument(*a, **k)
+        return super().parse_known_args(args, namespace)
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=Path, default=None)
@@ -800,12 +820,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     Parsing reads the tree and fills a fresh namespace each time, so every
     `main` call of a process can reuse one tree; importing the module does
-    not build it.
+    not build it, and a subcommand's arguments wait for its first parse.
     """
     ap = _Parser(
         prog="heightlab",
         description="Exact height experiments on simple rational varieties")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_Command)
 
     p = sub.add_parser("count", help="height-bounded point counts")
     _add_variety(p)

@@ -9,8 +9,11 @@ runs of d sharing floor(x/d^e) evaluates every divisor sum: P^n shell
 ranges (Mobius weights on box or ball counts), their classes mod M,
 (P^1)^n (P^1 shell counts as weights), and the fibres of the blown-up
 plane.  The Mobius weights are sums of mu(d) over d prime to M, read at
-run ends from `_CoprimeMertens`: a sieve table to about x^(2/3) and the
-Mertens recursion above it, so no count on P^n builds a table of size B.
+run ends from `_CoprimeMertens`: byte counts over a sieve table of one
+byte an entry to about x^(2/3), and above it the Mertens identity split
+at sqrt(v), whose sums over j and q each run as one C-level
+`sum(map(...))`.  So no count on P^n builds a table of size B, nor a list
+of Python ints the size of its table.
 
 The blown-up plane fibres over the shells s of Q = [a : b]: off the
 center P = (g a, g b, z) with gcd(g, z) = 1, and Mobius inversion over
@@ -44,9 +47,9 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from operator import add
+from operator import add, floordiv, mul
 
-from .exactnum import Frozen, build_sieve
+from .exactnum import Frozen, build_sieve, factorize, primes_upto
 from .projpoint import (Metric, PrimPoint, VarietyId, blowup_from_plane, blowup_point,
                         card_projective_mod, enum_projective_mod)
 from .tamagawa import closed_form, cone_alpha, nu_window
@@ -58,6 +61,8 @@ def int_nth_root(x: int, k: int) -> int:
     """Largest t >= 0 with t^k <= x, in exact integer arithmetic."""
     if x < 0 or k < 1:
         raise ValueError("need x >= 0, k >= 1")
+    if k == 1:
+        return x
     if k == 2:
         return math.isqrt(x)
     if x == 0:
@@ -145,43 +150,88 @@ class _CoprimeMertens:
     """M_M(v) = sum of mu(d) over d <= v with gcd(d, M) = 1, at any v >= 0,
     read as `sums[v]`.
 
-    Up to `limit` it reads prefix sums of a `build_sieve` table.  Above,
-    with chi the indicator of gcd(k, M) = 1, (mu chi) * chi = [n = 1] as
-    Dirichlet series (chi is completely multiplicative), so summing over
-    n <= v gives M_M(v) = 1 - sum_(2 <= k <= v, chi(k)) M_M(floor(v/k)).
-    The k sharing floor(v/k) form O(sqrt v) runs; the coprime k in a run
-    are counted by period M.  Values are memoized, and floor(floor(v/a)/b)
-    = floor(v/(ab)), so the quotients of one v share their recursion:
-    with limit about v^(2/3) that is O(v^(2/3)) work (Deleglise-Rivat).
+    Up to `limit` it counts the +1 and -1 bytes of a `build_sieve` table,
+    mu zeroed where gcd(d, M) > 1, from the last read (a run walk reads in
+    increasing order).  Above, with chi(k) = [gcd(k, M) = 1], (mu chi) * chi
+    = [n = 1] gives sum_(j <= v, chi(j)) M_M(floor(v/j)) = 1; split at
+    u = max(isqrt(v), floor(v/(limit+1))), Q = floor(v/(u+1)) <= limit, and
+    summed by Abel over j > u: M_M(v) = 1 - sum_(2 <= j <= u, chi(j))
+    M_M(floor(v/j)) - sum_(q <= Q) mu chi(q) C(floor(v/q)) + M_M(Q) C(u),
+    C(y) = #{k <= y : chi(k)} = sum_(e | M) mu(e) floor(y/e).  As
+    floor(floor(x/m)/j) = floor(x/(mj)), a read above the table evaluates
+    every quotient x // m of its x in increasing order, and each sum is one
+    C-level `sum(map(...))` over big[mj] = M_M(x // (mj)) by a strided
+    slice, or short[v] = M_M(v), v <= sqrt(x).  A table to about x^(2/3)
+    leaves 2 x^(2/3) terms (Deleglise-Rivat), and no Python step a term.
     """
 
     def __init__(self, modulus: int, limit: int):
-        self.limit = max(1, limit)
+        self.limit = limit = max(1, limit)
         self.modulus = modulus
-        mu = build_sieve(self.limit).mu
-        self.table = list(itertools.accumulate(
-            m if math.gcd(d, modulus) == 1 else 0 for d, m in enumerate(mu)))
-        # coprime[r] = #{1 <= k <= r : gcd(k, M) = 1}, for 0 <= r <= M
-        self.coprime = list(itertools.accumulate(
-            (math.gcd(k, modulus) == 1 for k in range(1, modulus + 1)),
-            initial=0))
-        self.memo: dict = {}
+        self.table = table = bytearray(build_sieve(limit).mu)
+        self.divisors = [(1, 1)]  # (e, mu(e)) over the squarefree e | M
+        for p, _ in factorize(modulus) if modulus > 1 else ():
+            table[p::p] = bytes(len(range(p, limit + 1, p)))
+            self.divisors += [(e * p, -s) for e, s in self.divisors]
+        self.units = [math.gcd(j, modulus) == 1 for j in range(modulus)]
+        self.mu = memoryview(table).cast("b")
+        # short[v] = M_M(v) to the largest isqrt(x) read
+        self.short, self.cursor, self.memo = [0], (0, 0), {}
+        self._grow(math.isqrt(limit))
 
     def __getitem__(self, v: int) -> int:
-        limit, table = self.limit, self.table
-        if v <= limit:
-            return table[v]
-        if v not in self.memo:
-            m, coprime = self.modulus, self.coprime
-            total, k, below = 1, 2, 1  # below: coprime k' < k
-            while k <= v:
-                q = v // k
-                end = v // q
-                upto = (end // m) * coprime[m] + coprime[end % m]
-                total -= (upto - below) * (table[q] if q <= limit else self[q])
-                k, below = end + 1, upto
-            self.memo[v] = total
-        return self.memo[v]
+        if v < len(self.short):
+            return self.short[v]
+        if v > self.limit:
+            total = self.memo.get(v)
+            return self._solve(v) if total is None else total
+        at, total = self.cursor
+        if at > v:
+            at, total = len(self.short) - 1, self.short[-1]
+        count = self.table.count
+        self.cursor = (v, total + count(1, at + 1, v + 1) - count(255, at + 1, v + 1))
+        return self.cursor[1]
+
+    def _grow(self, s: int) -> None:
+        short, n = self.short, len(self.short)
+        top = min(s, self.limit) + 1
+        if n < top:
+            short += itertools.accumulate(self.mu[n:top], initial=short.pop())
+        for v in range(len(short), s + 1):  # above a short table
+            short.append(self._value(v, [], 1, 0))
+
+    def _solve(self, x: int) -> int:
+        """M_M(x), after M_M(x // m) for every m, those above the table into
+        the memo."""
+        s = math.isqrt(x)
+        self._grow(s)
+        big = [0] * (s + 1)  # big[m] = M_M(x // m)
+        for m in range(s, 0, -1):
+            w = x // m
+            total = self.memo.get(w) if w > self.limit else self[w]
+            if total is None:
+                total = self.memo[w] = self._value(w, big, m, s // m)
+            big[m] = total
+        return big[1]
+
+    def _value(self, w: int, big: list, m: int, most: int) -> int:
+        """M_M(w) by the identity, w = x // m: M_M(w // j) is big[m j] for
+        j <= most and short[w // j] above."""
+        short = self.short
+        u = max(math.isqrt(w), w // (self.limit + 1))
+        q, most = w // (u + 1), min(most, u)
+        quots = [w]  # quots[j] = w // j
+        quots += map(floordiv, itertools.repeat(w, u), range(1, u + 1))
+        terms = itertools.chain(big[2 * m:m * most + 1:m],
+                                map(short.__getitem__, quots[max(most, 1) + 1:]))
+        if self.modulus > 1:
+            terms = itertools.compress(terms, itertools.islice(
+                itertools.cycle(self.units), 2, None))
+        total = 1 - sum(terms) - sum(map(mul, self.mu[1:q + 1], quots[1:q + 1]))
+        for e, s in self.divisors[1:]:
+            total -= s * sum(map(mul, self.mu[1:q + 1], map(
+                floordiv, itertools.repeat(w // e), range(1, q + 1))))
+        return total + short[q] * sum(s * (u // e) for e, s in self.divisors)
 
 
 def _mertens_for(top: int, e: int) -> _CoprimeMertens:
@@ -196,13 +246,17 @@ def _quotient_runs(x: int, top: int, cum, e: int) -> Iterator[tuple]:
     """(q, cum[end] - cum[d - 1]) for each run d..end <= top of the d sharing
     q = floor(x/d^e), the last (q = 0) ending at top: the O(x^(1/(e+1)))
     terms of sum_(d <= top) f(d) F(floor(x/d^e)), cum the prefix sums of f
-    (a list, or `_CoprimeMertens`)."""
-    d = 1
+    (a list, or `_CoprimeMertens`).  Under e = 1 the run ends are the
+    quotients floor(x/q), which the read of cum[x] evaluates at once."""
+    if e == 1:
+        cum[x]
+    d, below = 1, cum[0]
     while d <= top:
         q = x // d ** e
-        end = top if q == 0 else min(top, int_nth_root(x // q, e))
-        yield q, cum[end] - cum[d - 1]
-        d = end + 1
+        end = top if q == 0 else min(top, x // q if e == 1 else math.isqrt(x // q))
+        at = cum[end]
+        yield q, at - below
+        d, below = end + 1, at
 
 
 def _root_sum(rem: int, lo: int, hi: int) -> int:
@@ -308,12 +362,8 @@ def _p1_shells(cap: int, metric: Metric) -> list:
     code[0] = 0
     code[4::4] = bytes(len(code[4::4]))
     top = max(cap // 5, math.isqrt(cap))
-    prime = bytearray([1]) * (top + 1)
-    for p in range(3, math.isqrt(top) + 1, 2):
-        if prime[p]:
-            prime[p * p::2 * p] = bytes(len(prime[p * p::2 * p]))
     grow = bytes([0, *range(2, 256), 255])
-    for p in itertools.compress(range(3, top + 1, 2), prime[3::2]):
+    for p in itertools.islice(primes_upto(top), 1, None):
         code[p::p] = code[p::p].translate(grow) if p % 4 == 1 else bytes(cap // p)
     # A t > 2 still at code 1 has one odd prime p > top >= sqrt(cap): t = p
     # or 2 p, as 3 p and 4 p are marked or past cap, and 5 p > cap.

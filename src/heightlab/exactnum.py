@@ -18,6 +18,10 @@ a time; `int_rank` counts the rows it keeps, the mu-basis walk that
 accepts each `geomcurve.CurveMap` and finds its splitting type, and the
 minima of `lattice` ask it the same question.
 
+`build_sieve` holds mu as one byte an entry, from `bytes.translate` and
+zero slices, with no Python step an entry; phi, which only the sup P^1
+shells and `tamagawa`'s prime test read, is computed on its first read.
+
 `Frozen` is the package's immutable value type: a subclass lists its
 fields as annotations, with class-level defaults, and gets construction
 by position or keyword, `__post_init__`, `==` within its own class, a hash
@@ -33,8 +37,11 @@ reads the fields once per class and compiles nothing.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import compress
 from operator import attrgetter
 
 RatLike = int | Fraction
@@ -77,7 +84,10 @@ class Frozen:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
+        # an index loop: dict.update(zip(...)) first probes the zip for keys
+        values = self.__dict__
+        for i, name in enumerate(fields):
+            values[name] = args[i]
         self.__post_init__()
 
     def _bind(self, args: tuple, kwargs: dict):
@@ -89,7 +99,7 @@ class Frozen:
             raise TypeError(f"{type(self).__name__}() takes the fields "
                             f"{fields}, got {len(args)} positional arguments "
                             f"and the keywords {sorted(kwargs)}")
-        return map(values.__getitem__, fields)
+        return [values[f] for f in fields]
 
     def __post_init__(self):
         pass
@@ -316,11 +326,11 @@ def int_adjugate(m) -> list:
 
 
 class SieveTable(Frozen):
-    """Moebius and Euler-phi values for 1..limit, from one linear sieve."""
+    """Moebius and Euler-phi values for 0..limit (0 at 0)."""
 
     limit: int
-    mu: tuple
-    phi: tuple
+    mu: Sequence
+    phi: Sequence
 
     def mobius(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -333,33 +343,79 @@ class SieveTable(Frozen):
         return self.phi[n]
 
 
+def primes_upto(n: int) -> Iterator[int]:
+    """The primes p <= n, from a bytearray sieve of Eratosthenes."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return compress(range(n + 1), flags)
+
+
+class _Totients:
+    """phi(0..limit) for a `build_sieve` table, by a linear sieve on the
+    first read: phi(i p) = phi(i) p if p | i, else phi(i) (p - 1), each
+    composite reached once, from its least prime p."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+
+    def __getitem__(self, index):
+        return self.values[index]
+
+    @cached_property
+    def values(self) -> list:
+        phi, primes = [0, 1] + [0] * (self.limit - 1), []
+        for i in range(2, self.limit + 1):
+            if not phi[i]:
+                phi[i] = i - 1
+                primes.append(i)
+            for p in primes:
+                if i * p > self.limit:
+                    break
+                phi[i * p] = phi[i] * (p if i % p == 0 else p - 1)
+                if i % p == 0:
+                    break
+        return phi
+
+
+# A sieve byte holds mu(n) in its low two bits (0, 1 = +1, 2 = -1), and in
+# its upper six the sum of round(log2 p) over the sieving primes p | n.
+# _flip(r) flips the sign of a nonzero byte and adds r to its log; _settle(b)
+# turns the byte of an n of bit length b into mu(n) as a signed byte,
+# flipped once more where the log leaves room for a prime above the sieve.
+
+
+@cache
+def _flip(r: int) -> bytes:
+    return bytes(c and min(63, (c >> 2) + r) << 2 | 3 - (c & 3) for c in range(256))
+
+
+@cache
+def _settle(b: int) -> bytes:
+    return bytes(c and (1, 255)[(c & 3 == 2) != (b - (c >> 2) >= 7)] for c in range(256))
+
+
 def build_sieve(limit: int) -> SieveTable:
+    """mu(0..limit) in an `array('b')`; phi is computed on its first read.
+
+    The primes p <= max(sqrt(limit), 4096) flip the sign of their multiples
+    and zero the multiples of p^2.  A squarefree n <= limit then has at most
+    one prime q above them, which flips mu(n) once more.  Each rounded log
+    is off by at most 1/2, and n < 7.4e12 has at most 11 primes, so among
+    the n of bit length b the log byte is at least b - 6 without q and at
+    most b - 8 with q > 4096.  No Python step runs per entry.
+    """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
-    mu = [0] * (limit + 1)
-    phi = [0] * (limit + 1)
-    spf = [0] * (limit + 1)
-    primes: list[int] = []
-    mu[1] = 1
-    phi[1] = 1
-    for n in range(2, limit + 1):
-        if spf[n] == 0:
-            spf[n] = n
-            primes.append(n)
-            mu[n] = -1
-            phi[n] = n - 1
-        for p in primes:
-            m = n * p
-            if p > spf[n] or m > limit:
-                break
-            spf[m] = p
-            if n % p == 0:
-                mu[m] = 0
-                phi[m] = phi[n] * p
-            else:
-                mu[m] = -mu[n]
-                phi[m] = phi[n] * (p - 1)
-    return SieveTable(limit, tuple(mu), tuple(phi))
+    sieve = bytearray([0]) + bytearray([1]) * limit
+    for p in primes_upto(min(limit, max(math.isqrt(limit), 4096))):
+        sieve[p::p] = sieve[p::p].translate(_flip(round(math.log2(p))))
+        sieve[p * p::p * p] = bytes(len(range(p * p, limit + 1, p * p)))
+    for b in range(1, limit.bit_length() + 1):
+        block = slice(1 << b - 1, min(1 << b, limit + 1))
+        sieve[block] = sieve[block].translate(_settle(b))
+    return SieveTable(limit, array("b", sieve), _Totients(limit))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -993,6 +994,40 @@ class TestParserReuse:
         assert docs[1]["metric"] == "sup"
         assert docs[6]["dim"] == 3
         assert docs[7]["dim"] == 2
+
+    # --help of the program and of each command, and usage errors, as the
+    # parser that built every command's arguments up front printed them
+    RECORDED = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "shared"])
+    def test_help_and_usage_errors_are_unchanged(self, monkeypatch, fresh):
+        monkeypatch.setenv("COLUMNS", str(self.RECORDED["columns"]))
+        cases = [(line, {"code": 0, "stdout": text, "stderr": ""})
+                 for line, text in self.RECORDED["help"].items()]
+        cases += self.RECORDED["errors"].items()
+        assert len(cases) == 21
+        cli.build_parser.cache_clear()
+        for line, want in cases:
+            argv = line.split()
+            for _ in range(2):
+                if fresh:
+                    cli.build_parser.cache_clear()
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                got = {"code": code, "stdout": out.getvalue(),
+                       "stderr": err.getvalue()}
+                assert got == want, line
+
+    def test_a_run_fills_only_its_command(self):
+        cli.build_parser.cache_clear()
+        assert main(["motivic", "--op", "pn", "--n", "1"]) == 0
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        filled = {name for name, p in sub.choices.items()
+                  if len(p._actions) > 1}
+        assert filled == {"motivic"}
 
     def test_import_does_not_build_the_parser(self):
         src = str(Path(heightlab.__file__).resolve().parents[1])

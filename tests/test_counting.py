@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -66,6 +67,12 @@ class TestRoots:
         assert int_nth_root(27, 3) == 3
         assert int_nth_root(28, 3) == 3
         assert int_nth_root(10**30, 2) == 10**15
+
+    def test_nth_root_of_degree_one_is_x(self):
+        for x in (0, 1, 2, 10 ** 12, 3 ** 4000):
+            assert int_nth_root(x, 1) == x
+        with pytest.raises(ValueError):
+            int_nth_root(-1, 1)
 
     def test_rational_power_floor(self):
         assert rational_power_floor(Fraction(27), Fraction(1, 3)) == 3
@@ -328,6 +335,87 @@ class TestCoprimeMertens:
                 monkeypatch.setattr(mod, "build_sieve", recording)
         count(bound)
         assert asked and sum(asked) <= 2 * int_nth_root(bound * bound, 3)
+
+
+class ReferenceCoprimeMertens:
+    """The Python-level recursion the counts ran before the identity split
+    at sqrt(v), kept as an oracle: a full prefix list to `limit`, and above
+    it M_M(v) = 1 - sum_(2 <= k <= v, gcd(k, M) = 1) M_M(floor(v/k)), one
+    Python step per run of k sharing floor(v/k)."""
+
+    def __init__(self, modulus, limit):
+        self.limit = max(1, limit)
+        self.modulus = modulus
+        self.table = reference_coprime_mertens(modulus, self.limit)
+        self.coprime = list(itertools.accumulate(
+            (math.gcd(k, modulus) == 1 for k in range(1, modulus + 1)),
+            initial=0))
+        self.memo = {}
+
+    def __getitem__(self, v):
+        if v <= self.limit:
+            return self.table[v]
+        if v not in self.memo:
+            m, coprime = self.modulus, self.coprime
+            total, k, below = 1, 2, 1
+            while k <= v:
+                q = v // k
+                end = v // q
+                upto = (end // m) * coprime[m] + coprime[end % m]
+                total -= (upto - below) * self[q]
+                k, below = end + 1, upto
+            self.memo[v] = total
+        return self.memo[v]
+
+
+class TestMertensIdentity:
+    # OEIS A084237: M(10^k), k = 1..10, each from a table to 10^(2k/3)
+    @pytest.mark.parametrize("k, want", enumerate(
+        [-1, 1, 2, -23, -48, 212, 1037, 1928, -222, -33722], start=1))
+    def test_published_values(self, k, want):
+        v = 10 ** k
+        assert counting._CoprimeMertens(1, int_nth_root(v * v, 3))[v] == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([1, 2, 6, 7, 30]), st.integers(1, 3000),
+           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=20))
+    @example(1, 1, [10 ** 6])
+    @example(30, 16, [0, 1, 17, 4096, 4097, 10 ** 6])
+    @example(7, 3000, [2310, 3000, 3001, 9 * 10 ** 5])
+    def test_matches_the_run_recursion(self, modulus, limit, values):
+        sums = counting._CoprimeMertens(modulus, limit)
+        oracle = ReferenceCoprimeMertens(modulus, limit)
+        assert [sums[v] for v in values] == [oracle[v] for v in values]
+
+    def test_reads_in_any_order_agree(self):
+        want = reference_coprime_mertens(7, 20000)
+        sums = counting._CoprimeMertens(7, 900)
+        order = list(range(20001))
+        random.Random(5).shuffle(order)
+        assert {v: sums[v] for v in order} == dict(enumerate(want))
+
+
+class TestByteTable:
+    def test_mu_is_one_byte_an_entry(self):
+        # an array grows its buffer by about 6% past what it holds
+        mu = build_sieve(10 ** 6).mu
+        assert sys.getsizeof(mu) < 1.1 * 10 ** 6
+        assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0
+
+    def test_sup_counts_never_read_phi(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("phi read")
+
+        monkeypatch.setattr(exactnum._Totients, "values", property(refuse))
+        assert count_pn(1, 10 ** 8) == 12158542065463632
+        with pytest.raises(AssertionError, match="phi read"):
+            count_p1n(2, 100)
+
+    # recorded from the parent's linear sieve and run recursion, which
+    # took 8 s and 349 MB at B = 10^10
+    def test_frozen_counts_at_1e10(self):
+        assert count_pn(1, 10 ** 10) == 121585420371544865464
+        assert count_blowup(10 ** 10) == (121585420371544865464, 263765181768)
 
 
 def reference_count_classes_pn(n, modulus, bound):

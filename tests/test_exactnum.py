@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heightlab.exactnum import (
     IntEchelon,
@@ -196,6 +197,41 @@ class TestIntLinearAlgebra:
         assert int_adjugate([[1, 2], [2, 4]]) == [[4, -2], [-2, 1]]
 
 
+def reference_sieve(limit):
+    """mu and phi for 0..limit from the linear sieve `build_sieve` ran
+    before its byte table, kept as an oracle: every composite is reached
+    once, from its smallest prime factor."""
+    mu = [0] * (limit + 1)
+    phi = [0] * (limit + 1)
+    spf = [0] * (limit + 1)
+    primes = []
+    mu[1] = 1
+    phi[1] = 1
+    for n in range(2, limit + 1):
+        if spf[n] == 0:
+            spf[n] = n
+            primes.append(n)
+            mu[n] = -1
+            phi[n] = n - 1
+        for p in primes:
+            m = n * p
+            if p > spf[n] or m > limit:
+                break
+            spf[m] = p
+            if n % p == 0:
+                mu[m] = 0
+                phi[m] = phi[n] * p
+            else:
+                mu[m] = -mu[n]
+                phi[m] = phi[n] * (p - 1)
+    return mu, phi
+
+
+def mobius_by_factoring(n):
+    fac = factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+
+
 class TestSieve:
     def test_small_values(self):
         t = build_sieve(60)
@@ -217,6 +253,31 @@ class TestSieve:
         t = build_sieve(a * b)
         assert t.mobius(a * b) == t.mobius(a) * t.mobius(b)
         assert t.totient(a * b) == t.totient(a) * t.totient(b)
+
+    @given(st.integers(1, 10 ** 4))
+    @settings(max_examples=60, deadline=None)
+    @example(1)
+    @example(2)
+    @example(4095)
+    @example(4096)
+    @example(4097)
+    @example(10 ** 4)
+    def test_matches_linear_sieve(self, limit):
+        mu, phi = reference_sieve(limit)
+        t = build_sieve(limit)
+        assert list(t.mu) == mu
+        assert list(t.phi) == phi
+
+    # past 4096^2 the sieving primes run to sqrt(limit), and the log byte
+    # decides the one prime above them
+    def test_past_the_fixed_prime_bound(self):
+        limit = 2 ** 24 + 3000
+        mu = build_sieve(limit).mu
+        rng = random.Random(3)
+        picks = [*range(limit - 3000, limit + 1),
+                 *(rng.randrange(1, limit) for _ in range(2000)),
+                 4093 * 4099, 2 * 4099, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]
+        assert [mu[n] for n in picks] == [mobius_by_factoring(n) for n in picks]
 
     def test_factorize(self):
         assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
