@@ -47,9 +47,9 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from operator import add, floordiv, mul
+from operator import add, floordiv, getitem, mul, sub
 
-from .exactnum import Frozen, build_sieve, factorize, primes_upto
+from .exactnum import Frozen, build_sieve, factorize, primes_upto, totients
 from .projpoint import (Metric, PrimPoint, VarietyId, blowup_from_plane, blowup_point,
                         card_projective_mod, enum_projective_mod)
 from .tamagawa import closed_form, cone_alpha, nu_window
@@ -303,39 +303,56 @@ def _sorted_ball(left: int, rem: int, v: int, run: int, weight: int, nz: int) ->
             + (weight // math.factorial(run + 2) << nz + 2 * (v > 0)))
 
 
-def _residue_counts(modulus: int, lo: int, hi: int) -> list:
-    """[#{z in [lo, hi] : z = c (mod M)} for c in 0..M-1]."""
-    if hi < lo:
-        return [0] * modulus
-    return [(hi - c) // modulus - (lo - 1 - c) // modulus for c in range(modulus)]
-
-
 def count_classes_pn(n: int, modulus: int, bound: int) -> dict:
     """Exact per-class counts of sup-height <= B points by reduction mod M.
 
     Congruence-restricted Mobius sieve.  A point of class [c] has two
     primitive vectors, +-y, and y = t c (mod M) for one unit t, as c is
-    primitive mod M.  So no prime of M divides all of y, only d prime to M
-    contribute, and for those y/d = (t/d) c with t/d running over the
-    units: the term of d depends on q = floor(B/d) alone, summed over
-    `_quotient_runs` with the sums of mu(d) over d prime to M from
-    `_CoprimeMertens` (O(B^(2/3)) work, no table of size B).  As z and -z
-    are equally often in |z| <= q, classes that differ by permuting or
-    negating coordinates share their count.
+    primitive mod M.  So no prime of M divides all of y, and twice the
+    count is sum_t sum_d mu(d) prod_i #{|z| <= floor(B/d) : z = t c_i} over
+    d prime to M: `_quotient_runs` of q = floor(B/d), weighted by sums of
+    mu(d) from `_CoprimeMertens` (O(B^(2/3)) work, no table of size B).
+
+    For q = M a + rho, 0 <= rho < M, a factor is 2a + v with v = [s <= rho]
+    + [M - s <= rho], s = min(r, M - r) the distance of the residue r to 0.
+    As s <= M/2 <= M - s, rho meets the compositions (i1, i2), i_j the
+    coordinates with v = j, in one order, (0, 0) .. (n+1, 0), (n, 1) ..
+    (0, n+1), cut at the sorted distances s_1 .. s_(n+1) and then at
+    M - s_(n+1) .. M - s_1.  So one pass over the runs fills, per
+    composition, prefix sums over rho of the sums of w (2a)^i0 (2a+1)^i1
+    (2a+2)^i2 over the runs with q = rho (mod M), and the sum over rho for
+    a unit t is the last composition's total plus, per coordinate of t c,
+    the steps between neighbouring prefix sums at its two cuts (`rank`).
+    The distance tuples of one class share its count, as do classes that
+    differ by permuting or negating coordinates.  Work:
+    runs x (2n+3) products plus keys x phi(M) x (n+1) steps, no factor of
+    B, and the Mertens O(B^(2/3)).
     """
     prime_to_m = _CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
-    runs = [(_residue_counts(modulus, -q, q), w)
-            for q, w in _quotient_runs(bound, bound, prime_to_m, 1)]
+    k = n + 1
+    walk = [(i1, 0) for i1 in range(k)] + [(k - i2, i2) for i2 in range(k + 1)]
+    prefix = [[0] * (modulus + 1) for _ in walk]
+    for q, w in _quotient_runs(bound, bound, prime_to_m, 1):
+        x = 2 * (q // modulus)
+        for (i1, i2), col in zip(walk, prefix):
+            col[q % modulus + 1] += w * x ** (k - i1 - i2) * (x + 1) ** i1 * (x + 2) ** i2
+    prefix = [list(itertools.accumulate(col)) for col in prefix]
+    step = [list(map(sub, before, after)) for before, after in itertools.pairwise(prefix)]
+    # rank[i][s]: the steps at s and at M - s of the i-th smallest distance s
+    rank = [list(map(add, step[i][:modulus // 2 + 1], step[~i][::-1])) for i in range(k)]
+
+    dist = [min(r, modulus - r) for r in range(modulus)]
     units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
-    keys = {cls: tuple(sorted(min(c, modulus - c) for c in cls.coords))
+    keys = {cls: tuple(sorted(dist[c] for c in cls.coords))
             for cls in enum_projective_mod(n, modulus)}
     counts = {}
-    for key in set(keys.values()):
-        total = sum(w * sum(math.prod(row[t * c % modulus] for c in key)
-                            for t in units)
-                    for row, w in runs)
-        assert total % 2 == 0 and total >= 0
-        counts[key] = total // 2
+    for key in keys.values():
+        if key not in counts:
+            orbit = [tuple(sorted(dist[t * s % modulus] for s in key)) for t in units]
+            total = prefix[-1][modulus] * len(units) + sum(
+                sum(map(getitem, rank, sigma)) for sigma in orbit)
+            assert total % 2 == 0 and total >= 0
+            counts.update(dict.fromkeys(orbit, total // 2))
     return {cls: counts[key] for cls, key in keys.items()}
 
 
@@ -353,7 +370,7 @@ def _p1_shells(cap: int, metric: Metric) -> list:
         # max(|a|, |b|) = t holds 4 phi(t) points: [t : c] and [c : t] with
         # gcd(c, t) = 1 and |c| < t for t >= 2; [1:0], [0:1], [1:1], [1:-1]
         # at t = 1
-        return [0] + [4 * f for f in build_sieve(cap).phi[1:]]
+        return [4 * f for f in totients(cap)]
     # Primitive [a : b] with a^2 + b^2 = t (two-squares theorem): 2 at t = 1,
     # and 2^(w+1) at t >= 2 when neither 4 nor a prime = 3 (mod 4) divides
     # t, w the number of primes = 1 (mod 4) of t.  shells[t] = 2^code[t],
@@ -547,8 +564,11 @@ def box_walk_cost(n: int, modulus: int, bound: int) -> int:
 
 
 def class_count_cost(n: int, modulus: int, bound: int) -> int:
-    """A-priori work of `count_classes_pn`, in products: at most
-    |P^n(Z/M)| classes times phi(M) units times 2 sqrt(B) quotient runs."""
+    """A-priori work of `count_classes_pn`, in products: |P^n(Z/M)|
+    classes times phi(M) units times 2 sqrt(B) quotient runs, the cost of a
+    walk over every run per class.  The prefix sums by residue take no
+    factor of sqrt(B) per class, so this is now an upper bound on the work;
+    `CLASS_WORK_LIMIT` is unchanged."""
     units = sum(math.gcd(t, modulus) == 1 for t in range(1, modulus))
     return card_projective_mod(n, modulus) * units * 2 * math.isqrt(bound)
 

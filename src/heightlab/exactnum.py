@@ -19,8 +19,9 @@ accepts each `geomcurve.CurveMap` and finds its splitting type, and the
 minima of `lattice` ask it the same question.
 
 `build_sieve` holds mu as one byte an entry, from `bytes.translate` and
-zero slices, with no Python step an entry; phi, which only the sup P^1
-shells and `tamagawa`'s prime test read, is computed on its first read.
+zero slices, with no Python step an entry; its phi, which `tamagawa`'s
+prime test reads, is computed on its first read.  `totients` is the one
+phi sieve, which the sup P^1 shells call alone, with no mu table.
 
 `Frozen` is the package's immutable value type: a subclass lists its
 fields as annotations, with class-level defaults, and gets construction
@@ -352,10 +353,27 @@ def primes_upto(n: int) -> Iterator[int]:
     return compress(range(n + 1), flags)
 
 
+def totients(limit: int) -> list:
+    """[phi(0), ..., phi(limit)] (phi(0) = 0) by a linear sieve:
+    phi(i p) = phi(i) p if p | i, else phi(i) (p - 1), each composite
+    reached once, from its least prime p."""
+    phi, primes = [0, 1] + [0] * (limit - 1), []
+    for i in range(2, limit + 1):
+        if not phi[i]:
+            phi[i] = i - 1
+            primes.append(i)
+        for p in primes:
+            if i * p > limit:
+                break
+            phi[i * p] = phi[i] * (p if i % p == 0 else p - 1)
+            if i % p == 0:
+                break
+    return phi
+
+
 class _Totients:
-    """phi(0..limit) for a `build_sieve` table, by a linear sieve on the
-    first read: phi(i p) = phi(i) p if p | i, else phi(i) (p - 1), each
-    composite reached once, from its least prime p."""
+    """phi(0..limit) for a `build_sieve` table, from `totients` on the
+    first read."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -365,18 +383,7 @@ class _Totients:
 
     @cached_property
     def values(self) -> list:
-        phi, primes = [0, 1] + [0] * (self.limit - 1), []
-        for i in range(2, self.limit + 1):
-            if not phi[i]:
-                phi[i] = i - 1
-                primes.append(i)
-            for p in primes:
-                if i * p > self.limit:
-                    break
-                phi[i * p] = phi[i] * (p if i % p == 0 else p - 1)
-                if i % p == 0:
-                    break
-        return phi
+        return totients(self.limit)
 
 
 # A sieve byte holds mu(n) in its low two bits (0, 1 = +1, 2 = -1), and in

@@ -226,6 +226,13 @@ def reference_p1_shells_euclid(cap):
     return np.bincount(np.concatenate(norms), minlength=cap + 1).tolist()
 
 
+def residue_counts(modulus, lo, hi):
+    """[#{z in [lo, hi] : z = c (mod M)} for c in 0..M-1]."""
+    if hi < lo:
+        return [0] * modulus
+    return [(hi - c) // modulus - (lo - 1 - c) // modulus for c in range(modulus)]
+
+
 def reference_box_walk(n, modulus, bound, box):
     """The numpy walk of `joint_class_box_counts`: a full table of residue
     counts per sup shell, the run weights of `count_classes_pn` at each
@@ -240,7 +247,7 @@ def reference_box_walk(n, modulus, bound, box):
         for a, b in iv:
             lo = -(-a.numerator * m // a.denominator)
             hi = b.numerator * m // b.denominator
-            counts = np.multiply.outer(counts, counting._residue_counts(
+            counts = np.multiply.outer(counts, residue_counts(
                 modulus, max(lo, -r), min(hi, r)))
         return counts.ravel()
 
@@ -321,7 +328,8 @@ class TestCoprimeMertens:
         (lambda b: count_pn(1, b), 10**8),
         (lambda b: count_classes_pn(2, 7, b), 10**6),
         (lambda b: joint_class_box_counts(2, 3, b, [(0, 1), (-1, 1), (-1, 1)]),
-         10**4)])
+         10**4),
+        pytest.param(lambda b: count_classes_pn(2, 7, b), 10**8, id="classes-10**8")])
     def test_sieve_work_is_sublinear(self, monkeypatch, count, bound):
         asked = []
 
@@ -403,10 +411,11 @@ class TestByteTable:
         assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0
 
     def test_sup_counts_never_read_phi(self, monkeypatch):
-        def refuse(self):
+        def refuse(limit):
             raise AssertionError("phi read")
 
-        monkeypatch.setattr(exactnum._Totients, "values", property(refuse))
+        monkeypatch.setattr(exactnum, "totients", refuse)
+        monkeypatch.setattr(counting, "totients", refuse)
         assert count_pn(1, 10 ** 8) == 12158542065463632
         with pytest.raises(AssertionError, match="phi read"):
             count_p1n(2, 100)
@@ -447,6 +456,27 @@ def reference_count_classes_pn(n, modulus, bound):
         assert total % 2 == 0 and total >= 0
         out[cls] = total // 2
     return out
+
+
+def reference_count_classes_runs(n, modulus, bound):
+    """The walk over the runs of floor(B/d) that count_classes_pn ran before
+    it folded them into prefix sums by floor(q/M) and q mod M, kept as an
+    oracle: per class key, unit and run, the product of the residue counts
+    of |z| <= q."""
+    prime_to_m = counting._CoprimeMertens(modulus, int_nth_root(bound * bound, 3))
+    runs = [(residue_counts(modulus, -q, q), w)
+            for q, w in counting._quotient_runs(bound, bound, prime_to_m, 1)]
+    units = [t for t in range(1, modulus) if math.gcd(t, modulus) == 1]
+    keys = {cls: tuple(sorted(min(c, modulus - c) for c in cls.coords))
+            for cls in enum_projective_mod(n, modulus)}
+    counts = {}
+    for key in set(keys.values()):
+        total = sum(w * sum(math.prod(row[t * c % modulus] for c in key)
+                            for t in units)
+                    for row, w in runs)
+        assert total % 2 == 0 and total >= 0
+        counts[key] = total // 2
+    return {cls: counts[key] for cls, key in keys.items()}
 
 
 def brute_class_counts(n, modulus, bound):
@@ -511,6 +541,30 @@ class TestClassCounts:
         assert counts[ModPoint(7, (0, 0, 1))] == 58378813934097
         assert counts[ModPoint(7, (1, 1, 1))] == 58380547085299
         assert counts[ModPoint(7, (1, 2, 3))] == 58380547011285
+
+
+class TestClassBreakpoints:
+    # the runs folded by floor(q/M) and q mod M against the walk over them:
+    # fewer runs than residues (M = 37, B = 5), no runs (B = 0), one (B = 1),
+    # and the jittered bounds of the benchmark's mod-7 plane
+    @given(st.integers(1, 3), st.integers(2, 40), st.integers(0, 3000))
+    @settings(max_examples=30, deadline=None)
+    @example(1, 37, 5)
+    @example(2, 37, 5)
+    @example(2, 7, 0)
+    @example(3, 6, 1)
+    @example(2, 7, 3500)
+    @example(2, 7, 3517)
+    @example(2, 7, 3535)
+    def test_matches_run_walk(self, n, modulus, bound):
+        got = count_classes_pn(n, modulus, bound)
+        want = reference_count_classes_runs(n, modulus, bound)
+        assert list(got.items()) == list(want.items())
+
+    # past the reach of the oracles, the classes still add up to P^n
+    @pytest.mark.parametrize("n,modulus", [(2, 7), (3, 5)])
+    def test_classes_sum_to_the_count_at_1e7(self, n, modulus):
+        assert sum(count_classes_pn(n, modulus, 10 ** 7).values()) == count_pn(n, 10 ** 7)
 
 
 class TestProducts:
