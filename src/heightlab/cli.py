@@ -298,14 +298,21 @@ def _coords_token(coords) -> str:
     return ":".join(map(str, coords))
 
 
+def _pair_text(num: int, den: int) -> str:
+    """str(_num(Fraction(num, den))) for num/den in lowest terms, den > 0,
+    with no Fraction built."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 def _enum_tokens(w: HeightWindow) -> list:
-    """The tokens of `enum_points(w)`, in its order.  P^n points are
-    formatted from their coordinate tuples and each P^1 factor of a product
-    once, so neither builds a `PrimPoint` per point."""
+    """The tokens of `enum_points(w)`, in its order.  The P^n walk yields
+    tuples of coordinate strings, each value formatted once, and each P^1
+    factor of a product is formatted once, so neither builds a `PrimPoint`
+    per point."""
     shells, joint = _shell_spec(w)
     if w.variety.kind == "pn":
-        return [_coords_token(c)
-                for c in _pn_coords(w.variety.n, *shells[0], w.metric)]
+        return list(map(":".join, _pn_coords(w.variety.n, *shells[0],
+                                             w.metric, label=str)))
     if w.variety.kind == "p1n":
         return list(map(",".join, _p1n_points(shells, joint, w.metric,
                                               factor=_coords_token)))
@@ -379,15 +386,18 @@ _CACHE_HEADER = "# points "
 
 
 def _read_cache(path: Path) -> list | None:
-    """The cached tokens, or None when the file is missing or its row count
-    disagrees with its header."""
+    """The cached tokens, or None when the file is missing, its head is not
+    the point count and the column name, or its lines after the head are
+    not that many tokens, each ended by a newline."""
     if not path.exists():
         return None
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith(_CACHE_HEADER):
+    lines = path.read_text().split("\n")
+    # a whole file splits into the head, the column, the tokens and a last ""
+    tokens = lines[2:-1]
+    if (lines[0] != f"{_CACHE_HEADER}{len(tokens)}" or lines[1:2] != ["point"]
+            or lines[-1] != "" or "" in tokens):
         return None
-    tokens = [line for line in lines[1:] if line and line != "point"]
-    return tokens if lines[0] == f"{_CACHE_HEADER}{len(tokens)}" else None
+    return tokens
 
 
 def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
@@ -404,9 +414,8 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
             fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write(f"{_CACHE_HEADER}{len(tokens)}\n")
-                    fh.write("point\n")
-                    fh.write("".join(t + "\n" for t in tokens))
+                    fh.write("\n".join([f"{_CACHE_HEADER}{len(tokens)}",
+                                         "point", *tokens, ""]))
                 os.replace(tmp, cache_file)
             except BaseException:
                 # a failed write (a full disk, say) leaves no partial file
@@ -672,11 +681,10 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
         raise UsageError(f"--alpha {_num(zc.alpha)} and --bound "
                          f"{_num(zc.B)}: the rescaling factor B^alpha is "
                          f"past the float range")
-    # the strings of each factor once
+    # the strings of each factor once, gathered into each point's row
     names = [_coords_token(x) for x, _ in cloud.factors]
-    charts = [[str(_num(y)) for y in ys] for _, ys in cloud.factors]
-    tokens = [",".join(map(names.__getitem__, t)) for t in cloud.index]
-    chart = [[y for k in t for y in charts[k]] for t in cloud.index]
+    tokens = list(map(",".join, cloud.gather([names])))
+    chart = list(cloud.gather(cloud.chart_columns(_pair_text)))
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,
         "center": args.center, "alpha": str(_num(zc.alpha)),
@@ -684,23 +692,23 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
         "window": window, "size": cloud.size,
         "points": tokens,
         "chart": chart,
-        "rescaled": [list(ys) for ys in rescaled],
-        "heights": list(cloud.heights),
+        "rescaled": rescaled,
+        "heights": cloud.heights,
     }
     cols = ["point", "height"]
-    rows = [[t, h] for t, h in zip(tokens, cloud.heights)]
+    columns = [tokens, cloud.heights]
     if args.overlay_freeness:
         overlay = zoom_freeness_overlay(cloud)
-        data["freeness"] = list(overlay)
+        data["freeness"] = overlay
         cols.append("freeness")
-        for row, l in zip(rows, overlay):
-            row.append(l)
+        columns.append(overlay)
     if args.delta is not None:
         data["delta"] = str(_num(args.delta))
         # an empty cloud has no share, as `_ratio` reports 0/0
         data["fiber_share"] = (fiber_share(cloud, args.delta) if cloud.size
                                else None)
-    return data, (cols, rows)
+    # csv takes any iterable of rows, so the table holds no row lists
+    return data, (cols, zip(*columns))
 
 
 def _cmd_motivic(cfg: RunConfig, args) -> tuple:

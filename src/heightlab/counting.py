@@ -577,39 +577,49 @@ def class_count_cost(n: int, modulus: int, bound: int) -> int:
 # enumeration: lexicographic, exact, partitionable by leading coordinate
 
 
-def _iter_coords(n_coords: int, radius: int, first_range=None) -> Iterator:
-    """Canonical primitive integer tuples in lexicographic order, sup box."""
+def _iter_coords(n_coords: int, radius: int, first_range=None, cells=None) -> Iterator:
+    """Canonical primitive integer tuples in lexicographic order, sup box.
+
+    cells, when given, holds a label for each value -radius..radius in
+    turn, and each tuple then holds the labels of its coordinates in their
+    place; the gcd is still taken on the values.
+    """
     first = range(0, radius + 1) if first_range is None else first_range
     full = range(-radius, radius + 1)
+    cells = full if cells is None else cells
     for y0 in first:
         if y0 == 0:
             if n_coords > 1:
-                yield from map((0,).__add__, _iter_coords(n_coords - 1, radius))
+                yield from map((cells[radius],).__add__,
+                               _iter_coords(n_coords - 1, radius, None, cells))
         elif y0 <= radius:
             if n_coords == 1:
                 if y0 == 1:
-                    yield (1,)
+                    yield (cells[radius + 1],)
                 continue
-            yield from _coprime_tails((y0,), y0, n_coords - 1, full)
+            yield from _coprime_tails((cells[radius + y0],), y0, n_coords - 1,
+                                      full, cells)
 
 
-def _coprime_tails(prefix: tuple, g: int, k: int, full: range) -> Iterator:
+def _coprime_tails(prefix: tuple, g: int, k: int, full: range, cells) -> Iterator:
     """prefix + t for the tails t in full^k with gcd(g, *t) = 1, where g is
-    the gcd of the prefix, in lexicographic order.
+    the gcd of the prefix, in lexicographic order; cells[i] stands in the
+    tuples for the value full[i].
 
     The walk carries the gcd down: once it is 1 every tail is primitive and
     none is tested, and while it is g > 1 the next coordinate y only needs
     gcd(g, y).
     """
     if g == 1:
-        yield from itertools.product(*[(v,) for v in prefix], *[full] * k)
+        yield from itertools.product(*[(c,) for c in prefix], *[cells] * k)
     elif k == 1:
-        for y in full:
+        for y, c in zip(full, cells):
             if math.gcd(g, y) == 1:
-                yield prefix + (y,)
+                yield prefix + (c,)
     else:
-        for y in full:
-            yield from _coprime_tails(prefix + (y,), math.gcd(g, y), k - 1, full)
+        for y, c in zip(full, cells):
+            yield from _coprime_tails(prefix + (c,), math.gcd(g, y), k - 1,
+                                      full, cells)
 
 
 def _pn_orbits(n: int, o1_bound: Fraction, metric: Metric) -> Iterator[tuple]:
@@ -763,12 +773,22 @@ def _pn_points(n: int, lo: int, hi: int, metric: Metric, first_range=None) -> It
     return map(PrimPoint, _pn_coords(n, lo, hi, metric, first_range))
 
 
-def _pn_coords(n: int, lo: int, hi: int, metric: Metric, first_range=None) -> Iterator[tuple]:
-    """The coordinate tuples of `_pn_points`, in its order."""
-    coords = _iter_coords(n + 1, _shell_radius(hi, metric), first_range)
+def _pn_coords(n: int, lo: int, hi: int, metric: Metric, first_range=None,
+               label=None) -> Iterator[tuple]:
+    """The coordinate tuples of `_pn_points`, in its order, or with label
+    the tuples of label(y) for their coordinates y, label called once per
+    value of the walk."""
+    radius = _shell_radius(hi, metric)
+    cells = None if label is None else list(map(label, range(-radius, radius + 1)))
     if metric is Metric.SUP and lo <= 1:
-        return coords  # the sup box is the whole range
-    return (t for t in coords if lo <= _shell_value(t, metric) <= hi)
+        # the sup box is the whole range
+        return _iter_coords(n + 1, radius, first_range, cells)
+    coords = (t for t in _iter_coords(n + 1, radius, first_range)
+              if lo <= _shell_value(t, metric) <= hi)
+    if cells is None:
+        return coords
+    table = cells[radius:] + cells[:radius]  # table[y] labels y, y < 0 too
+    return (tuple(map(table.__getitem__, t)) for t in coords)
 
 
 def _p1n_points(shells: list, joint: int, metric: Metric, first_range=None,

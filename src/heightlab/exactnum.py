@@ -14,9 +14,9 @@ Fraction; rational matrices are scaled to integers by their callers.
 `int_det` and `int_adjugate` use fraction-free (Bareiss) elimination, so
 every intermediate entry is an integer minor of the input.  `IntEchelon`
 answers "is this row independent of the rows added before it?" one row at
-a time; `int_rank` counts the rows it keeps, the mu-basis walk that
-accepts each `geomcurve.CurveMap` and finds its splitting type, and the
-minima of `lattice` ask it the same question.
+a time; the mu-basis walk that accepts each `geomcurve.CurveMap` and finds
+its splitting type, and the minima of `lattice`, ask it that question (the
+tests' `int_rank` counts the rows it keeps).
 
 `build_sieve` holds mu as one byte an entry, from `bytes.translate` and
 zero slices, with no Python step an entry; its phi, which `tamagawa`'s
@@ -309,12 +309,6 @@ class IntEchelon:
             # entry k cancels, so the row shrinks by one
             row = [a * x - b * y for x, y in zip(row[:k], piv)]
         return False
-
-
-def int_rank(rows) -> int:
-    """Rank of an integer matrix of any shape: the rows an `IntEchelon` keeps."""
-    ech = IntEchelon()
-    return sum(ech.add(row) for row in rows)
 
 
 def int_adjugate(m) -> list:

@@ -79,10 +79,12 @@ class ZoomCloud(Frozen):
 
     Each row of `factors` is (coordinates, tuple of chart values): a whole
     point on P^n, one P^1 factor on (P^1)^n, each distinct factor listed
-    once.  `index` gives each point's factors as positions in `factors`,
+    once.  A chart value is a pair (num, den) of integers in lowest terms,
+    den > 0.  `index` gives each point's factors as positions in `factors`,
     ((0,), (1,), ...) on P^n.  The work that depends on one factor alone
     (rescaling, the band test of `fiber_share`, the norms of the overlay,
-    the command line's strings) reads it once per factor.
+    the command line's strings) reads it once per factor, into a list by
+    factor position, and `gather` hands each point its entries.
     """
 
     config: ZoomConfig
@@ -94,6 +96,18 @@ class ZoomCloud(Frozen):
     def size(self) -> int:
         return len(self.index)
 
+    def gather(self, columns: Sequence) -> Iterator[tuple]:
+        """Each point's row, in cloud order: the entries of columns, lists
+        indexed by factor position, of its first factor, then of its
+        second, and so on."""
+        return _gather(self.index, columns)
+
+    def chart_columns(self, f) -> list:
+        """f(num, den) of each chart value, one list per chart coordinate
+        of a factor, indexed by factor position."""
+        return [[f(*y) for y in col]
+                for col in zip(*(ys for _, ys in self.factors))]
+
     @cached_property
     def points(self) -> tuple:
         """A PrimPoint per point of P^n, a tuple of pairs per point of
@@ -101,22 +115,20 @@ class ZoomCloud(Frozen):
         coords = [x for x, _ in self.factors]
         if self.config.variety.kind == "pn":
             return tuple(PrimPoint(coords[i]) for (i,) in self.index)
-        return tuple(tuple(map(coords.__getitem__, t)) for t in self.index)
+        return tuple(self.gather([coords]))
 
     @cached_property
     def chart(self) -> tuple:
         """The chart values of each point, Fractions."""
-        return self._per_point([ys for _, ys in self.factors])
+        return tuple(self.gather(self.chart_columns(Fraction)))
 
     @cached_property
     def rescaled(self) -> tuple:
-        scale = float(self.B_pow_alpha())
-        return self._per_point([tuple(float(y) * scale for y in ys)
-                                for _, ys in self.factors])
-
-    def _per_point(self, per: list) -> tuple:
-        """Each point's values: those in per of its factors, in turn."""
-        return tuple(tuple([v for k in t for v in per[k]]) for t in self.index)
+        """The chart values of each point times B^alpha, floats: num / den
+        is the float nearest the value, as float(Fraction) gives it."""
+        scale = self.B_pow_alpha()
+        return tuple(self.gather(self.chart_columns(
+            lambda num, den: num / den * scale)))
 
     def B_pow_alpha(self) -> float:
         return float(self.config.B) ** float(self.config.alpha)
@@ -176,7 +188,8 @@ def _near(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
     the first q whose own shell value exceeds cap: rows (x, chart values,
     shell value) for each primitive x with shell value at most cap whose
     coordinate j, the center's last nonzero one, is q.  x is normalized,
-    and the chart values are x_i / q - center_i / center_j, i != j.
+    and the chart values are x_i / q - center_i / center_j, i != j, each a
+    pair (num, den) in lowest terms with den > 0.
 
     The shell value is the sup height, or the squared euclid one, so caps
     stay integral: it is at least that of q, and at most cap only if each
@@ -191,6 +204,8 @@ def _near(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
         if own > cap:
             return
         t = math.isqrt(cap - own) if euclid else cap
+        # a/q - cn/cd = (a cd - cn q) / (q cd)
+        dens = [(c.numerator * q, q * c.denominator, c.denominator) for c in cf]
         rows = []
         for combo in iproduct(*(range(max(w.start, -t), min(w.stop, t + 1))
                                 for w in windows)):
@@ -200,13 +215,21 @@ def _near(cfg: ZoomConfig, center: tuple, cap: int) -> Iterator[tuple]:
             s = _shell_value(x, cfg.metric)
             if s > cap:
                 continue
-            ys = tuple(Fraction(a * c.denominator - c.numerator * q,
-                                q * c.denominator)  # a/q - c
-                       for a, c in zip(combo, cf))
+            ys = []
+            for a, (cq, den, cd) in zip(combo, dens):
+                num = a * cd - cq
+                g = math.gcd(num, den)
+                ys.append((num // g, den // g))
             if next(v for v in x if v) < 0:  # first nonzero made positive
                 x = [-v for v in x]
-            rows.append((tuple(x), ys, s))
+            rows.append((tuple(x), tuple(ys), s))
         yield q, rows
+
+
+def _gather(index: tuple, columns: Sequence) -> Iterator[tuple]:
+    # per position in the points' factor tuples, one C-level map per column
+    return zip(*(map(col.__getitem__, c) for c in zip(*index)
+                 for col in columns))
 
 
 def _cloud(cfg: ZoomConfig, rows: list, index) -> ZoomCloud:
@@ -215,11 +238,9 @@ def _cloud(cfg: ZoomConfig, rows: list, index) -> ZoomCloud:
     the sup height or the squared euclid one."""
     index = tuple(index)
     keys = [row[2] for row in rows]
-    euclid = cfg.metric is Metric.EUCLID
-    heights = []
-    for t in index:
-        h = float(math.prod(map(keys.__getitem__, t)))
-        heights.append(math.sqrt(h) if euclid else h)
+    heights = map(float, map(math.prod, _gather(index, [keys])))
+    if cfg.metric is Metric.EUCLID:
+        heights = map(math.sqrt, heights)
     return ZoomCloud(config=cfg, factors=tuple(row[:2] for row in rows),
                      index=index, heights=tuple(heights))
 
@@ -322,10 +343,9 @@ def fiber_share(cloud: ZoomCloud, delta) -> float:
     if cloud.size == 0:
         raise ValueError("empty cloud")
     tn, td, r = _radius_power(delta, cloud.config)
-    near = [abs(y.numerator) ** r * td <= tn * y.denominator ** r
-            for _, (y,) in cloud.factors]
-    hits = sum(1 for t in cloud.index if any(map(near.__getitem__, t)))
-    return hits / cloud.size
+    near = [abs(num) ** r * td <= tn * den ** r
+            for _, ((num, den),) in cloud.factors]
+    return sum(map(any, cloud.gather([near]))) / cloud.size
 
 
 def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
@@ -342,4 +362,4 @@ def zoom_freeness_overlay(cloud: ZoomCloud) -> tuple:
     # the half-log of the euclid norm of each distinct factor, once
     logs = [math.log(_shell_value(pair, Metric.EUCLID)) / 2
             for pair, _ in cloud.factors]
-    return tuple(_p1n_l([logs[k] for k in t]) for t in cloud.index)
+    return tuple(map(_p1n_l, cloud.gather([logs])))

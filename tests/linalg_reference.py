@@ -1,12 +1,21 @@
 """Reference Fraction eliminations for the integer linear algebra.
 
 Plain Gaussian and Gauss-Jordan elimination over `Fraction`: slow, but
-obviously exact.  The tests compare `exactnum.int_det`, `int_rank`,
-`int_adjugate`, the positivity check of `EucLattice`, `dual_lattice` and
-the cone coefficients of `tamagawa` against them.
+obviously exact.  The tests compare `exactnum.int_det`, `int_adjugate`,
+the rank `int_rank` reads off `exactnum.IntEchelon`, the positivity check
+of `EucLattice`, `dual_lattice` and the cone coefficients of `tamagawa`
+against them.
 """
 
 from fractions import Fraction
+
+from heightlab.exactnum import IntEchelon
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix of any shape: the rows an `IntEchelon` keeps."""
+    ech = IntEchelon()
+    return sum(ech.add(row) for row in rows)
 
 
 def reference_det(m) -> Fraction:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib
@@ -25,10 +26,13 @@ from heightlab import cli
 from heightlab.cli import VERSION, main
 from heightlab.counting import (
     P1_SHELL_LIMIT,
+    _pn_coords,
+    _shell_spec,
     bounded_window,
     count_points,
     count_window,
     enum_points,
+    partition_leading_ranges,
 )
 from heightlab.counting import HeightWindow
 from heightlab import geomcurve, tamagawa
@@ -142,6 +146,25 @@ class TestCount:
             "count --bound 10 --dim 1 --metric sup --variety pn"
 
 
+def _point_token(p) -> str:
+    """enumerate's token of a point of `enum_points`, from str of each
+    coordinate."""
+    if isinstance(p, PrimPoint):
+        return ":".join(map(str, p.coords))
+    return ",".join(":".join(map(str, f.coords)) for f in p)
+
+
+_TOKEN_WINDOWS = [
+    *(bounded_window(variety("pn", n), b, m)
+      for n, b in ((1, 30), (2, 9), (3, 4)) for m in Metric),
+    # lowest shell above 1 (4 sup, 16 euclid): the sup walk is filtered too
+    *(HeightWindow(variety=variety("pn", n), metric=m, box=((2, 5),),
+                   scale=2) for n in (1, 2) for m in Metric),
+    *(bounded_window(variety(kind, 2), b, m)
+      for kind, b in (("p1n", 40), ("blowup", 5)) for m in Metric),
+]
+
+
 class TestEnumerate:
     def test_matches_library_order(self, tmp_path, capsys):
         doc = run_json(capsys, ["enumerate", "--variety", "pn", "--dim", "1",
@@ -170,6 +193,23 @@ class TestEnumerate:
         w = bounded_window(variety(kind, 2), bound)
         assert sum(1 for _ in enum_points(w)) == doc["count"]
         assert built
+
+    @pytest.mark.parametrize("w", _TOKEN_WINDOWS,
+                             ids=lambda w: f"{w.variety.kind}{w.variety.n}-"
+                             f"{w.metric.value}-{'box' if w.box else 'ball'}")
+    def test_tokens_match_library_points(self, w):
+        expect = list(map(_point_token, enum_points(w)))
+        assert len(expect) > 3
+        assert cli._enum_tokens(w) == expect
+        # the leading-range pieces, concatenated, give the same tokens
+        pieces = partition_leading_ranges(w, 3)
+        assert len(pieces) == 3
+        assert [t for r in pieces for t in map(_point_token,
+                                                enum_points(w, r))] == expect
+        if w.variety.kind == "pn":
+            (lo, hi), = _shell_spec(w)[0]
+            assert [t for r in pieces for t in map(":".join, _pn_coords(
+                w.variety.n, lo, hi, w.metric, r, label=str))] == expect
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -241,6 +281,29 @@ class TestEnumerate:
         lines = whole.splitlines()
         assert lines[:2] == [f"# points {len(lines) - 2}", "point"]
         cached.write_text("\n".join(lines[:-3]) + "\n")
+        warm = tmp_path / "warm.csv"
+        assert main(argv + ["--out", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert cached.read_text() == whole
+
+    @pytest.mark.parametrize("recount", [False, True],
+                             ids=["head-kept", "head-recounted"])
+    def test_blank_line_in_body_is_a_miss(self, tmp_path, recount):
+        # no token is empty, so a blank line marks an edited file, also
+        # when the head counts it
+        cache = tmp_path / "cache"
+        argv = ["enumerate", "--variety", "pn", "--dim", "2", "--bound", "3",
+                "--format", "csv", "--cache-dir", str(cache)]
+        cold = tmp_path / "cold.csv"
+        assert main(argv + ["--out", str(cold)]) == 0
+        cached = cache / f"pn2_sup_B3_v{VERSION}.csv"
+        whole = cached.read_text()
+        lines = whole.split("\n")
+        count = len(lines) - 3
+        lines.insert(5, "")
+        if recount:
+            lines[0] = f"# points {count + 1}"
+        cached.write_text("\n".join(lines))
         warm = tmp_path / "warm.csv"
         assert main(argv + ["--out", str(warm)]) == 0
         assert warm.read_bytes() == cold.read_bytes()
@@ -709,7 +772,77 @@ class TestCurve:
         assert captured.err.count("\n") == 1
 
 
+_ZOOM_CASES = [
+    ("pn", 1, "1:3", "1", "40", None),
+    ("pn", 1, "0:1", "1/2", "60", None),
+    ("pn", 2, "-2:-4:6", "1/2", "30", None),
+    ("pn", 2, "0:1:3", "1/2", "25", None),
+    ("p1n", 2, "1:2,0:1", "1", "60", "1/10"),
+    ("p1n", 2, "-1:3,1:2", "1/2", "40", "1/3"),
+    ("p1n", 3, "1:2,1:0,-1:2", "1/2", "10", "1/2"),
+]
+
+
+def _parsed_center(kind, text):
+    pts = [tuple(int(x) for x in part.split(":")) for part in text.split(",")]
+    return pts[0] if kind == "pn" else tuple(pts)
+
+
 class TestZoom:
+    @pytest.mark.parametrize("metric", ["sup", "euclid"])
+    @pytest.mark.parametrize("kind, dim, center, alpha, bound, delta",
+                             _ZOOM_CASES,
+                             ids=[f"{c[0]}{c[1]}-{c[2]}-{c[3]}"
+                                  for c in _ZOOM_CASES])
+    def test_output_matches_fraction_reference(self, capsys, metric, kind,
+                                               dim, center, alpha, bound,
+                                               delta):
+        """Every JSON and CSV byte equals a reference formed point by point
+        from the cloud's Fraction chart values: strings through `_num`,
+        rescaled floats as float(y) * B^alpha."""
+        argv = ["zoom", "--variety", kind, "--dim", str(dim),
+                f"--center={center}", "--alpha", alpha, "--radius", "2",
+                "--bound", bound, "--metric", metric, "--overlay-freeness"]
+        if delta is not None:
+            argv += ["--delta", delta]
+        cloud = zoom_cloud(ZoomConfig(
+            variety=variety(kind, dim), center=_parsed_center(kind, center),
+            alpha=Fraction(alpha), R=2, B=Fraction(bound),
+            metric=Metric(metric)))
+        assert cloud.size > 3
+        assert all(type(y) is Fraction for ys in cloud.chart for y in ys)
+        if kind == "pn":
+            tokens = [":".join(map(str, p.coords)) for p in cloud.points]
+        else:
+            tokens = [",".join(":".join(map(str, f)) for f in pt)
+                      for pt in cloud.points]
+        scale = float(Fraction(bound)) ** float(Fraction(alpha))
+        overlay = list(zoom_freeness_overlay(cloud))
+        expect = {
+            "points": tokens,
+            "chart": [[str(cli._num(y)) for y in ys] for ys in cloud.chart],
+            "rescaled": [[float(y) * scale for y in ys] for ys in cloud.chart],
+            "heights": list(cloud.heights),
+            "freeness": overlay,
+        }
+        if delta is not None:
+            expect["fiber_share"] = fiber_share(cloud, Fraction(delta))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert {k: doc[k] for k in expect} == expect
+        doc.update(expect)
+        assert out == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+        assert main(argv + ["--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        head = out.split("\n", 2)[:2]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["point", "height", "freeness"])
+        writer.writerows(zip(tokens, cloud.heights, overlay))
+        assert out == "\n".join(head) + "\n" + buf.getvalue()
+
     def test_pure_fiber_cloud(self, capsys):
         doc = run_json(capsys, ["zoom", "--variety", "p1n", "--dim", "2",
                                 "--center", "0:1,0:1", "--alpha", "1",

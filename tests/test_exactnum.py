@@ -12,10 +12,9 @@ from heightlab.exactnum import (
     factorize,
     int_adjugate,
     int_det,
-    int_rank,
     zeta,
 )
-from linalg_reference import reference_adjugate, reference_det, reference_rank
+from linalg_reference import int_rank, reference_adjugate, reference_det, reference_rank
 
 
 def half_log(q) -> LogLin:

@@ -29,9 +29,9 @@ from heightlab.geomcurve import (
     splitting_type,
     twisted_cubic,
 )
-from heightlab.exactnum import IntEchelon, int_rank
+from heightlab.exactnum import IntEchelon
 
-from linalg_reference import reference_rank
+from linalg_reference import int_rank, reference_rank
 
 
 def change_coordinates(c: CurveMap, mat) -> CurveMap:
