@@ -21,6 +21,7 @@ import os
 import re
 import sys
 import tempfile
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,7 +84,8 @@ from .projpoint import (
     variety,
 )
 from .tamagawa import assemble_constant, closed_form, uniform_class_share
-from .zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
+from .zoomlab import (
+    ZoomConfig, _gather, fiber_share, zoom_cloud, zoom_freeness_overlay)
 
 # every exception class of the package, and json.JSONDecodeError, is a
 # ValueError, so a failed computation exits 3 whichever layer raised it
@@ -207,11 +209,31 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                      seed=args.seed)
 
 
+class Gathered(Frozen):
+    """A list that the JSON renderer writes from per-factor columns, each
+    value encoded once.
+
+    columns, one or more, are lists of scalars indexed by factor position.
+    Item k is the row of the values of every column at each position of
+    index[k] in turn, as `ZoomCloud.gather` lists it; every index[k] has
+    as many positions.
+    """
+
+    index: Sequence
+    columns: Sequence
+
+    def items(self) -> list:
+        """The items the value stands for: the rows, or as many empty rows
+        as index has items where those hold no position."""
+        rows = list(_gather(self.index, self.columns))
+        return rows or [()] * len(self.index)
+
+
 # json.dumps(indent=2) runs the pure-Python encoder; the C encoder writes a
 # list of scalars with "\n" between the items, and an encoded token never
 # holds a raw newline, so one call and a split give every token of the list
 _ENCODE = json.JSONEncoder(separators=("\n", ": "), allow_nan=False).encode
-_NESTED = (dict, list, tuple)
+_NESTED = (dict, list, tuple, Gathered)
 
 
 def _tokens(values) -> list:
@@ -221,14 +243,17 @@ def _tokens(values) -> list:
 
 
 def _nested(kinds) -> bool:
-    """Whether a set of types holds a dict, list or tuple type."""
+    """Whether a set of types holds a dict, list, tuple or Gathered type."""
     return any(issubclass(k, _NESTED) for k in kinds)
 
 
 def _items(values, pad: str) -> list:
     """Each of values as json.dumps(indent=2) writes it on a line that
     starts with pad.  Scalars take one C encoder call; so do the items of
-    rows that hold only scalars, which are flattened and regrouped."""
+    rows that hold only scalars, which are flattened and regrouped by one
+    Python step per row.  Rows gathered from per-factor columns come as a
+    Gathered value instead, which `_dump` writes with no step per row and
+    each value formatted once per factor."""
     kinds = set(map(type, values))
     if not _nested(kinds):
         return _tokens(values)
@@ -247,9 +272,34 @@ def _items(values, pad: str) -> list:
             for v in values]
 
 
+def _dump_gathered(g: Gathered, pad: str) -> str:
+    """_dump of the items g stands for: one C encoder call per column, the
+    values of each factor joined once, and each item one C-level join of
+    its factors' texts."""
+    if not g.index:
+        return "[]"
+    inner = pad + "  "
+    if not g.index[0]:
+        items = ["[]"] * len(g.index)
+    else:
+        row, last = inner + "  ", len(g.index[0]) - 1
+        sep = "," + row
+        cells = list(map(sep.join, zip(*map(_tokens, g.columns))))
+        # a factor's text at each position: the row's head before the
+        # first, a separator before the others, the row's tail after the last
+        heads = ["[" + row] + [sep] * last
+        tails = [""] * last + [inner + "]"]
+        parts = [[h + c + t for c in cells] for h, t in zip(heads, tails)]
+        items = map("".join, zip(*(map(p.__getitem__, c)
+                                   for p, c in zip(parts, zip(*g.index)))))
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _dump(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, allow_nan=False) for a dict, list or tuple
-    whose first line starts with pad ("\n" and its indent)."""
+    """json.dumps(obj, indent=2, allow_nan=False) for a dict, list, tuple
+    or Gathered whose first line starts with pad ("\n" and its indent)."""
+    if type(obj) is Gathered:
+        return _dump_gathered(obj, pad)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "
@@ -259,6 +309,14 @@ def _dump(obj, pad: str) -> str:
                                             _items(list(obj.values()), inner))]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return "[" + inner + ("," + inner).join(_items(obj, inner)) + pad + "]"
+
+
+def _expand(obj):
+    """json.dumps's default: a Gathered value's items, else the TypeError
+    json.dumps raises."""
+    if type(obj) is Gathered:
+        return obj.items()
+    return json.JSONEncoder().default(obj)
 
 
 def _render(cfg: RunConfig, data: dict, table) -> str:
@@ -271,7 +329,8 @@ def _render(cfg: RunConfig, data: dict, table) -> str:
         except ValueError:
             # NaN or inf: the C encoder's message names no value, so let
             # json.dumps raise the same error with the value named
-            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+            return json.dumps(doc, indent=2, allow_nan=False,
+                              default=_expand) + "\n"
     if table is None:
         cols = [k for k, v in data.items()
                 if not isinstance(v, (dict, list, tuple))]
@@ -676,23 +735,23 @@ def _cmd_zoom(cfg: RunConfig, args) -> tuple:
                          "past the float range")
     cloud = zoom_cloud(zc)
     try:
-        rescaled = cloud.rescaled
+        rescaled = cloud.rescaled_columns()
     except OverflowError:
         raise UsageError(f"--alpha {_num(zc.alpha)} and --bound "
                          f"{_num(zc.B)}: the rescaling factor B^alpha is "
                          f"past the float range")
-    # the strings of each factor once, gathered into each point's row
+    # the strings of each factor once, gathered into each point's row; the
+    # renderer encodes the chart and rescaled values once per factor
     names = [_coords_token(x) for x, _ in cloud.factors]
     tokens = list(map(",".join, cloud.gather([names])))
-    chart = list(cloud.gather(cloud.chart_columns(_pair_text)))
     data = {
         "variety": args.variety, "dim": args.dim, "metric": args.metric,
         "center": args.center, "alpha": str(_num(zc.alpha)),
         "radius": str(_num(zc.R)), "bound": _num(zc.B),
         "window": window, "size": cloud.size,
         "points": tokens,
-        "chart": chart,
-        "rescaled": rescaled,
+        "chart": Gathered(cloud.index, cloud.chart_columns(_pair_text)),
+        "rescaled": Gathered(cloud.index, rescaled),
         "heights": cloud.heights,
     }
     cols = ["point", "height"]

@@ -84,7 +84,10 @@ class ZoomCloud(Frozen):
     ((0,), (1,), ...) on P^n.  The work that depends on one factor alone
     (rescaling, the band test of `fiber_share`, the norms of the overlay,
     the command line's strings) reads it once per factor, into a list by
-    factor position, and `gather` hands each point its entries.
+    factor position, and `gather` hands each point its entries.  The
+    command line hands the renderer the index and the columns of
+    `chart_columns` and `rescaled_columns` themselves, so each chart
+    string and rescaled float is also formatted once per factor.
     """
 
     config: ZoomConfig
@@ -124,11 +127,14 @@ class ZoomCloud(Frozen):
 
     @cached_property
     def rescaled(self) -> tuple:
-        """The chart values of each point times B^alpha, floats: num / den
-        is the float nearest the value, as float(Fraction) gives it."""
+        """The chart values of each point times B^alpha, floats."""
+        return tuple(self.gather(self.rescaled_columns()))
+
+    def rescaled_columns(self) -> list:
+        """`chart_columns` of the chart values times B^alpha, floats: num /
+        den is the float nearest the value, as float(Fraction) gives it."""
         scale = self.B_pow_alpha()
-        return tuple(self.gather(self.chart_columns(
-            lambda num, den: num / den * scale)))
+        return self.chart_columns(lambda num, den: num / den * scale)
 
     def B_pow_alpha(self) -> float:
         return float(self.config.B) ** float(self.config.alpha)

@@ -788,6 +788,21 @@ def _parsed_center(kind, text):
     return pts[0] if kind == "pn" else tuple(pts)
 
 
+# more zoom inputs for the byte reference, each with the overlay:
+# (kind, dim, center, alpha, radius, bound, metric, delta)
+_ZOOM_WIDER_CASES = [
+    # (P^1)^3: three factor positions gathered into each row
+    ("p1n", 3, "1:2,1:3,2:3", "1/2", "2", "12", "sup", "1/4"),
+    # an empty cloud
+    ("p1n", 2, "7:9,7:9", "3", "1", "3", "sup", "1/10"),
+    ("pn", 1, "2:5", "1", "3", "50", "euclid", None),
+    ("pn", 3, "1:2:3:4", "1/2", "2", "6", "sup", None),
+    # the benchmark's two zoom inputs
+    ("p1n", 2, "1:2,1:2", "1", "40", "373", "euclid", "1/10"),
+    ("pn", 2, "1:2:3", "1/2", "1", "30", "sup", None),
+]
+
+
 class TestZoom:
     @pytest.mark.parametrize("metric", ["sup", "euclid"])
     @pytest.mark.parametrize("kind, dim, center, alpha, bound, delta",
@@ -827,6 +842,58 @@ class TestZoom:
         }
         if delta is not None:
             expect["fiber_share"] = fiber_share(cloud, Fraction(delta))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert {k: doc[k] for k in expect} == expect
+        doc.update(expect)
+        assert out == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+        assert main(argv + ["--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        head = out.split("\n", 2)[:2]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["point", "height", "freeness"])
+        writer.writerows(zip(tokens, cloud.heights, overlay))
+        assert out == "\n".join(head) + "\n" + buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "kind, dim, center, alpha, radius, bound, metric, delta",
+        _ZOOM_WIDER_CASES,
+        ids=[f"{c[0]}{c[1]}-{c[2]}-{c[3]}-B{c[5]}" for c in _ZOOM_WIDER_CASES])
+    def test_wider_output_matches_fraction_reference(
+            self, capsys, kind, dim, center, alpha, radius, bound, metric,
+            delta):
+        """The reference of `test_output_matches_fraction_reference` on
+        more inputs: every JSON and CSV byte, formed point by point."""
+        argv = ["zoom", "--variety", kind, "--dim", str(dim),
+                f"--center={center}", "--alpha", alpha, "--radius", radius,
+                "--bound", bound, "--metric", metric, "--overlay-freeness"]
+        if delta is not None:
+            argv += ["--delta", delta]
+        cloud = zoom_cloud(ZoomConfig(
+            variety=variety(kind, dim), center=_parsed_center(kind, center),
+            alpha=Fraction(alpha), R=Fraction(radius), B=Fraction(bound),
+            metric=Metric(metric)))
+        if kind == "pn":
+            tokens = [":".join(map(str, p.coords)) for p in cloud.points]
+        else:
+            tokens = [",".join(":".join(map(str, f)) for f in pt)
+                      for pt in cloud.points]
+        scale = float(Fraction(bound)) ** float(Fraction(alpha))
+        overlay = list(zoom_freeness_overlay(cloud))
+        expect = {
+            "size": cloud.size,
+            "points": tokens,
+            "chart": [[str(cli._num(y)) for y in ys] for ys in cloud.chart],
+            "rescaled": [[float(y) * scale for y in ys] for ys in cloud.chart],
+            "heights": list(cloud.heights),
+            "freeness": overlay,
+        }
+        if delta is not None:
+            expect["fiber_share"] = (fiber_share(cloud, Fraction(delta))
+                                     if cloud.size else None)
         assert main(argv) == 0
         out = capsys.readouterr().out
         doc = json.loads(out)
@@ -1424,3 +1491,83 @@ def test_render_rejects_nan_and_inf_as_json_dumps_does(data):
     with pytest.raises(ValueError) as got:
         cli._render(_RUN, data, None)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# Gathered: a list the renderer writes from per-factor columns
+
+
+def _gathered_items(obj):
+    """json.dumps's default in these tests: the items a Gathered value
+    stands for, built value by value."""
+    if not isinstance(obj, cli.Gathered):
+        raise TypeError(f"not JSON serializable: {obj!r}")
+    return [[col[i] for i in pos for col in obj.columns] for pos in obj.index]
+
+
+_COLUMN_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308]),
+    st.text(max_size=4),
+    st.sampled_from(["", "\"", "\\", "\n", "\x00\x1f", "é€𝄞", "-3/7"]))
+
+
+@st.composite
+def _gathered(draw):
+    """0-3 positions per item over 1-4 factors, 1-3 values per factor, 0-5
+    items."""
+    factors = draw(st.integers(1, 4))
+    positions = draw(st.integers(0, 3))
+    width = draw(st.integers(1, 3))
+    columns = [draw(st.lists(_COLUMN_VALUES, min_size=factors,
+                             max_size=factors)) for _ in range(width)]
+    pos = st.integers(0, factors - 1)
+    index = draw(st.lists(st.tuples(*[pos] * positions), max_size=5))
+    return cli.Gathered(index, columns)
+
+
+# Gathered values at the top of the document and inside dicts and lists,
+# so rendered at several pads, beside other values
+_GATHERED_VALUES = st.recursive(
+    _gathered() | _SCALARS | _ROWS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(st.text(max_size=4), _GATHERED_VALUES, max_size=4))
+def test_gathered_renders_as_json_dumps_of_its_items(data):
+    assert cli._render(_RUN, data, None) == json.dumps(
+        _doc(data), indent=2, allow_nan=False, default=_gathered_items) + "\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(_gathered())
+def test_gathered_items_and_dump_at_the_top(g):
+    assert list(map(list, g.items())) == _gathered_items(g)
+    assert cli._dump(g, "\n") == json.dumps(_gathered_items(g), indent=2)
+
+
+@pytest.mark.parametrize("data", [
+    {"x": cli.Gathered([(0,), (1,)], [[1.5, math.nan]])},
+    {"x": [1, cli.Gathered([(0, 1)], [[0.5, -math.inf], ["a", "b"]])]},
+    {"x": {"y": cli.Gathered([(1,), (0,)], [[math.inf, 2.0]])}},
+    {"x": [[cli.Gathered([(0, 0), (1, 0)], [[1.0, math.nan]])]]},
+    {"x": cli.Gathered([(1, 0, 1)], [[1, 2], [math.nan, 3.0]])}],
+    ids=repr)
+def test_gathered_rejects_nan_and_inf_as_json_dumps_does(data):
+    with pytest.raises(ValueError) as want:
+        json.dumps(_doc(data), indent=2, allow_nan=False,
+                   default=_gathered_items)
+    with pytest.raises(ValueError) as got:
+        cli._render(_RUN, data, None)
+    assert str(got.value) == str(want.value)
+
+
+def test_gathered_renders_around_an_unused_nan():
+    # the column's NaN stands in no item, so the output is that of the items
+    data = {"x": cli.Gathered([(0,), (0,)], [[0.25, math.nan]])}
+    assert cli._render(_RUN, data, None) == json.dumps(
+        _doc({"x": [[0.25], [0.25]]}), indent=2, allow_nan=False) + "\n"
