@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import operator
@@ -83,7 +82,8 @@ from .projpoint import (
     card_projective_mod,
     variety,
 )
-from .tamagawa import assemble_constant, closed_form, uniform_class_share
+from .tamagawa import (
+    PRIME_LIMIT_CAP, assemble_constant, closed_form, uniform_class_share)
 from .zoomlab import (
     ZoomConfig, _gather, fiber_share, zoom_cloud, zoom_freeness_overlay)
 
@@ -242,31 +242,14 @@ def _tokens(values) -> list:
     return _ENCODE(values)[1:-1].split("\n") if values else []
 
 
-def _nested(kinds) -> bool:
-    """Whether a set of types holds a dict, list, tuple or Gathered type."""
-    return any(issubclass(k, _NESTED) for k in kinds)
-
-
 def _items(values, pad: str) -> list:
     """Each of values as json.dumps(indent=2) writes it on a line that
-    starts with pad.  Scalars take one C encoder call; so do the items of
-    rows that hold only scalars, which are flattened and regrouped by one
-    Python step per row.  Rows gathered from per-factor columns come as a
-    Gathered value instead, which `_dump` writes with no step per row and
-    each value formatted once per factor."""
-    kinds = set(map(type, values))
-    if not _nested(kinds):
+    starts with pad.  The scalars take one C encoder call, and each nested
+    value one `_dump`.  Rows gathered from per-factor columns come as a
+    Gathered value, which `_dump` writes with no step per row and each
+    value formatted once per factor."""
+    if not any(issubclass(k, _NESTED) for k in set(map(type, values))):
         return _tokens(values)
-    if all(issubclass(k, (list, tuple)) for k in kinds):
-        flat = list(itertools.chain.from_iterable(values))
-        if not _nested(set(map(type, flat))):
-            toks, inner, out, i = _tokens(flat), pad + "  ", [], 0
-            for row in values:
-                j = i + len(row)
-                out.append("[" + inner + ("," + inner).join(toks[i:j]) + pad
-                           + "]" if row else "[]")
-                i = j
-            return out
     toks = iter(_tokens([v for v in values if not isinstance(v, _NESTED)]))
     return [_dump(v, pad) if isinstance(v, _NESTED) else next(toks)
             for v in values]
@@ -490,6 +473,9 @@ def _cmd_enumerate(cfg: RunConfig, args) -> tuple:
 def _cmd_constant(cfg: RunConfig, args) -> tuple:
     if args.primes_up_to < 2:
         raise UsageError(f"--primes-up-to must be at least 2, got {args.primes_up_to}")
+    if args.primes_up_to > PRIME_LIMIT_CAP:
+        raise UsageError(f"--primes-up-to must be at most {PRIME_LIMIT_CAP}, "
+                         f"got {args.primes_up_to}")
     v = _variety(args)
     metric = _metric(args)
     const = assemble_constant(v, metric, prime_limit=args.primes_up_to)

@@ -168,13 +168,16 @@ class _CoprimeMertens:
     def __init__(self, modulus: int, limit: int):
         self.limit = limit = max(1, limit)
         self.modulus = modulus
-        self.table = table = bytearray(build_sieve(limit).mu)
+        self.mu = build_sieve(limit)
+        self.table = table = self.mu.obj
         self.divisors = [(1, 1)]  # (e, mu(e)) over the squarefree e | M
         for p, _ in factorize(modulus) if modulus > 1 else ():
-            table[p::p] = bytes(len(range(p, limit + 1, p)))
+            # the view pins the buffer's size, and even an empty slice
+            # assignment checks it
+            if p <= limit:
+                table[p::p] = bytes(len(range(p, limit + 1, p)))
             self.divisors += [(e * p, -s) for e, s in self.divisors]
         self.units = [math.gcd(j, modulus) == 1 for j in range(modulus)]
-        self.mu = memoryview(table).cast("b")
         # short[v] = M_M(v) to the largest isqrt(x) read
         self.short, self.cursor, self.memo = [0], (0, 0), {}
         self._grow(math.isqrt(limit))

@@ -18,10 +18,10 @@ a time; the mu-basis walk that accepts each `geomcurve.CurveMap` and finds
 its splitting type, and the minima of `lattice`, ask it that question (the
 tests' `int_rank` counts the rows it keeps).
 
-`build_sieve` holds mu as one byte an entry, from `bytes.translate` and
-zero slices, with no Python step an entry; its phi, which `tamagawa`'s
-prime test reads, is computed on its first read.  `totients` is the one
-phi sieve, which the sup P^1 shells call alone, with no mu table.
+Each arithmetic table comes from one function.  `build_sieve` returns mu
+as one signed byte an entry, from `bytes.translate` and zero slices, with
+no Python step an entry; `totients` is the one phi sieve, and
+`primes_upto` the one list of primes.
 
 `Frozen` is the package's immutable value type: a subclass lists its
 fields as annotations, with class-level defaults, and gets construction
@@ -38,10 +38,9 @@ reads the fields once per class and compiles nothing.
 from __future__ import annotations
 
 import math
-from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 from operator import attrgetter
 
@@ -320,24 +319,6 @@ def int_adjugate(m) -> list:
              for j in range(n)] for i in range(n)]
 
 
-class SieveTable(Frozen):
-    """Moebius and Euler-phi values for 0..limit (0 at 0)."""
-
-    limit: int
-    mu: Sequence
-    phi: Sequence
-
-    def mobius(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError("n out of sieve range")
-        return self.mu[n]
-
-    def totient(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError("n out of sieve range")
-        return self.phi[n]
-
-
 def primes_upto(n: int) -> Iterator[int]:
     """The primes p <= n, from a bytearray sieve of Eratosthenes."""
     flags = bytearray([0, 0]) + bytearray([1]) * (n - 1)
@@ -365,21 +346,6 @@ def totients(limit: int) -> list:
     return phi
 
 
-class _Totients:
-    """phi(0..limit) for a `build_sieve` table, from `totients` on the
-    first read."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-
-    def __getitem__(self, index):
-        return self.values[index]
-
-    @cached_property
-    def values(self) -> list:
-        return totients(self.limit)
-
-
 # A sieve byte holds mu(n) in its low two bits (0, 1 = +1, 2 = -1), and in
 # its upper six the sum of round(log2 p) over the sieving primes p | n.
 # _flip(r) flips the sign of a nonzero byte and adds r to its log; _settle(b)
@@ -397,8 +363,9 @@ def _settle(b: int) -> bytes:
     return bytes(c and (1, 255)[(c & 3 == 2) != (b - (c >> 2) >= 7)] for c in range(256))
 
 
-def build_sieve(limit: int) -> SieveTable:
-    """mu(0..limit) in an `array('b')`; phi is computed on its first read.
+def build_sieve(limit: int) -> memoryview:
+    """mu(0..limit), 0 at 0, as a signed-byte view over one `bytearray`
+    (its `.obj`).
 
     The primes p <= max(sqrt(limit), 4096) flip the sign of their multiples
     and zero the multiples of p^2.  A squarefree n <= limit then has at most
@@ -416,7 +383,7 @@ def build_sieve(limit: int) -> SieveTable:
     for b in range(1, limit.bit_length() + 1):
         block = slice(1 << b - 1, min(1 << b, limit + 1))
         sieve[block] = sieve[block].translate(_settle(b))
-    return SieveTable(limit, array("b", sieve), _Totients(limit))
+    return memoryview(sieve).cast("b")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -367,6 +367,20 @@ class TestConstant:
         assert captured.err == (f"heightlab: --primes-up-to must be at "
                                 f"least 2, got {limit}\n")
 
+    # 10^8 took 33 s; the refusal comes before any sieve is built
+    def test_prime_limit_past_the_cap_is_usage_error(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("primes listed")
+
+        monkeypatch.setattr(tamagawa, "primes_upto", refuse)
+        limit = str(tamagawa.PRIME_LIMIT_CAP + 1)
+        assert main(["constant", "--variety", "pn", "--dim", "2",
+                     "--primes-up-to", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"heightlab: --primes-up-to must be at most "
+                                f"100000000, got {limit}\n")
+
     def test_prime_limit_two_is_the_empty_product(self, capsys):
         doc = run_json(capsys, ["constant", "--variety", "pn", "--dim", "2",
                                 "--primes-up-to", "2"])

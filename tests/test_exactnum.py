@@ -12,6 +12,8 @@ from heightlab.exactnum import (
     factorize,
     int_adjugate,
     int_det,
+    primes_upto,
+    totients,
     zeta,
 )
 from linalg_reference import int_rank, reference_adjugate, reference_det, reference_rank
@@ -233,15 +235,15 @@ def mobius_by_factoring(n):
 
 class TestSieve:
     def test_small_values(self):
-        t = build_sieve(60)
-        assert [t.mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-        assert [t.totient(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+        mu = build_sieve(60)
+        assert list(mu[1:11]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+        assert totients(60)[1:11] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
     @given(st.integers(2, 3000))
     @settings(max_examples=60, deadline=None)
     def test_mobius_sum_over_divisors(self, n):
-        t = build_sieve(n)
-        total = sum(t.mobius(d) for d in range(1, n + 1) if n % d == 0)
+        mu = build_sieve(n)
+        total = sum(mu[d] for d in range(1, n + 1) if n % d == 0)
         assert total == (1 if n == 1 else 0)
 
     @given(st.integers(1, 500), st.integers(1, 500))
@@ -249,9 +251,9 @@ class TestSieve:
     def test_multiplicativity_on_coprime_pairs(self, a, b):
         if math.gcd(a, b) != 1:
             return
-        t = build_sieve(a * b)
-        assert t.mobius(a * b) == t.mobius(a) * t.mobius(b)
-        assert t.totient(a * b) == t.totient(a) * t.totient(b)
+        mu, phi = build_sieve(a * b), totients(a * b)
+        assert mu[a * b] == mu[a] * mu[b]
+        assert phi[a * b] == phi[a] * phi[b]
 
     @given(st.integers(1, 10 ** 4))
     @settings(max_examples=60, deadline=None)
@@ -263,15 +265,17 @@ class TestSieve:
     @example(10 ** 4)
     def test_matches_linear_sieve(self, limit):
         mu, phi = reference_sieve(limit)
-        t = build_sieve(limit)
-        assert list(t.mu) == mu
-        assert list(t.phi) == phi
+        assert list(build_sieve(limit)) == mu
+        assert totients(limit) == phi
+        # the prime test `tamagawa.assemble_constant` made on the table
+        assert list(primes_upto(limit)) == [
+            p for p in range(2, limit + 1) if mu[p] == -1 and phi[p] == p - 1]
 
     # past 4096^2 the sieving primes run to sqrt(limit), and the log byte
     # decides the one prime above them
     def test_past_the_fixed_prime_bound(self):
         limit = 2 ** 24 + 3000
-        mu = build_sieve(limit).mu
+        mu = build_sieve(limit)
         rng = random.Random(3)
         picks = [*range(limit - 3000, limit + 1),
                  *(rng.randrange(1, limit) for _ in range(2000)),

@@ -101,6 +101,7 @@ def one_call_per_command(tmp_path):
         ["count", "--variety", "p1n", "--dim", "2", "--metric", "euclid",
          "--bound", "500"],
         ["count", "--variety", "blowup", "--metric", "euclid", "--bound", "300"],
+        ["constant", "--variety", "blowup", "--primes-up-to", "1000"],
         ["equidist", "--dim", "2", "--modulus", "5", "--bound", "40",
          "--class", "1:1:1", "--box", "0,1;-1,1;0,1"],
         ["window", "--variety", "p1n", "--dim", "2", "--d1", "1,2;1,2",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heightlab import exactnum, tamagawa
 from heightlab.exactnum import int_adjugate, int_det, zeta
 from heightlab.projpoint import Metric, VarietyId, variety
 from heightlab.tamagawa import (
@@ -141,6 +142,35 @@ class TestAssembledConstants:
         big = assemble_constant(v, Metric.SUP, prime_limit=10_000)
         assert big.tail_rel_bound < small.tail_rel_bound
         assert abs(small.value - big.value) <= abs(big.value) * 2 * small.tail_rel_bound
+
+    # recorded while the product tested each p < prime_limit for
+    # mu(p) = -1 and phi(p) = p - 1 on a full sieve table
+    @pytest.mark.parametrize("kind, prime_limit, tau_finite", [
+        ("pn", 50, 0.8319415766559043),
+        ("pn", 10_000, 0.8319073730064341),
+        ("p1n", 50, 0.37245266081697675),
+        ("p1n", 10_000, 0.369582616522434),
+        ("blowup", 50, 0.37245266081697675),
+        ("blowup", 10_000, 0.369582616522434),
+    ])
+    def test_tau_finite_is_frozen(self, kind, prime_limit, tau_finite):
+        c = assemble_constant(variety(kind, 2), Metric.SUP, prime_limit)
+        assert c.tau_finite == tau_finite
+
+    def test_builds_no_mu_or_phi_table(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("table built")
+
+        for mod in (exactnum, tamagawa):
+            for name in ("build_sieve", "totients"):
+                monkeypatch.setattr(mod, name, refuse, raising=False)
+        c = assemble_constant(variety("pn", 2), Metric.SUP, 10_000)
+        assert c.tau_finite == 0.8319073730064341
+
+    @pytest.mark.parametrize("prime_limit", [1, 0, -5])
+    def test_prime_limit_below_two_is_refused(self, prime_limit):
+        with pytest.raises(ValueError, match="at least 2"):
+            assemble_constant(variety("pn", 2), Metric.SUP, prime_limit)
 
 
 class TestWindows:

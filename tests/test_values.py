@@ -12,7 +12,7 @@ import pytest
 
 from heightlab.cli import RunConfig
 from heightlab.counting import CountReport, HeightWindow
-from heightlab.exactnum import LogLin, SieveTable
+from heightlab.exactnum import LogLin
 from heightlab.freeness import FreenessReport, FreenessStats, PnFreeness, TangentLattice
 from heightlab.geomcurve import (
     BranchData,
@@ -48,8 +48,6 @@ CASES = [
                        rel_error=1.0),
      "CountReport(count=7, scale=Fraction(3, 1), fitted=0.5, reference=0.25, "
      "rel_error=1.0)", True),
-    (SieveTable, dict(limit=3, mu=(0, 1, -1, -1), phi=(0, 1, 1, 2)),
-     "SieveTable(limit=3, mu=(0, 1, -1, -1), phi=(0, 1, 1, 2))", True),
     (TangentLattice, dict(point=PrimPoint((1, 2)),
                           lattice=EucLattice(((2, 1), (1, 3))), h=HALF_LOG_2),
      "TangentLattice(point=[1:2], lattice=EucLattice(gram=((Fraction(2, 1), "
