@@ -367,7 +367,8 @@ def _enum_tokens(w: HeightWindow) -> list:
 
 def _check_shell_cap(w: HeightWindow, bound,
                      limit: int | None = None) -> None:
-    # the counts tabulate every shell value up to the largest component cap
+    # tables and ranges of the counts are sized by the largest component
+    # cap, and none indexes past sys.maxsize
     cap = max(hi for _, hi in _shell_spec(w)[0])
     if cap >= sys.maxsize:
         raise UsageError(f"--bound {_num(bound)} is too large: the window "
@@ -382,7 +383,7 @@ def _check_shell_cap(w: HeightWindow, bound,
 def _cmd_count(cfg: RunConfig, args) -> tuple:
     v = _variety(args)
     metric = _metric(args)
-    # a (P^1)^n count lists the sizes of its cap + 1 shells in Python
+    # a (P^1)^n count takes O(cap^(3/4)) Python steps a factor
     _check_shell_cap(bounded_window(v, args.bound, metric), args.bound,
                      P1_SHELL_LIMIT if v.kind == "p1n" else None)
     b = float(args.bound)

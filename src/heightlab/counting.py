@@ -7,13 +7,13 @@ height (product of squared factor heights, resp. H_P^2 H_Q), growing like
 C B (log B)^(t-1).  All counts are exact integers.  One walk over the
 runs of d sharing floor(x/d^e) evaluates every divisor sum: P^n shell
 ranges (Mobius weights on box or ball counts), their classes mod M,
-(P^1)^n (P^1 shell counts as weights), and the fibres of the blown-up
-plane.  The Mobius weights are sums of mu(d) over d prime to M, read at
-run ends from `_CoprimeMertens`: byte counts over a sieve table of one
-byte an entry to about x^(2/3), and above it the Mertens identity split
-at sqrt(v), whose sums over j and q each run as one C-level
-`sum(map(...))`.  So no count on P^n builds a table of size B, nor a list
-of Python ints the size of its table.
+(P^1)^n (P^1 counts, read at the quotients of its cap, as weights), and
+the fibres of the blown-up plane.  The Mobius weights are sums of mu(d)
+over d prime to M, read at run ends from `_CoprimeMertens`: byte counts
+over a sieve table of one byte an entry to about x^(2/3), and above it
+the Mertens identity split at sqrt(v), whose sums over j and q each run
+as one C-level `sum(map(...))`.  So no count on P^n or (P^1)^n builds a
+table of size B, nor a list of Python ints the size of its table.
 
 The blown-up plane fibres over the shells s of Q = [a : b]: off the
 center P = (g a, g b, z) with gcd(g, z) = 1, and Mobius inversion over
@@ -26,8 +26,8 @@ every s.  Counts by residue class on P^n, in all of the sup ball or in a
 cone box, are Mobius inversions over the d prime to M with those runs: a
 class is closed under the units mod M, so y -> y/d keeps it, and the box
 counts walk the sup shells of the one cone.  No kernel builds arrays: ball
-counts sum integer square roots over sorted coordinates, euclid P^1 shells
-come off a bytearray sieve, and the box walk adds a few differences a shell.
+counts sum integer square roots over sorted coordinates, and the box walk
+adds a few differences a shell.
 
 Windows follow the shifted-box convention: per-component height intervals
 [a_i, b_i] scaled by B^(u_i) for a direction u strictly inside the dual of
@@ -42,6 +42,7 @@ and the product zoom clouds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -49,7 +50,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import add, floordiv, getitem, mul, sub
 
-from .exactnum import Frozen, build_sieve, factorize, primes_upto, totients
+from .exactnum import Frozen, build_sieve, factorize, totients
 from .projpoint import (Metric, PrimPoint, VarietyId, blowup_from_plane, blowup_point,
                         card_projective_mod, enum_projective_mod)
 from .tamagawa import closed_form, cone_alpha, nu_window
@@ -121,13 +122,10 @@ def count_pn_sieved(n: int, bound: int) -> int:
 
 
 def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
-    """#P^n points with shell value in [lo, hi]: (1/2) sum_d mu(d)
-    (F(hi, d) - F(lo - 1, d)), where F(x, d) counts the vectors of Z^(n+1),
-    zero included, of shell value <= x after division by d:
-    (2 floor(x/d) + 1)^(n+1) under sup, V_(n+1)(floor(x/d^2)) under euclid.
-    The zero vector cancels and y, -y are one point.  F depends on d only
-    through q = floor(x/d^e), so the sum runs over `_quotient_runs`,
-    weighted by the Mertens function; terms with d^e > hi vanish.
+    """#P^n points with shell value in [lo, hi]: half the primitive vectors
+    of shell value <= hi less those <= lo - 1, each count a
+    `_primitive_upto` over d <= top = hi^(1/e) on one Mertens table, as
+    y, -y are one point.
 
     Under sup that is O(hi^(2/3)) work in all (`_mertens_for`); under
     euclid the ball counts dominate."""
@@ -137,13 +135,26 @@ def _count_pn_range(n: int, lo: int, hi: int, metric: Metric) -> int:
     e = 1 if metric is Metric.SUP else 2
     top = int_nth_root(hi, e)
     mertens = _mertens_for(top, e)
-    total = 0
-    for x, sign in ((hi, 1), (lo - 1, -1)):
-        for q, w in _quotient_runs(x, top, mertens, e):
-            ball = (2 * q + 1) ** (n + 1) if e == 1 else _ball_count(n + 1, q)
-            total += sign * w * ball
+    nonzero = functools.partial(_nonzero_vectors, n, e)
+    total = (_primitive_upto(hi, top, mertens, e, nonzero)
+             - _primitive_upto(lo - 1, top, mertens, e, nonzero))
     assert total % 2 == 0
     return total // 2
+
+
+def _nonzero_vectors(n: int, e: int, q: int) -> int:
+    """G(q), the nonzero vectors of Z^(n+1) of shell value <= q:
+    (2q + 1)^(n+1) - 1 under sup (e = 1), V_(n+1)(q) - 1 under euclid."""
+    return ((2 * q + 1) ** (n + 1) if e == 1 else _ball_count(n + 1, q)) - 1
+
+
+def _primitive_upto(x: int, top: int, mertens, e: int, nonzero) -> int:
+    """The primitive vectors of shell value <= x, for any top >= x^(1/e):
+    sum_(d <= top) mu(d) nonzero(floor(x/d^e)), nonzero(q) the nonzero
+    vectors of shell value <= q, as a nonzero y is d z for one primitive z
+    and d >= 1.  The sum runs over `_quotient_runs`, weighted by the
+    Mertens function."""
+    return sum(w * nonzero(q) for q, w in _quotient_runs(x, top, mertens, e))
 
 
 class _CoprimeMertens:
@@ -368,50 +379,52 @@ def count_classes_pn(n: int, modulus: int, bound: int) -> dict:
 
 
 def _p1_shells(cap: int, metric: Metric) -> list:
-    """shells[t] = #P^1 points with shell value t, for t = 0..cap (cap >= 1)."""
+    """shells[t] = #P^1 points with shell value t, for t = 0..cap (cap >= 1),
+    read by the blow-up fibres up to B^(1/3) (sup) or B^(2/3) (euclid)."""
     if metric is Metric.SUP:
         # max(|a|, |b|) = t holds 4 phi(t) points: [t : c] and [c : t] with
         # gcd(c, t) = 1 and |c| < t for t >= 2; [1:0], [0:1], [1:1], [1:-1]
         # at t = 1
         return [4 * f for f in totients(cap)]
-    # Primitive [a : b] with a^2 + b^2 = t (two-squares theorem): 2 at t = 1,
-    # and 2^(w+1) at t >= 2 when neither 4 nor a prime = 3 (mod 4) divides
-    # t, w the number of primes = 1 (mod 4) of t.  shells[t] = 2^code[t],
-    # or 0 at code 0.
-    code = bytearray([1]) * (cap + 1)
-    code[0] = 0
-    code[4::4] = bytes(len(code[4::4]))
-    top = max(cap // 5, math.isqrt(cap))
-    grow = bytes([0, *range(2, 256), 255])
-    for p in itertools.islice(primes_upto(top), 1, None):
-        code[p::p] = code[p::p].translate(grow) if p % 4 == 1 else bytes(cap // p)
-    # A t > 2 still at code 1 has one odd prime p > top >= sqrt(cap): t = p
-    # or 2 p, as 3 p and 4 p are marked or past cap, and 5 p > cap.
-    for start, step, to in ((5, 4, 2), (3, 4, 0), (10, 8, 2), (6, 8, 0)):
-        code[start::step] = code[start::step].translate(bytes([0, to, *range(2, 256)]))
-    # t has at most six primes = 1 (mod 4) below 5 * 13 * 17 * 29 * 37 * 41 * 53
-    if cap < 2576450045:
-        return list(code.translate(bytes([0, *(1 << e for e in range(1, 8))]) + bytes(248)))
-    return [1 << e if e else 0 for e in code]
+    shells = [0] * (cap + 1)
+    for a, b in _pn_coords(1, 1, cap, metric):  # the primitive pairs in the disc
+        shells[a * a + b * b] += 1
+    return shells
 
 
 def count_p1n(n: int, bound, metric: Metric = Metric.SUP) -> int:
-    """#((P^1)^n)(Q) with anticanonical height prod H_i^2 <= bound, exact:
-    k factors under a shell cap c are the sum over shells h of the first
-    of #{P^1 points of shell h} times k - 1 factors under floor(c/h)."""
+    """#((P^1)^n)(Q) with anticanonical height prod H_i^2 <= bound, exact.
+
+    N_k(x), the points of (P^1)^k whose shells multiply to at most x, is the
+    sum over the shells h of the first factor of #{P^1 points of shell h}
+    N_(k-1)(floor(x/h)): a walk over the runs of h sharing floor(x/h),
+    weighted by differences of N_1.  The walk from the cap c reads N_k only
+    at quotients floor(c/m), and so do the walks from those, as
+    floor(floor(c/a)/b) = floor(c/(ab)).  So each level is counted once at
+    each of the O(sqrt(c)) quotients, from the level below, and N_1(x) is
+    half the `_primitive_upto` of P^1 at x, all read from one Mertens
+    table: O(c^(3/4)) steps a level, and no list of length c."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     b = Fraction(bound)
     if b < 1:
         return 0
     cap = _shell_cap(b, metric)
-    cum = list(itertools.accumulate(_p1_shells(cap, metric)))
-
-    def rec(factors_left: int, cap_left: int) -> int:
-        if factors_left == 1:
-            return cum[cap_left]
-        return sum(w * rec(factors_left - 1, q)
-                   for q, w in _quotient_runs(cap_left, cap_left, cum, 1))
-
-    return rec(n, cap)
+    e = 1 if metric is Metric.SUP else 2
+    mertens = _mertens_for(int_nth_root(cap, e), e)
+    r = math.isqrt(cap)
+    quotients = [*range(r + 1), *(cap // m for m in range(cap // (r + 1), 0, -1))]
+    # floor(x/d^e) is a quotient too, so the vector counts are read there
+    nonzero = {x: _nonzero_vectors(1, e, x) for x in quotients}.__getitem__
+    # largest first: under sup the read at c fills the Mertens memo above
+    # its table with every quotient
+    points = level = {x: _primitive_upto(x, int_nth_root(x, e), mertens, e, nonzero) // 2
+                      for x in reversed(quotients)}
+    for k in range(2, n + 1):
+        below = level
+        level = {x: sum(w * below[q] for q, w in _quotient_runs(x, x, points, 1))
+                 for x in (quotients if k < n else [cap])}
+    return level[cap]
 
 
 def count_blowup(bound, metric: Metric = Metric.SUP) -> tuple:
@@ -553,9 +566,12 @@ CLASS_LIMIT = 10 ** 5
 # them, 5 s), so the limit is about 1 s.
 CLASS_WORK_LIMIT = 4 * 10 ** 6
 
-# Shell cap past which a (P^1)^n count is refused: `count_p1n` lists the
-# cap + 1 shell sizes in Python, and sup B = 1e14 (cap 10^7) took 6.4 s
-# and 1.26 GB on a 2-core VM.
+# Shell cap past which a (P^1)^n count is refused, a guard on time:
+# `count_p1n` takes O(c^(3/4)) steps a factor at cap c.  At cap 10^7 sup
+# (P^1)^2 (B = 1e14) took 0.7-1.3 s, (P^1)^4 1.4-2.8 s and euclid
+# (P^1)^2 (B = 1e7) 0.1-0.3 s, each in under 20 MB on a 2-core VM; cap
+# 10^15 (sup B = 1e30) would take days.  The value is kept from when the
+# count listed every shell size, which took 6.4 s and 1.26 GB at 10^7.
 P1_SHELL_LIMIT = 10 ** 7
 
 

@@ -280,28 +280,3 @@ def curve_from_json(text: str) -> CurveMap:
         raise ValueError("'forms' must be a list of coefficient lists")
     return CurveMap(n=data["n"], d=data["d"], forms=tuple(map(tuple, forms)))
 
-
-def line_p2() -> CurveMap:
-    """The line x = y embedded off the coordinate axes: [s : t : t]."""
-    return CurveMap(n=2, d=1, forms=((1, 0), (0, 1), (0, 1)))
-
-
-def coordinate_line_p2() -> CurveMap:
-    return CurveMap(n=2, d=1, forms=((1, 0), (0, 1), (0, 0)))
-
-
-def conic_p2() -> CurveMap:
-    return CurveMap(n=2, d=2, forms=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-
-def twisted_cubic() -> CurveMap:
-    return CurveMap(n=3, d=3, forms=((1, 0, 0, 0), (0, 1, 0, 0),
-                                     (0, 0, 1, 0), (0, 0, 0, 1)))
-
-
-def double_cover_line() -> CurveMap:
-    return CurveMap(n=2, d=2, forms=((1, 0, 0), (0, 0, 1), (0, 0, 0)))
-
-
-def identity_p1() -> CurveMap:
-    return CurveMap(n=1, d=1, forms=((1, 0), (0, 1)))

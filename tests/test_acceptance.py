@@ -37,14 +37,8 @@ from heightlab.freeness import (
 from heightlab.geomcurve import (
     CurveMap,
     approx_exponent,
-    conic_p2,
-    coordinate_line_p2,
-    double_cover_line,
-    identity_p1,
     limit_experiment,
-    line_p2,
     splitting_type,
-    twisted_cubic,
 )
 from heightlab.lattice import (
     EucLattice,
@@ -74,6 +68,14 @@ from heightlab.projpoint import Metric, card_projective_mod, enum_projective_mod
 from heightlab.tamagawa import assemble_constant, closed_form, uniform_class_share
 from heightlab.zoomlab import ZoomConfig, fiber_share, zoom_cloud, zoom_freeness_overlay
 
+from curve_examples import (
+    conic_p2,
+    coordinate_line_p2,
+    double_cover_line,
+    identity_p1,
+    line_p2,
+    twisted_cubic,
+)
 from freeness_reference import product_tangent_lattice
 from test_lattice import oracle_min_covol2, random_gram
 

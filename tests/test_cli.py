@@ -36,12 +36,13 @@ from heightlab.counting import (
 )
 from heightlab.counting import HeightWindow
 from heightlab import geomcurve, tamagawa
-from heightlab.geomcurve import curve_to_json, is_very_free, line_p2, twisted_cubic
+from heightlab.geomcurve import curve_to_json, is_very_free
 from heightlab.lattice import EucLattice, is_semistable
 from heightlab.projpoint import Metric, PrimPoint, _canonical_mod, variety
 from heightlab.zoomlab import (ZoomConfig, fiber_share, zoom_cloud,
                                zoom_freeness_overlay)
 
+from curve_examples import line_p2, twisted_cubic
 from test_counting import reference_joint_class_box_counts
 from test_lattice import RANK6_GRAMS, random_gram
 
@@ -116,7 +117,7 @@ class TestCount:
         ["--variety", "p1n", "--dim", "2", "--bound", "1e30"],
         ["--variety", "p1n", "--dim", "2", "--metric", "euclid",
          "--bound", "1e30"],
-        # shell cap 10^8: a (P^1)^n count would list that many shell sizes
+        # shell cap 10^8, past the (P^1)^n time guard
         ["--variety", "p1n", "--dim", "2", "--bound", "1e16"],
     ])
     def test_huge_bound_is_usage_error(self, capsys, argv):

@@ -417,8 +417,6 @@ class TestByteTable:
         monkeypatch.setattr(exactnum, "totients", refuse)
         monkeypatch.setattr(counting, "totients", refuse)
         assert count_pn(1, 10 ** 8) == 12158542065463632
-        with pytest.raises(AssertionError, match="phi read"):
-            count_p1n(2, 100)
 
     # recorded from the parent's linear sieve and run recursion, which
     # took 8 s and 349 MB at B = 10^10
@@ -601,6 +599,23 @@ class TestProducts:
     def test_matches_per_shell_reference(self, n, metric, bound):
         assert count_p1n(n, bound, metric) == \
             reference_count_p1n(n, bound, metric)
+
+    # recorded from the list of every shell size up to the cap, which took
+    # 6.3 s and 1.25 GB at sup B = 10^14 (cap 10^7); none is listed now
+    def test_frozen_counts_read_no_shell_list(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("shell list read")
+
+        monkeypatch.setattr(counting, "totients", refuse)
+        monkeypatch.setattr(counting, "_p1_shells", refuse)
+        assert count_p1n(2, 10 ** 14) == 5296001093379968
+        assert count_p1n(2, 10 ** 7, Metric.EUCLID) == 173650912
+        assert count_p1n(4, 10 ** 10) == 105388244303872
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_factor(self, n):
+        with pytest.raises(ValueError):
+            count_p1n(n, 10)
 
     def test_square_product_small(self):
         # B = 1 forces both factors to height one: 4 * 4

@@ -30,10 +30,10 @@ from heightlab.freeness import (
     tangent_lattice_pn,
     unimodular_completion,
 )
-from heightlab.geomcurve import twisted_cubic
 from heightlab.lattice import EucLattice, degree, lagrange_gauss, max_deg_rank
 from heightlab.projpoint import Metric, PrimPoint, normalize, variety
 
+from curve_examples import twisted_cubic
 from freeness_reference import (
     UndefinedHeight,
     _adj3,

@@ -13,24 +13,26 @@ from heightlab.geomcurve import (
     CurveMap,
     NotAMorphism,
     approx_exponent,
-    conic_p2,
-    coordinate_line_p2,
     curve_from_json,
     curve_to_json,
-    double_cover_line,
     expected_dim,
     geometric_freeness,
     h0_twist,
-    identity_p1,
     is_very_free,
     limit_experiment,
-    line_p2,
     mckinnon_roth_alpha,
     splitting_type,
-    twisted_cubic,
 )
 from heightlab.exactnum import IntEchelon
 
+from curve_examples import (
+    conic_p2,
+    coordinate_line_p2,
+    double_cover_line,
+    identity_p1,
+    line_p2,
+    twisted_cubic,
+)
 from linalg_reference import int_rank, reference_rank
 
 

@@ -17,7 +17,9 @@ import pytest
 
 import heightlab
 from heightlab.cli import main
-from heightlab.geomcurve import curve_to_json, twisted_cubic
+from heightlab.geomcurve import curve_to_json
+
+from curve_examples import twisted_cubic
 
 PACKAGE = Path(heightlab.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
@@ -35,6 +37,22 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, \
                     f"{path.name} imports {name}"
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export; a __future__ import binds no name
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
 @pytest.mark.skipif(not PYPROJECT.exists(), reason="no source checkout")
